@@ -18,7 +18,7 @@ from . import model
 from .diagnostics import bates_curvature
 from .errors import DataError, RankDeficiencyError, StratificationError
 from .numerics import ks_two_sample
-from .solver import FitResult, TraceStep, gauss_newton
+from .solver import FitResult, evaluate, gauss_newton
 
 
 class Replication(NamedTuple):
@@ -146,7 +146,6 @@ def run_simulation(
     """
     if reps < 1:
         raise ValueError("reps must be positive")
-    start = model.default_start(spec) if theta0 is None else np.asarray(theta0, float)
 
     children = np.random.SeedSequence(seed).spawn(reps)
     jobs = [
@@ -162,7 +161,7 @@ def run_simulation(
             np.full(spec.q, np.nan),
         )
         try:
-            fit = gauss_newton(spec, sub, theta0=start)
+            fit = gauss_newton(spec, sub, theta0=theta0)
         except (RankDeficiencyError, DataError, ValueError):
             return failed
         if not fit.converged:
@@ -230,29 +229,12 @@ def apply_correction(fit, summary, spec, frame, alpha=0.05):
     of squares of the structural equation on the observation scale (None
     for the linear test family, which has no structural form).
     """
-    theta_c = np.asarray(summary.theta_corrected, dtype=float)
-    y = model.response(spec, frame)
-    fitted = model.eval_f(spec, theta_c, frame)
-    resid = y - fitted
-    rss = float(resid @ resid)
-    n, q = y.size, spec.q
-    sigma_hat = float(np.sqrt(rss / (n - q)))
-    corrected = FitResult(
-        spec=spec,
-        theta=theta_c,
-        rss=rss,
-        sigma_hat=sigma_hat,
-        fitted=fitted,
-        residuals=resid,
-        std_residuals=resid / sigma_hat if sigma_hat > 0 else np.zeros_like(resid),
-        trace=(TraceStep(theta_c.copy(), rss),),
-        converged=fit.converged,
-        steps=0,
-    )
+    corrected = evaluate(spec, summary.theta_corrected, frame)
+    theta_c = corrected.theta
     curvature = bates_curvature(
         model.jacobian(spec, theta_c, frame),
         model.hessian_cube(spec, theta_c, frame),
-        sigma_hat,
+        corrected.sigma_hat,
         alpha=alpha,
     )
     if spec.family == "linear":

@@ -17,7 +17,7 @@ import numpy as np
 from . import bootstrap, data, diagnostics, forecast, model, solver
 from .errors import Pm25CastError
 
-CLI_FAMILIES = ("initial", "with-id", "iterated", "iterated-free-rho")
+CLI_FAMILIES = tuple(family for family in model.FAMILIES if family != "linear")
 
 
 class _Parser(argparse.ArgumentParser):
@@ -159,28 +159,34 @@ def cmd_simulate(args):
         theta0=theta0,
         min_ks_pass=args.min_ks_pass,
     )
-    correction = bootstrap.apply_correction(baseline, summary, spec, frame, alpha=args.alpha)
+    corrected = None
+    if summary.converged_count:
+        correction = bootstrap.apply_correction(baseline, summary, spec, frame, alpha=args.alpha)
+        corrected = {
+            "theta": [float(v) for v in correction.fit.theta],
+            "rss_model_scale": correction.fit.rss,
+            "rss_observation_before": correction.rss_observation_before,
+            "rss_observation_after": correction.rss_observation_after,
+            "curvature": {
+                "rho_k_n": correction.curvature.rho_k_n,
+                "rho_k_p": correction.curvature.rho_k_p,
+                "critical": correction.curvature.critical,
+                "planar_ok": correction.curvature.planar_ok,
+                "uniform_ok": correction.curvature.uniform_ok,
+            },
+        }
 
     out = Path(args.out_dir)
     out.mkdir(parents=True, exist_ok=True)
     bootstrap.write_replications_csv(summary, out / "replications.csv")
     payload = bootstrap.summary_dict(summary)
     payload["baseline"] = _fit_summary(baseline, frame)
-    payload["corrected"] = {
-        "theta": [float(v) for v in correction.fit.theta],
-        "rss_model_scale": correction.fit.rss,
-        "rss_observation_before": correction.rss_observation_before,
-        "rss_observation_after": correction.rss_observation_after,
-        "curvature": {
-            "rho_k_n": correction.curvature.rho_k_n,
-            "rho_k_p": correction.curvature.rho_k_p,
-            "critical": correction.curvature.critical,
-            "planar_ok": correction.curvature.planar_ok,
-            "uniform_ok": correction.curvature.uniform_ok,
-        },
-    }
+    payload["corrected"] = corrected
     payload["config"] = _config_echo(args, [args.obs])
     _write_json(payload, out / "simulation.json")
+    if corrected is None:
+        print("no replication converged", file=sys.stderr)
+        return 2
     return 0
 
 

@@ -156,9 +156,12 @@ def _parse_float(raw, row_num, field):
     if text == "":
         return None
     try:
-        return float(text)
+        value = float(text)
     except ValueError:
         raise DataError(f"row {row_num}: bad {field} value {text!r}") from None
+    if not math.isfinite(value):
+        raise DataError(f"row {row_num}: non-finite {field} value {text!r}")
+    return value
 
 
 def parse_observations(source, columns=None):

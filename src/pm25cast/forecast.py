@@ -19,9 +19,6 @@ from typing import NamedTuple
 from .data import id_from_lpm
 from .errors import DataError
 
-PM_LOW_CUT = math.exp(3.5)   # concentration where the indicator leaves -1
-PM_HIGH_CUT = math.exp(5.0)  # concentration where the indicator reaches 1
-
 # Predictor ranges seen while building the frozen model; leaving them marks
 # a forecast as extrapolation.
 BUILD_RANGES = {
@@ -165,11 +162,9 @@ def predict_pm(model, predictors, id_value):
 
 
 def _id_from_pm(pm):
-    if pm <= PM_LOW_CUT:
-        return -1
-    if pm <= PM_HIGH_CUT:
-        return 0
-    return 1
+    # the frame's indicator on lpm = 10*ln(pm); an id-free forecast can
+    # underflow to pm = 0, whose lpm is -inf
+    return int(id_from_lpm(-math.inf if pm <= 0 else 10.0 * math.log(pm)))
 
 
 def predict_id_algo1(prev_pm):

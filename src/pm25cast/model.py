@@ -11,8 +11,14 @@ iterated-free-rho  rho promoted to parameter th8; the rho*lpm_{t-1} term
 linear             f = th1 + th2*t, a two-parameter test family whose
                    second-derivative array is identically zero
 
-Iterated families are evaluated on lag pairs: consecutive frame rows whose
-dates are exactly one day apart.
+One kernel, `_structural`, evaluates the undifferenced equation g (linear,
+initial or with-id) on a set of frame rows and returns its value, its
+Jacobian or its second-derivative faces. The non-iterated families are g
+on every row. The iterated families are a differencing step over lag pairs
+(consecutive frame rows whose dates are exactly one day apart):
+g(curr) - rho*g(prev) at the same derivative order. For the free-rho family
+f also gains rho*lpm_prev, so the rho column of the Jacobian is
+lpm_prev - g(prev) and the rho row and column of each face is -dg(prev).
 """
 
 from dataclasses import dataclass
@@ -21,9 +27,20 @@ import numpy as np
 
 from .errors import DataError
 
-FAMILIES = ("initial", "with-id", "iterated", "iterated-free-rho", "linear")
+# family -> conventional starting vector; q is its length. th1=40, th2=1,
+# linear terms 0, id 1, free rho 0.5.
+FAMILIES = {
+    "initial": (40.0, 1.0, 0.0, 0.0, 0.0, 0.0),
+    "with-id": (40.0, 1.0, 0.0, 0.0, 0.0, 0.0, 1.0),
+    "iterated": (40.0, 1.0, 0.0, 0.0, 0.0, 0.0, 1.0),
+    "iterated-free-rho": (40.0, 1.0, 0.0, 0.0, 0.0, 0.0, 1.0, 0.5),
+    "linear": (0.0, 0.0),
+}
 
-_Q = {"initial": 6, "with-id": 7, "iterated": 7, "iterated-free-rho": 8, "linear": 2}
+_ITERATED = ("iterated", "iterated-free-rho")
+
+# regressor columns paired with th3..th7; id only for 7+-parameter families
+_REGRESSORS = ("w", "t", "pc", "ep", "id")
 
 
 @dataclass(frozen=True)
@@ -44,19 +61,12 @@ class ModelSpec:
 
     @property
     def q(self):
-        return _Q[self.family]
+        return len(FAMILIES[self.family])
 
 
 def default_start(spec):
     """Conventional starting vector: th1=40, th2=1, linear terms 0, id 1."""
-    starts = {
-        "initial": (40.0, 1.0, 0.0, 0.0, 0.0, 0.0),
-        "with-id": (40.0, 1.0, 0.0, 0.0, 0.0, 0.0, 1.0),
-        "iterated": (40.0, 1.0, 0.0, 0.0, 0.0, 0.0, 1.0),
-        "iterated-free-rho": (40.0, 1.0, 0.0, 0.0, 0.0, 0.0, 1.0, 0.5),
-        "linear": (0.0, 0.0),
-    }
-    return np.array(starts[spec.family])
+    return np.array(FAMILIES[spec.family])
 
 
 def _check_theta(spec, theta):
@@ -75,15 +85,9 @@ def _pairs(frame):
     return prev, curr
 
 
-def _check_trg(frame, idx):
-    bad = idx[frame.trg[idx] == 0.0]
-    if bad.size:
-        raise DataError(f"trg = 0 on {frame.dates[bad[0]]}")
-
-
 def rows_used(spec, frame):
     """Frame row indices the model's observations correspond to."""
-    if spec.family in ("iterated", "iterated-free-rho"):
+    if spec.family in _ITERATED:
         return _pairs(frame)[1]
     return np.arange(frame.n)
 
@@ -109,69 +113,81 @@ def regressor_columns(spec, frame):
     return cols
 
 
-def _linear_matrix(spec, frame, idx):
-    # regressor columns paired with th3..; id only for 7+-parameter families
-    names = ["w", "t", "pc", "ep"]
-    if spec.family != "initial":
-        names.append("id")
-    return np.column_stack([getattr(frame, name)[idx] for name in names])
+def _structural(beta, frame, idx, order):
+    """Undifferenced equation on frame rows `idx` at parameters `beta`.
+
+    A 2-vector `beta` is the linear test family; a 6- or 7-vector is the
+    exponential-plus-linear equation without or with the id term. Returns
+    f for order 0, the (len(idx), q) Jacobian for order 1 and the
+    (len(idx), q, q) second-derivative faces for order 2, q = beta.size.
+    """
+    q = beta.size
+    if q == 2:
+        if order == 0:
+            return beta[0] + beta[1] * frame.t[idx]
+        if order == 1:
+            return np.column_stack([np.ones(idx.size), frame.t[idx]])
+        return np.zeros((idx.size, q, q))
+
+    trg = frame.trg[idx]
+    bad = idx[trg == 0.0]
+    if bad.size:
+        raise DataError(f"trg = 0 on {frame.dates[bad[0]]}")
+    expo = np.exp(-beta[1] / trg)
+    if order == 2:
+        cube = np.zeros((idx.size, q, q))
+        h12 = -expo / trg
+        cube[:, 0, 1] = h12
+        cube[:, 1, 0] = h12
+        cube[:, 1, 1] = beta[0] * expo / trg**2
+        return cube
+    lin = np.column_stack([getattr(frame, name)[idx] for name in _REGRESSORS[: q - 2]])
+    if order == 0:
+        return beta[0] * expo + lin @ beta[2:]
+    return np.column_stack([expo, -beta[0] * expo / trg, lin])
+
+
+def _evaluate(spec, theta, frame, order):
+    theta = _check_theta(spec, theta)
+    if spec.family not in _ITERATED:
+        return _structural(theta, frame, np.arange(frame.n), order)
+
+    prev, curr = _pairs(frame)
+    free = spec.family == "iterated-free-rho"
+    beta, rho = (theta[:7], theta[7]) if free else (theta, spec.rho)
+    g_prev = _structural(beta, frame, prev, order)
+    out = _structural(beta, frame, curr, order) - rho * g_prev
+    if not free:
+        return out
+    if order == 0:
+        return out + rho * frame.lpm[prev]
+    lower = _structural(beta, frame, prev, order - 1)
+    if order == 1:
+        return np.column_stack([out, frame.lpm[prev] - lower])
+    cube = np.zeros((prev.size, 8, 8))
+    cube[:, :7, :7] = out
+    cube[:, :7, 7] = -lower
+    cube[:, 7, :7] = -lower
+    return cube
 
 
 def eval_f(spec, theta, frame):
     """Expectation function at theta, one value per used observation."""
-    theta = _check_theta(spec, theta)
-    if spec.family == "linear":
-        return theta[0] + theta[1] * frame.t
-
-    if spec.family in ("initial", "with-id"):
-        idx = np.arange(frame.n)
-        _check_trg(frame, idx)
-        expo = np.exp(-theta[1] / frame.trg)
-        return theta[0] * expo + _linear_matrix(spec, frame, idx) @ theta[2:]
-
-    prev, curr = _pairs(frame)
-    _check_trg(frame, prev)
-    _check_trg(frame, curr)
-    rho = spec.rho if spec.family == "iterated" else theta[7]
-    e_prev = np.exp(-theta[1] / frame.trg[prev])
-    e_curr = np.exp(-theta[1] / frame.trg[curr])
-    lin = _linear_matrix(spec, frame, curr) - rho * _linear_matrix(spec, frame, prev)
-    f = theta[0] * (e_curr - rho * e_prev) + lin @ theta[2:7]
-    if spec.family == "iterated-free-rho":
-        f = f + rho * frame.lpm[prev]
-    return f
+    return _evaluate(spec, theta, frame, 0)
 
 
 def jacobian(spec, theta, frame):
     """Analytic first-derivative matrix, one row per used observation."""
-    theta = _check_theta(spec, theta)
-    if spec.family == "linear":
-        return np.column_stack([np.ones(frame.n), frame.t])
+    return _evaluate(spec, theta, frame, 1)
 
-    if spec.family in ("initial", "with-id"):
-        idx = np.arange(frame.n)
-        _check_trg(frame, idx)
-        expo = np.exp(-theta[1] / frame.trg)
-        return np.column_stack(
-            [expo, -theta[0] * expo / frame.trg, _linear_matrix(spec, frame, idx)]
-        )
 
-    prev, curr = _pairs(frame)
-    _check_trg(frame, prev)
-    _check_trg(frame, curr)
-    rho = spec.rho if spec.family == "iterated" else theta[7]
-    e_prev = np.exp(-theta[1] / frame.trg[prev])
-    e_curr = np.exp(-theta[1] / frame.trg[curr])
-    d1 = e_curr - rho * e_prev
-    d2 = -theta[0] * (e_curr / frame.trg[curr] - rho * e_prev / frame.trg[prev])
-    lin = _linear_matrix(spec, frame, curr) - rho * _linear_matrix(spec, frame, prev)
-    cols = [d1, d2, lin]
-    if spec.family == "iterated-free-rho":
-        prev_terms = (
-            theta[0] * e_prev + _linear_matrix(spec, frame, prev) @ theta[2:7]
-        )
-        cols.append(frame.lpm[prev] - prev_terms)
-    return np.column_stack(cols)
+def hessian_cube(spec, theta, frame):
+    """Per-observation symmetric second-derivative faces, shape (n, q, q).
+
+    Only the (th1, th2), (th2, th2) and, for the free-rho family, the rho
+    row/column entries are ever nonzero.
+    """
+    return _evaluate(spec, theta, frame, 2)
 
 
 def structural_rss(theta, frame):
@@ -193,51 +209,3 @@ def structural_rss(theta, frame):
         raise ValueError(f"no structural form for a {theta.size}-parameter vector")
     resid = frame.lpm - eval_f(spec, theta, frame)
     return float(resid @ resid)
-
-
-def hessian_cube(spec, theta, frame):
-    """Per-observation symmetric second-derivative faces, shape (n, q, q).
-
-    Only the (th1, th2), (th2, th2) and, for the free-rho family, the rho
-    row/column entries are ever nonzero.
-    """
-    theta = _check_theta(spec, theta)
-    q = spec.q
-    if spec.family == "linear":
-        return np.zeros((frame.n, q, q))
-
-    if spec.family in ("initial", "with-id"):
-        idx = np.arange(frame.n)
-        _check_trg(frame, idx)
-        expo = np.exp(-theta[1] / frame.trg)
-        cube = np.zeros((frame.n, q, q))
-        h12 = -expo / frame.trg
-        cube[:, 0, 1] = h12
-        cube[:, 1, 0] = h12
-        cube[:, 1, 1] = theta[0] * expo / frame.trg**2
-        return cube
-
-    prev, curr = _pairs(frame)
-    _check_trg(frame, prev)
-    _check_trg(frame, curr)
-    rho = spec.rho if spec.family == "iterated" else theta[7]
-    e_prev = np.exp(-theta[1] / frame.trg[prev])
-    e_curr = np.exp(-theta[1] / frame.trg[curr])
-    cube = np.zeros((prev.size, q, q))
-    h12 = -(e_curr / frame.trg[curr] - rho * e_prev / frame.trg[prev])
-    cube[:, 0, 1] = h12
-    cube[:, 1, 0] = h12
-    cube[:, 1, 1] = theta[0] * (
-        e_curr / frame.trg[curr] ** 2 - rho * e_prev / frame.trg[prev] ** 2
-    )
-    if spec.family == "iterated-free-rho":
-        cube[:, 0, 7] = -e_prev
-        cube[:, 7, 0] = -e_prev
-        h28 = theta[0] * e_prev / frame.trg[prev]
-        cube[:, 1, 7] = h28
-        cube[:, 7, 1] = h28
-        lin_prev = _linear_matrix(spec, frame, prev)
-        for j in range(5):
-            cube[:, 2 + j, 7] = -lin_prev[:, j]
-            cube[:, 7, 2 + j] = -lin_prev[:, j]
-    return cube

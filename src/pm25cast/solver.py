@@ -38,6 +38,23 @@ class FitResult:
     steps: int
 
 
+def _fit_result(spec, theta, fitted, resid, trace, converged):
+    rss = trace[-1].rss
+    sigma_hat = float(np.sqrt(rss / (resid.size - spec.q)))
+    return FitResult(
+        spec=spec,
+        theta=theta,
+        rss=rss,
+        sigma_hat=sigma_hat,
+        fitted=fitted,
+        residuals=resid,
+        std_residuals=resid / sigma_hat if sigma_hat > 0 else np.zeros_like(resid),
+        trace=tuple(trace),
+        converged=converged,
+        steps=len(trace) - 1,
+    )
+
+
 def gauss_newton(spec, frame, theta0=None, max_steps=50, rel_tol=1e-8, max_halvings=10):
     """Fit `spec` on `frame` by Gauss-Newton with step halving.
 
@@ -91,30 +108,20 @@ def gauss_newton(spec, frame, theta0=None, max_steps=50, rel_tol=1e-8, max_halvi
             converged = True
             break
 
-    sigma_hat = float(np.sqrt(rss / (n - q)))
-    std_resid = resid / sigma_hat if sigma_hat > 0 else np.zeros_like(resid)
-    return FitResult(
-        spec=spec,
-        theta=theta,
-        rss=rss,
-        sigma_hat=sigma_hat,
-        fitted=fitted,
-        residuals=resid,
-        std_residuals=std_resid,
-        trace=tuple(trace),
-        converged=converged,
-        steps=len(trace) - 1,
-    )
+    return _fit_result(spec, theta, fitted, resid, trace, converged)
 
 
-def standardize_residuals(fit):
-    """Residuals scaled by sigma_hat (no leverage correction)."""
-    n, q = fit.residuals.size, fit.spec.q
-    if n <= q:
-        raise ValueError(f"no residual degrees of freedom (n={n}, q={q})")
-    if fit.sigma_hat == 0.0:
-        return np.zeros_like(fit.residuals)
-    return fit.residuals / fit.sigma_hat
+def evaluate(spec, theta, frame):
+    """Fit state at a given theta, without iterating.
+
+    The trace holds the single point theta, `steps` is 0 and `converged`
+    is False, since no Gauss-Newton step ran.
+    """
+    theta = np.array(theta, dtype=float)
+    fitted = model.eval_f(spec, theta, frame)
+    resid = model.response(spec, frame) - fitted
+    trace = [TraceStep(theta.copy(), float(resid @ resid))]
+    return _fit_result(spec, theta, fitted, resid, trace, False)
 
 
 def write_trace_csv(fit, path):

@@ -185,6 +185,20 @@ def test_gate_respects_min_ks_pass(month_frame, month_fit):
     assert not strict.gate_ok
 
 
+def test_no_converged_replication_reported_not_raised(tmp_path):
+    # 25 of 365 rows leave fewer lag pairs than the 7 parameters need
+    frame = build_frame(synthetic_records(n=365, seed=3))
+    spec = ModelSpec("iterated", rho=0.3)
+    fit = gauss_newton(spec, frame)
+    s = run_simulation(spec, frame, fit, reps=20, size=25, seed=0)
+    assert s.converged_count == 0
+    assert np.all(np.isnan(s.theta_corrected))
+    assert summary_dict(s)["theta_corrected"] == [None] * 7
+    write_replications_csv(s, tmp_path / "reps.csv")
+    rows = tmp_path.joinpath("reps.csv").read_text().strip().splitlines()[1:]
+    assert len(rows) == 20 and all(row.split(",")[1] == "0" for row in rows)
+
+
 # ---------------------------------------------------------------- correction
 
 

@@ -135,6 +135,27 @@ def test_simulate_size_too_large(tmp_path):
                      "--out-dir", str(tmp_path), OBS_2014) == 1
 
 
+def test_simulate_no_converged_replication_exit_code(tmp_path, capsys):
+    from conftest import synthetic_records
+
+    obs = tmp_path / "obs.csv"
+    with open(obs, "w", newline="", encoding="utf-8") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(["date", "pm", "t", "tmax", "tmin", "pc", "w", "ep"])
+        for r in synthetic_records(n=365, seed=3):
+            writer.writerow([r.date.isoformat()]
+                            + [repr(v) for v in (r.pm, r.t, r.tmax, r.tmin, r.pc, r.w, r.ep)])
+    out = tmp_path / "sim"
+    code = run("simulate", "--family", "iterated", "--rho", "0.3", "--reps", "20",
+               "--size", "25", "--seed", "0", "--out-dir", str(out), str(obs))
+    assert code == 2
+    assert "no replication converged" in capsys.readouterr().err
+    assert len(list(csv.DictReader(open(out / "replications.csv")))) == 20
+    payload = json.loads((out / "simulation.json").read_text())
+    assert payload["converged"] == 0
+    assert payload["corrected"] is None
+
+
 # ---------------------------------------------------------------- aggregate
 
 

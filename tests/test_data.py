@@ -96,6 +96,27 @@ def test_parse_bad_value_reports_row():
     assert "row 3" in str(err.value) or "row 2" in str(err.value)
 
 
+@pytest.mark.parametrize("token", ["nan", "inf", "-inf"])
+@pytest.mark.parametrize(
+    "parse,text,field",
+    [
+        (parse_observations,
+         "date,pm,t,tmax,tmin,pc,w,ep\n"
+         "2014-01-01,153,44,179,-26,0,27,17\n"
+         "2014-01-02,{},44,155,-25,0,21,14\n", "pm"),
+        (parse_ncep,
+         "date,slot,t,tmax,tmin,pc,w\n"
+         "2017-12-01,0,1,2,0,0,5\n"
+         "2017-12-01,6,1,{},0,0,5\n", "tmax"),
+    ],
+    ids=["obs-pm", "ncep-tmax"],
+)
+def test_parse_rejects_non_finite_cells(token, parse, text, field):
+    with pytest.raises(DataError) as err:
+        parse(_csv(text.format(token)))
+    assert f"row 2: non-finite {field}" in str(err.value)
+
+
 def test_parse_missing_column():
     with pytest.raises(DataError):
         parse_observations(_csv("date,pm,t\n2014-01-01,153,44\n"))

@@ -136,6 +136,18 @@ def test_algo1_round_trip_against_frame_indicator():
         assert predict_id_algo1(float(pm)) == id_from_lpm(10.0 * math.log(pm))
 
 
+def test_algo1_agrees_with_frame_indicator_next_to_the_cuts():
+    from pm25cast.data import id_from_lpm
+
+    for cut in (math.exp(3.5), math.exp(5.0)):
+        pm = cut
+        for _ in range(3):
+            pm = float(np.nextafter(pm, 0.0))
+        for _ in range(7):
+            assert predict_id_algo1(pm) == id_from_lpm(10.0 * math.log(pm)), pm
+            pm = float(np.nextafter(pm, math.inf))
+
+
 def test_algo1_requires_previous_value():
     with pytest.raises(DataError):
         predict_id_algo1(None)
