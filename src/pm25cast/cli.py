@@ -14,7 +14,7 @@ from pathlib import Path
 
 import numpy as np
 
-from . import bootstrap, data, diagnostics, forecast, model, solver
+from . import bootstrap, data, diagnostics, forecast, model, numerics, solver
 from .errors import Pm25CastError
 
 CLI_FAMILIES = tuple(family for family in model.FAMILIES if family != "linear")
@@ -321,7 +321,8 @@ def main(argv=None):
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.func(args)
+        with numerics.one_blas_thread():
+            return args.func(args)
     except (Pm25CastError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

@@ -1,14 +1,23 @@
 """Nonlinearity diagnostics: mean-square curvatures, bias, residual screens.
 
-The curvature computation follows the QR route: factor the Jacobian,
-transform each second-derivative face by L = R1^-1, rotate the stack of
-faces by Q' across the face index, then split the rotated stack into the
-first q faces (parameter-effects part) and the remaining n-q faces
-(intrinsic part). Mean-square curvatures come from the closed-form sphere
-integral; reports carry them premultiplied by rho = sigma_hat*sqrt(q) so
-they compare directly against 1/sqrt(F(q, n-q, alpha)).
+The curvature computation factors the Jacobian V1 = Q1 R1 by a reduced QR
+and transforms each second-derivative face by L = R1^-1, giving the faces
+M_s = L' V2_s L. Rotating the stack by the full orthogonal factor,
+A_t = sum_s Q[s,t] M_s, splits it into q tangent faces (parameter-effects
+part) and n-q residual faces (intrinsic part). Only the tangent faces are
+formed, from Q1. Because Q is orthogonal, sum_t ||A_t||_F^2 and
+sum_t tr(A_t)^2 over all n rotated faces equal the same sums over the
+unrotated faces M_s, so the intrinsic sums are the totals minus the
+tangent sums (Bates & Watts 1980); no n x n matrix is built.
+`rotated_faces` keeps the explicit rotation by the complete Q as the
+reference route for tests.
+
+Mean-square curvatures come from the closed-form sphere integral; reports
+carry them premultiplied by rho = sigma_hat*sqrt(q) so they compare
+directly against 1/sqrt(F(q, n-q, alpha)).
 """
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -16,7 +25,7 @@ import numpy as np
 from scipy.linalg import solve_triangular
 
 from . import model
-from .numerics import f_quantile, ks_normal, pearson_test, qr_full, spearman_test
+from .numerics import f_quantile, ks_normal, pearson_test, qr_full, qr_thin, spearman_test
 
 
 @dataclass(frozen=True)
@@ -46,8 +55,8 @@ class ResidualDiagnostics:
     alpha: float
 
 
-def _transformed_faces(v1, v2):
-    """Q plus the faces M = L' V2_face L, with L = R1^-1."""
+def _transformed_faces(v1, v2, qr=qr_thin):
+    """Orthogonal factor from `qr` plus the faces M = L' V2_face L, L = R1^-1."""
     v1 = np.asarray(v1, dtype=float)
     v2 = np.asarray(v2, dtype=float)
     n, q = v1.shape
@@ -55,7 +64,7 @@ def _transformed_faces(v1, v2):
         raise ValueError(f"need n > q faces (n={n}, q={q})")
     if v2.shape != (n, q, q):
         raise ValueError(f"second-derivative array must be ({n}, {q}, {q})")
-    q_mat, r1 = qr_full(v1)
+    q_mat, r1 = qr(v1)
     ell = solve_triangular(r1, np.eye(q))
     faces = np.einsum("ki,skl,lj->sij", ell, v2, ell)
     return q_mat, ell, faces
@@ -66,12 +75,26 @@ def rotated_faces(v1, v2):
 
     The rotation applies Q' along the face index: A[t] = sum_s Q[s,t]*M[s].
     The first q rotated faces span the tangent directions, the remaining
-    n-q the residual directions.
+    n-q the residual directions. This builds the complete n x n Q and is
+    kept as the reference for `bates_curvature`, which needs only the
+    tangent faces.
     """
-    q_mat, _, faces = _transformed_faces(v1, v2)
+    q_mat, _, faces = _transformed_faces(v1, v2, qr=qr_full)
     q = faces.shape[1]
     rotated = np.einsum("st,sij->tij", q_mat, faces)
     return rotated[:q], rotated[q:]
+
+
+def _face_sums(faces):
+    """(sum of squared Frobenius norms, sum of squared traces) of a stack."""
+    traces = np.einsum("tii->t", faces)
+    return np.einsum("tij,tij->", faces, faces), float(traces @ traces)
+
+
+def _sphere_average(frob, trace_sq, q):
+    # Sums that came out of a subtraction may sit a rounding error below 0,
+    # where the exact value is >= 0. `max` keeps a nan (it compares false).
+    return math.sqrt(max(2.0 * frob + trace_sq, 0.0) / (q * (q + 2)))
 
 
 def mean_square_curvature(faces, q):
@@ -81,11 +104,12 @@ def mean_square_curvature(faces, q):
     unit sphere is (2*tr(A^2) + tr(A)^2) / (q*(q+2)); summing over faces
     and taking the square root gives the mean-square curvature.
     """
-    if faces.shape[0] == 0:
-        return 0.0
-    frob = np.einsum("tij,tij->", faces, faces)
-    traces = np.einsum("tii->t", faces)
-    return math.sqrt((2.0 * frob + float(traces @ traces)) / (q * (q + 2)))
+    return _sphere_average(*_face_sums(faces), q)
+
+
+@functools.lru_cache(maxsize=128)
+def _critical(alpha, q, dfd):
+    return 1.0 / math.sqrt(f_quantile(1.0 - alpha, q, dfd))
 
 
 def bates_curvature(v1, v2, sigma_hat, alpha=0.05):
@@ -96,13 +120,19 @@ def bates_curvature(v1, v2, sigma_hat, alpha=0.05):
     1/sqrt(F(q, n-q, 1-alpha quantile)), advisory thresholds at 1x, 0.5x
     and 0.2x critical, and pass flags against the 1x threshold: planar_ok
     for the intrinsic measure, uniform_ok for the parameter-effects one.
+
+    The intrinsic sums are the totals over the unrotated faces minus the
+    tangent sums (see the module docstring); they agree with the explicit
+    rotation of `rotated_faces` up to rounding.
     """
-    a_param, a_intrinsic = rotated_faces(v1, v2)
-    n, q = np.asarray(v1).shape
+    q1, _, faces = _transformed_faces(v1, v2)
+    n, q = q1.shape
+    frob_total, trace_sq_total = _face_sums(faces)
+    frob_p, trace_sq_p = _face_sums(np.einsum("st,sij->tij", q1, faces))
     rho = float(sigma_hat) * math.sqrt(q)
-    rho_k_p = rho * mean_square_curvature(a_param, q)
-    rho_k_n = rho * mean_square_curvature(a_intrinsic, q)
-    critical = 1.0 / math.sqrt(f_quantile(1.0 - alpha, q, n - q))
+    rho_k_p = rho * _sphere_average(frob_p, trace_sq_p, q)
+    rho_k_n = rho * _sphere_average(frob_total - frob_p, trace_sq_total - trace_sq_p, q)
+    critical = _critical(alpha, q, n - q)
     return CurvatureReport(
         rho_k_n=rho_k_n,
         rho_k_p=rho_k_p,

@@ -5,6 +5,9 @@ The statistical tests return asymptotic p-values from fixed closed forms
 ECDF tests) so that results are reproducible across library versions.
 """
 
+import contextlib
+import functools
+import os
 from typing import NamedTuple
 
 import numpy as np
@@ -18,13 +21,39 @@ class TestResult(NamedTuple):
     pvalue: float
 
 
+def _sign_fixed_qr(a, mode, rank_tol):
+    a = np.asarray(a, dtype=float)
+    n, ncols = a.shape
+    if n < ncols:
+        raise ValueError(f"need n >= q, got shape {a.shape}")
+    if not np.isfinite(a).all():
+        raise ValueError("cannot factor a matrix with non-finite entries")
+    q_mat, r_mat = np.linalg.qr(a, mode=mode)
+    r1 = r_mat[:ncols, :]
+    for j in range(ncols):
+        if r1[j, j] < 0.0:
+            r1[j, :] = -r1[j, :]
+            q_mat[:, j] = -q_mat[:, j]
+    diag = np.abs(np.diag(r1))
+    if diag.size and (diag.max() == 0.0 or diag.min() <= rank_tol * diag.max()):
+        raise RankDeficiencyError(
+            f"columns numerically dependent (min |R1 diag| = {diag.min():.3e})"
+        )
+    return q_mat, r1
+
+
 def qr_full(a, rank_tol=1e-10):
     """Complete QR factorisation with a positive R1 diagonal.
+
+    This is the reference route: it builds the whole n x n orthogonal
+    factor, which the tests use to check the reduced route (`qr_thin`)
+    and the curvature shortcut built on it. Production code paths call
+    `qr_thin`.
 
     Parameters
     ----------
     a : ndarray, shape (n, q)
-        Matrix with n >= q and full column rank.
+        Finite matrix with n >= q and full column rank.
     rank_tol : float
         Relative tolerance on the R1 diagonal; entries below
         ``rank_tol * max|diag|`` flag rank deficiency.
@@ -38,6 +67,8 @@ def qr_full(a, rank_tol=1e-10):
 
     Raises
     ------
+    ValueError
+        If n < q or `a` holds a non-finite entry.
     RankDeficiencyError
         If any diagonal entry of R1 falls below tolerance.
 
@@ -48,22 +79,90 @@ def qr_full(a, rank_tol=1e-10):
     downstream quantity that depends on Q itself (rotated second-derivative
     arrays, bias vectors) reproducible bit-for-bit across BLAS builds.
     """
-    a = np.asarray(a, dtype=float)
-    n, ncols = a.shape
-    if n < ncols:
-        raise ValueError(f"need n >= q, got shape {a.shape}")
-    q_mat, r_mat = np.linalg.qr(a, mode="complete")
-    r1 = r_mat[:ncols, :]
-    for j in range(ncols):
-        if r1[j, j] < 0.0:
-            r1[j, :] = -r1[j, :]
-            q_mat[:, j] = -q_mat[:, j]
-    diag = np.abs(np.diag(r1))
-    if diag.size and (diag.max() == 0.0 or diag.min() <= rank_tol * diag.max()):
-        raise RankDeficiencyError(
-            f"columns numerically dependent (min |R1 diag| = {diag.min():.3e})"
-        )
-    return q_mat, r1
+    return _sign_fixed_qr(a, "complete", rank_tol)
+
+
+def qr_thin(a, rank_tol=1e-10):
+    """Reduced QR factorisation with a positive R1 diagonal.
+
+    Same sign convention, rank check and errors as `qr_full`, but returns
+    only the first q columns of the orthogonal factor, so memory and time
+    grow with n*q rather than n*n.
+
+    Returns
+    -------
+    q1 : ndarray, shape (n, q)
+        Orthonormal basis of the column space of `a`.
+    r1 : ndarray, shape (q, q)
+        Upper-triangular factor with a strictly positive diagonal.
+    """
+    return _sign_fixed_qr(a, "reduced", rank_tol)
+
+
+# OpenBLAS thread-count entry points, as exported by plain, ILP64 and the
+# renamed scipy-openblas builds (numpy and scipy wheels each bundle one)
+_OPENBLAS_THREAD_SYMBOLS = [
+    (f"{prefix}_get_num_threads{suffix}", f"{prefix}_set_num_threads{suffix}")
+    for prefix in ("scipy_openblas", "openblas")
+    for suffix in ("64_", "")
+]
+_THREAD_ENV_VARS = ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS")
+
+
+@functools.lru_cache(maxsize=1)
+def _openblas_thread_controls():
+    """(get, set) thread-count functions of every OpenBLAS loaded in this process.
+
+    Found through /proc/self/maps, so the list is empty off Linux or when
+    numpy and scipy use another BLAS.
+    """
+    import ctypes
+
+    try:
+        with open("/proc/self/maps", encoding="utf-8") as maps:
+            fields = (line.split(maxsplit=5) for line in maps if "openblas" in line.lower())
+            paths = {f[5].strip() for f in fields if len(f) == 6}
+    except OSError:
+        return ()
+    controls = []
+    for path in sorted(paths):
+        try:
+            lib = ctypes.CDLL(path, mode=os.RTLD_NOLOAD)
+        except OSError:
+            continue
+        for get_name, set_name in _OPENBLAS_THREAD_SYMBOLS:
+            if hasattr(lib, get_name) and hasattr(lib, set_name):
+                getter, setter = getattr(lib, get_name), getattr(lib, set_name)
+                getter.restype, getter.argtypes = ctypes.c_int, []
+                setter.restype, setter.argtypes = None, [ctypes.c_int]
+                controls.append((getter, setter))
+                break
+    return tuple(controls)
+
+
+@contextlib.contextmanager
+def one_blas_thread():
+    """Run the block with every loaded OpenBLAS on one thread, then restore.
+
+    The matrices here are n x q with q <= 7: OpenBLAS still splits the
+    level-2 calls of a 3000 x 7 QR across threads, gains nothing from it,
+    and its helper threads spin after each call, so wall times follow the
+    load on the other cores. A thread count set in the environment
+    (OPENBLAS_NUM_THREADS, GOTO_NUM_THREADS, OMP_NUM_THREADS) is left alone,
+    and without OpenBLAS this does nothing.
+    """
+    if any(name in os.environ for name in _THREAD_ENV_VARS):
+        yield
+        return
+    controls = _openblas_thread_controls()
+    before = [getter() for getter, _ in controls]
+    for _, setter in controls:
+        setter(1)
+    try:
+        yield
+    finally:
+        for (_, setter), count in zip(controls, before):
+            setter(count)
 
 
 def f_quantile(p, dfn, dfd):

@@ -8,7 +8,8 @@ import numpy as np
 from scipy.linalg import solve_triangular
 
 from . import model
-from .numerics import qr_full
+# qr_full stays bound here for bench/tests/test_bench.py::test_tracer_rebinds_every_namespace_and_restores
+from .numerics import qr_full, qr_thin  # noqa: F401
 
 
 class TraceStep(NamedTuple):
@@ -58,15 +59,17 @@ def _fit_result(spec, theta, fitted, resid, trace, converged):
 def gauss_newton(spec, frame, theta0=None, max_steps=50, rel_tol=1e-8, max_halvings=10):
     """Fit `spec` on `frame` by Gauss-Newton with step halving.
 
-    Each iteration solves R1*delta = Q1'*r from a QR factorisation of the
-    Jacobian (the normal matrix is never formed). A full step that fails
-    to decrease the RSS is halved up to `max_halvings` times; exhausting
-    the halving budget ends the fit unconverged. Convergence is declared
-    when an accepted step changes the RSS by less than `rel_tol` relative.
+    Each iteration solves R1*delta = Q1'*r from a reduced QR factorisation
+    of the Jacobian (neither the normal matrix nor an n x n orthogonal
+    factor is formed). A full step that fails to decrease the RSS is
+    halved up to `max_halvings` times; exhausting the halving budget ends
+    the fit unconverged. Convergence is declared when an accepted step
+    changes the RSS by less than `rel_tol` relative.
 
     Returns a FitResult; non-convergence is reported through the
-    `converged` flag, not an exception. Rank deficiency of the Jacobian
-    raises RankDeficiencyError.
+    `converged` flag, not an exception. A non-finite RSS at the start or a
+    non-finite Jacobian ends the fit unconverged at the current point.
+    Rank deficiency of the Jacobian raises RankDeficiencyError.
     """
     y = model.response(spec, frame)
     n, q = y.size, spec.q
@@ -83,9 +86,13 @@ def gauss_newton(spec, frame, theta0=None, max_steps=50, rel_tol=1e-8, max_halvi
     converged = False
 
     for _ in range(max_steps):
+        if not np.isfinite(rss):
+            break
         v1 = model.jacobian(spec, theta, frame)
-        q_mat, r1 = qr_full(v1)
-        delta = solve_triangular(r1, q_mat[:, :q].T @ resid)
+        if not np.isfinite(v1).all():
+            break
+        q1, r1 = qr_thin(v1)
+        delta = solve_triangular(r1, q1.T @ resid)
 
         scale = 1.0
         accepted = False

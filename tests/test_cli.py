@@ -73,6 +73,26 @@ def test_fit_non_convergence_exit_code(tmp_path):
     assert diag["fit"]["converged"] is False
 
 
+def test_fit_non_finite_start_fails_cleanly(tmp_path, capsys):
+    code = run("fit", "--family", "with-id", "--start", "40,-10000,0,0,0,0,1",
+               "--out-dir", str(tmp_path), OBS_2014)
+    err = capsys.readouterr().err
+    assert code != 0
+    assert "non-finite" in err
+    assert "must not contain infs or NaNs" not in err
+
+
+def test_commands_run_on_one_blas_thread(tmp_path, monkeypatch):
+    from pm25cast import numerics
+
+    seen = []
+    monkeypatch.setattr(numerics, "_openblas_thread_controls", lambda: ((lambda: 3, seen.append),))
+    for name in numerics._THREAD_ENV_VARS:
+        monkeypatch.delenv(name, raising=False)
+    assert run("fit", "--out-dir", str(tmp_path), OBS_2014) == 0
+    assert seen == [1, 3]
+
+
 def test_fit_missing_file_exit_code(tmp_path):
     assert run_quiet("fit", "--family", "with-id", "--out-dir", str(tmp_path),
                      str(tmp_path / "absent.csv")) == 1

@@ -1,11 +1,15 @@
 import datetime as dt
+import functools
 import json
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
+from scipy.linalg import solve_triangular
 
 from pm25cast import (
+    DailyRecord,
     ModelSpec,
     bates_curvature,
     box_bias,
@@ -14,14 +18,16 @@ from pm25cast import (
     residual_screen,
 )
 from pm25cast.diagnostics import (
+    _sphere_average,
     diagnostics_report,
     mean_square_curvature,
     rotated_faces,
 )
-from pm25cast.model import hessian_cube, jacobian
+from pm25cast.model import FAMILIES, hessian_cube, jacobian
+from pm25cast.numerics import qr_full
 from pm25cast.solver import FitResult, TraceStep
 
-from conftest import synthetic_records
+from conftest import DEC_2017, jan2014_records, synthetic_records
 
 
 def toy_surfaces(theta=(2.5, 0.7), n=10, seed=42):
@@ -136,6 +142,99 @@ def test_curvature_needs_extra_rows():
     _, v1, v2 = toy_surfaces(n=2)
     with pytest.raises(ValueError):
         bates_curvature(v1, v2, 0.3)
+
+
+# ------------------------------------------- fast route against the reference
+
+
+def dec2017_records():
+    """Observed pm and ep of December 2017 with the daily-aggregated forecast
+    predictors; the days whose forecast tmax is not above tmin are left out
+    because a daily record needs a positive temperature range."""
+    return [
+        DailyRecord(date=dt.date(2017, 12, day), pm=float(pm), t=t, tmax=tmax,
+                    tmin=tmin, pc=pc, w=w, ep=float(ep))
+        for day, pm, t, tmax, tmin, pc, w, ep in DEC_2017
+        if tmax > tmin
+    ]
+
+
+EQUIVALENCE_FRAMES = {
+    "jan2014": jan2014_records,
+    "dec2017": dec2017_records,
+    "synthetic-31": functools.partial(synthetic_records, n=31, seed=21),
+    "synthetic-365": functools.partial(synthetic_records, n=365, seed=22),
+    "synthetic-3000": functools.partial(synthetic_records, n=3000, seed=23),
+}
+
+
+@functools.lru_cache(maxsize=None)
+def fitted_surfaces(frame_name, family):
+    """Jacobian, second-derivative array, sigma_hat and theta at the fit."""
+    frame = build_frame(EQUIVALENCE_FRAMES[frame_name]())
+    spec = ModelSpec(family, rho=0.3 if family == "iterated" else None)
+    fit = gauss_newton(spec, frame)
+    return (jacobian(spec, fit.theta, frame), hessian_cube(spec, fit.theta, frame),
+            fit.sigma_hat, fit.theta)
+
+
+@pytest.mark.parametrize("family", list(FAMILIES))
+@pytest.mark.parametrize("frame_name", list(EQUIVALENCE_FRAMES))
+def test_curvature_matches_explicit_rotation(frame_name, family):
+    """The invariance route agrees with rotating all n faces by the complete Q."""
+    v1, v2, sigma, _ = fitted_surfaces(frame_name, family)
+    q = v1.shape[1]
+    rep = bates_curvature(v1, v2, sigma)
+    par, intr = rotated_faces(v1, v2)
+    rho = sigma * math.sqrt(q)
+    ref_n = rho * mean_square_curvature(intr, q)
+    ref_p = rho * mean_square_curvature(par, q)
+    scale = ref_n ** 2 + ref_p ** 2
+    assert abs(rep.rho_k_n ** 2 - ref_n ** 2) <= 1e-12 * scale
+    assert abs(rep.rho_k_p ** 2 - ref_p ** 2) <= 1e-12 * scale
+    assert rep.planar_ok == (ref_n < rep.critical)
+    assert rep.uniform_ok == (ref_p < rep.critical)
+
+
+@pytest.mark.parametrize("family", list(FAMILIES))
+@pytest.mark.parametrize("frame_name", list(EQUIVALENCE_FRAMES))
+def test_box_bias_matches_complete_factor(frame_name, family):
+    v1, v2, sigma, theta = fitted_surfaces(frame_name, family)
+    _, r1 = qr_full(v1)
+    ell = solve_triangular(r1, np.eye(v1.shape[1]))
+    traces = np.einsum("ki,skl,li->s", ell, v2, ell)
+    ref = -0.5 * sigma ** 2 * (ell @ ell.T) @ (v1.T @ traces)
+    got = box_bias(v1, v2, sigma, theta).bias
+    assert np.allclose(got, ref, rtol=1e-12, atol=1e-12 * np.abs(ref).max())
+
+
+def test_curvature_clamps_rounding_below_zero_and_keeps_nan():
+    """Sums that cancel to a tiny negative number read as zero curvature;
+    a nan face stack still gives nan, so its pass flags are False."""
+    _, v1, v2 = toy_surfaces()
+    v2_nan = v2.copy()
+    v2_nan[3, 1, 1] = np.nan
+    rep = bates_curvature(v1, v2_nan, 0.3)
+    assert math.isnan(rep.rho_k_n) and math.isnan(rep.rho_k_p)
+    assert not rep.planar_ok and not rep.uniform_ok
+    assert _sphere_average(-1e-18, -1e-18, 2) == 0.0
+
+
+def test_fit_and_diagnostics_memory_is_linear_in_n():
+    """At n = 10000 one n x n orthogonal factor alone would take 800 MB."""
+    spec = ModelSpec("with-id")
+    frame = build_frame(synthetic_records(n=10000, seed=24))
+    tracemalloc.start()
+    try:
+        fit = gauss_newton(spec, frame)
+        v1 = jacobian(spec, fit.theta, frame)
+        v2 = hessian_cube(spec, fit.theta, frame)
+        bates_curvature(v1, v2, fit.sigma_hat)
+        box_bias(v1, v2, fit.sigma_hat, fit.theta)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 32 * 2 ** 20
 
 
 # ---------------------------------------------------------------- bias

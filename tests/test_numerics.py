@@ -5,12 +5,14 @@ import pytest
 import scipy.stats
 
 from pm25cast import RankDeficiencyError
+from pm25cast import numerics
 from pm25cast.numerics import (
     f_quantile,
     ks_normal,
     ks_two_sample,
     pearson_test,
     qr_full,
+    qr_thin,
     spearman_test,
 )
 
@@ -58,6 +60,95 @@ def test_qr_rank_deficient_raises():
 def test_qr_zero_matrix_raises():
     with pytest.raises(RankDeficiencyError):
         qr_full(np.zeros((5, 2)))
+
+
+@pytest.mark.parametrize("n,p,seed", [(1, 1, 0), (10, 3, 0), (200, 8, 2), (3000, 7, 3)])
+def test_qr_thin_is_the_leading_block_of_the_complete_factor(n, p, seed):
+    rng = np.random.default_rng(seed)
+    a = rng.standard_normal((n, p))
+    q1, r1 = qr_thin(a)
+    q_full, r1_full = qr_full(a)
+    assert q1.shape == (n, p)
+    assert r1.shape == (p, p)
+    assert np.all(np.diag(r1) > 0)
+    assert np.allclose(np.tril(r1, -1), 0.0, atol=1e-12)
+    assert np.allclose(q1 @ r1, a, atol=1e-10)
+    assert np.allclose(q1.T @ q1, np.eye(p), atol=1e-10)
+    assert np.allclose(r1, r1_full, rtol=0.0, atol=1e-12 * np.abs(r1_full).max())
+    assert np.allclose(q1, q_full[:, :p], rtol=0.0, atol=1e-12)
+
+
+def test_qr_thin_rank_checks():
+    rng = np.random.default_rng(4)
+    col = rng.standard_normal(20)
+    with pytest.raises(RankDeficiencyError):
+        qr_thin(np.column_stack([col, 2.0 * col, rng.standard_normal(20)]))
+    with pytest.raises(RankDeficiencyError):
+        qr_thin(np.zeros((5, 2)))
+    with pytest.raises(ValueError, match="n >= q"):
+        qr_thin(np.ones((1, 2)))
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+@pytest.mark.parametrize("qr", [qr_full, qr_thin])
+def test_qr_rejects_non_finite_input(qr, bad):
+    a = np.random.default_rng(5).standard_normal((12, 3))
+    a[4, 1] = bad
+    with pytest.raises(ValueError, match="non-finite"):
+        qr(a)
+
+
+# ---------------------------------------------------------------- one_blas_thread
+
+
+class _FakeOpenBlas:
+    def __init__(self, threads):
+        self.threads = threads
+
+    def get(self):
+        return self.threads
+
+    def set(self, count):
+        self.threads = count
+
+
+@pytest.fixture
+def fake_openblas(monkeypatch):
+    libs = [_FakeOpenBlas(2), _FakeOpenBlas(4)]
+    controls = tuple((lib.get, lib.set) for lib in libs)
+    monkeypatch.setattr(numerics, "_openblas_thread_controls", lambda: controls)
+    for name in numerics._THREAD_ENV_VARS:
+        monkeypatch.delenv(name, raising=False)
+    return libs
+
+
+def test_one_blas_thread_sets_one_and_restores(fake_openblas):
+    with numerics.one_blas_thread():
+        assert [lib.threads for lib in fake_openblas] == [1, 1]
+    assert [lib.threads for lib in fake_openblas] == [2, 4]
+    with pytest.raises(RuntimeError):
+        with numerics.one_blas_thread():
+            raise RuntimeError("inside")
+    assert [lib.threads for lib in fake_openblas] == [2, 4]
+
+
+def test_one_blas_thread_leaves_an_environment_setting_alone(fake_openblas, monkeypatch):
+    monkeypatch.setenv("OPENBLAS_NUM_THREADS", "2")
+    with numerics.one_blas_thread():
+        assert [lib.threads for lib in fake_openblas] == [2, 4]
+
+
+def test_one_blas_thread_reaches_the_loaded_openblas(monkeypatch):
+    for name in numerics._THREAD_ENV_VARS:
+        monkeypatch.delenv(name, raising=False)
+    controls = numerics._openblas_thread_controls()
+    if not controls:
+        pytest.skip("numpy and scipy use no OpenBLAS found in /proc/self/maps")
+    before = [get() for get, _ in controls]
+    with numerics.one_blas_thread():
+        assert [get() for get, _ in controls] == [1] * len(controls)
+        np.linalg.qr(np.random.default_rng(6).standard_normal((3000, 7)))
+    assert [get() for get, _ in controls] == before
 
 
 # ---------------------------------------------------------------- f_quantile

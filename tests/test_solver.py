@@ -10,6 +10,7 @@ from pm25cast import (
     build_frame,
     gauss_newton,
 )
+from pm25cast import model
 from pm25cast.model import jacobian
 from pm25cast.solver import write_trace_csv
 
@@ -74,6 +75,38 @@ def test_non_convergence_is_flagged_not_raised(synth_frame):
     assert not fit.converged
     assert fit.steps == 0
     assert len(fit.trace) == 1
+
+
+def test_non_finite_start_ends_unconverged():
+    """exp(-th2/trg) overflows at th2 = -10000, so the starting RSS is inf."""
+    theta0 = [40.0, -10000.0, 0.0, 0.0, 0.0, 0.0, 1.0]
+    frame = build_frame(jan2014_records())
+    with np.errstate(over="ignore", invalid="ignore"):
+        fit = gauss_newton(ModelSpec("with-id"), frame, theta0=theta0)
+    assert not fit.converged
+    assert fit.steps == 0
+    assert len(fit.trace) == 1
+    assert np.array_equal(fit.trace[0].theta, theta0)
+    assert not np.isfinite(fit.rss)
+
+
+def test_non_finite_jacobian_ends_unconverged(synth_frame, monkeypatch):
+    real_jacobian = model.jacobian
+    calls = []
+
+    def jacobian_nan_after_first_step(spec, theta, frame):
+        calls.append(1)
+        v1 = real_jacobian(spec, theta, frame)
+        if len(calls) > 1:
+            v1[0, 0] = np.nan
+        return v1
+
+    monkeypatch.setattr(model, "jacobian", jacobian_nan_after_first_step)
+    fit = gauss_newton(ModelSpec("with-id"), synth_frame)
+    assert not fit.converged
+    assert fit.steps == 1
+    assert len(fit.trace) == 2
+    assert np.isfinite(fit.rss) and fit.rss < fit.trace[0].rss
 
 
 def test_too_few_rows():
