@@ -7,9 +7,10 @@ convergence, curvature under the critical value, and a two-sample KS
 test of its residuals against the baseline fit's. The summary carries a
 gate flag alongside the parameter moments.
 
-Replicates are fitted in a thread pool. The resample indices are drawn
-up front from a single seed sequence, so the result is identical for any
-worker count.
+Replicates are fitted in lockstep, a block at a time, as stacked arrays.
+The resample indices are drawn up front from a single seed sequence, and
+each replicate's result does not depend on the block it shares, so a
+seed always gives the same result.
 
 Run from the repository root:
 
@@ -37,7 +38,6 @@ def main():
     ap.add_argument("--size", type=int, default=25,
                     help="days per replicate (without replacement)")
     ap.add_argument("--seed", type=int, default=11, help="resampling seed")
-    ap.add_argument("--workers", type=int, default=4, help="fitting threads")
     args = ap.parse_args()
 
     frame = build_frame(parse_observations(DATA))
@@ -47,7 +47,7 @@ def main():
 
     summary = run_simulation(spec, frame, baseline,
                              reps=args.reps, size=args.size,
-                             seed=args.seed, workers=args.workers)
+                             seed=args.seed)
 
     print(f"\n{summary.replications} replicates of size {args.size} "
           f"({summary.converged_count} converged)")

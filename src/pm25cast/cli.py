@@ -84,6 +84,8 @@ def _fit_with_diagnostics(spec, frame, args):
     fit = solver.gauss_newton(
         spec, frame, theta0=theta0, max_steps=args.max_steps, rel_tol=args.rel_tol
     )
+    if not (np.isfinite(fit.rss) and np.isfinite(fit.theta).all()):
+        return fit, None, None, None  # no derivatives at a non-finite end point
     v1 = model.jacobian(spec, fit.theta, frame)
     v2 = model.hessian_cube(spec, fit.theta, frame)
     curv = diagnostics.bates_curvature(v1, v2, fit.sigma_hat, alpha=args.alpha)
@@ -132,6 +134,9 @@ def cmd_fit(args):
     }
     report.update(diagnostics.diagnostics_report(curv, bias, resid))
     _write_json(report, out / "diagnostics.json")
+    if curv is None:
+        print("fit did not converge: non-finite end point, diagnostics skipped", file=sys.stderr)
+        return 2
     if not fit.converged:
         print("fit did not converge", file=sys.stderr)
         return 2

@@ -75,6 +75,11 @@ class ModelFrame:
     Arrays share one length; `id` stores the indicator as a float so it can
     enter design matrices directly. `drop_log` records (date, reason) for
     every input row excluded during construction.
+
+    A stacked frame holds one sample per leading index: every column is
+    (samples, rows), each row of `dates` in order. `subset` with a 2-D
+    index array builds one; the model functions evaluate all its samples
+    at once.
     """
 
     dates: np.ndarray
@@ -88,32 +93,51 @@ class ModelFrame:
     drop_log: tuple = ()
 
     def __post_init__(self):
-        n = self.dates.shape[0]
+        shape = self.dates.shape
+        if len(shape) not in (1, 2):
+            raise DataError("frame columns must be 1-d, or 2-d for a stack of samples")
         for name in ("lpm", "trg", "t", "w", "pc", "ep", "id"):
-            if getattr(self, name).shape != (n,):
+            if getattr(self, name).shape != shape:
                 raise DataError(f"frame column {name} has mismatched length")
-        if n > 1 and np.any(np.diff(self.dates) < np.timedelta64(0, "D")):
+        if shape[-1] > 1 and np.any(np.diff(self.dates, axis=-1) < np.timedelta64(0, "D")):
             raise DataError("frame dates must be non-decreasing")
 
     @property
     def n(self):
-        return int(self.dates.shape[0])
+        """Rows per sample."""
+        return int(self.dates.shape[-1])
+
+    def lag_steps(self):
+        """True where a row is exactly one day after the row before it."""
+        return np.diff(self.dates, axis=-1) == np.timedelta64(1, "D")
 
     def lag_pairs(self):
         """Index pairs (prev, curr) of rows exactly one day apart.
 
         Gaps longer than a day (season boundaries) and repeated dates
-        (possible in resampled frames) yield no pair.
+        (possible in resampled frames) yield no pair. On a stacked frame
+        both are (samples, pairs) arrays, so every sample must hold the
+        same number of pairs.
         """
         if self.n < 2:
-            empty = np.empty(0, dtype=int)
+            empty = np.empty(self.dates.shape[:-1] + (0,), dtype=int)
             return empty, empty
-        gap = np.diff(self.dates)
-        curr = np.nonzero(gap == np.timedelta64(1, "D"))[0] + 1
+        steps = self.lag_steps()
+        if steps.ndim == 1:
+            curr = np.nonzero(steps)[0] + 1
+            return curr - 1, curr
+        counts = steps.sum(axis=1)
+        if np.any(counts != counts[0]):
+            raise ValueError("the samples of a stacked frame differ in lag-pair count")
+        curr = np.nonzero(steps)[1].reshape(steps.shape[0], -1) + 1
         return curr - 1, curr
 
     def subset(self, indices):
-        """Row subset in the given order; indices must keep dates sorted."""
+        """Row subset in the given order; indices must keep dates sorted.
+
+        A 2-D index array gives a stacked frame, one sample per index row.
+        On a stacked frame, a 1-D index array picks whole samples.
+        """
         idx = np.asarray(indices, dtype=int)
         return ModelFrame(
             dates=self.dates[idx],

@@ -1,20 +1,22 @@
 """Nonlinearity diagnostics: mean-square curvatures, bias, residual screens.
 
-The curvature computation factors the Jacobian V1 = Q1 R1 by a reduced QR
-and transforms each second-derivative face by L = R1^-1, giving the faces
-M_s = L' V2_s L. Rotating the stack by the full orthogonal factor,
-A_t = sum_s Q[s,t] M_s, splits it into q tangent faces (parameter-effects
-part) and n-q residual faces (intrinsic part). Only the tangent faces are
-formed, from Q1. Because Q is orthogonal, sum_t ||A_t||_F^2 and
-sum_t tr(A_t)^2 over all n rotated faces equal the same sums over the
-unrotated faces M_s, so the intrinsic sums are the totals minus the
-tangent sums (Bates & Watts 1980); no n x n matrix is built.
-`rotated_faces` keeps the explicit rotation by the complete Q as the
-reference route for tests.
+The curvature measures rest on the faces M_s = L' V2_s L, L = R1^-1, of a
+reduced QR V1 = Q1 R1 of the Jacobian. Rotating the face stack by the full
+orthogonal factor, A_t = sum_s Q[s,t] M_s, splits it into q tangent faces
+(parameter-effects part) and n-q residual faces (intrinsic part). Only the
+tangent faces are formed, as L' (sum_s Q1[s,t] V2_s) L. Because Q is
+orthogonal, sum_t ||A_t||_F^2 and sum_t tr(A_t)^2 over all n rotated faces
+equal the same sums over the unrotated faces M_s, so the intrinsic sums
+are the totals minus the tangent sums (Bates & Watts 1980). The totals
+need no M_s either: with P = L L', tr(M_s) = <V2_s, P> and
+||M_s||_F^2 = tr(V2_s P V2_s P). No n x n matrix is built.
+`rotated_faces` keeps the explicit rotation of all n faces by the complete
+Q as the reference route for tests.
 
 Mean-square curvatures come from the closed-form sphere integral; reports
 carry them premultiplied by rho = sigma_hat*sqrt(q) so they compare
-directly against 1/sqrt(F(q, n-q, alpha)).
+directly against 1/sqrt(F(q, n-q, alpha)). `bates_curvature` also takes a
+stack of fits (the bootstrap screens a block of replications in one call).
 """
 
 import functools
@@ -22,10 +24,16 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import solve_triangular
-
 from . import model
-from .numerics import f_quantile, ks_normal, pearson_test, qr_full, qr_thin, spearman_test
+from .numerics import (
+    f_quantile,
+    ks_normal,
+    pearson_test,
+    qr_full,
+    qr_stack,
+    solve_upper,
+    spearman_test,
+)
 
 
 @dataclass(frozen=True)
@@ -55,19 +63,37 @@ class ResidualDiagnostics:
     alpha: float
 
 
-def _transformed_faces(v1, v2, qr=qr_thin):
-    """Orthogonal factor from `qr` plus the faces M = L' V2_face L, L = R1^-1."""
-    v1 = np.asarray(v1, dtype=float)
-    v2 = np.asarray(v2, dtype=float)
-    n, q = v1.shape
+def _factor(v1, v2):
+    """Q1 and L = R1^-1 of a stack of Jacobians, after the shape checks.
+
+    `v1` is (k, n, q) and `v2` (k, n, q, q). Also returns the per-sample
+    fault list of `qr_stack`; the factors of a faulted sample are nan.
+    """
+    k, n, q = v1.shape
     if n <= q:
         raise ValueError(f"need n > q faces (n={n}, q={q})")
-    if v2.shape != (n, q, q):
+    if v2.shape != (k, n, q, q):
         raise ValueError(f"second-derivative array must be ({n}, {q}, {q})")
-    q_mat, r1 = qr(v1)
-    ell = solve_triangular(r1, np.eye(q))
-    faces = np.einsum("ki,skl,lj->sij", ell, v2, ell)
-    return q_mat, ell, faces
+    q1, r1, fault = qr_stack(v1)
+    bad = np.array([f is not None for f in fault], dtype=bool)
+    q1[bad] = np.nan
+    r1[bad] = np.nan
+    return q1, solve_upper(r1, np.broadcast_to(np.eye(q), r1.shape)), fault
+
+
+def _stacked(v1, v2):
+    v1 = np.asarray(v1, dtype=float)
+    v2 = np.asarray(v2, dtype=float)
+    if v1.ndim == 2:
+        return v1[None], v2[None], True
+    return v1, v2, False
+
+
+def _face_traces(v2, ell):
+    """tr(M_s) = <V2_s, L L'> for every face, without forming M_s."""
+    k, n, q = v2.shape[:3]
+    p_mat = ell @ np.swapaxes(ell, -1, -2)
+    return np.vecdot(v2.reshape(k, n, q * q), p_mat.reshape(k, 1, q * q)), p_mat
 
 
 def rotated_faces(v1, v2):
@@ -75,26 +101,33 @@ def rotated_faces(v1, v2):
 
     The rotation applies Q' along the face index: A[t] = sum_s Q[s,t]*M[s].
     The first q rotated faces span the tangent directions, the remaining
-    n-q the residual directions. This builds the complete n x n Q and is
-    kept as the reference for `bates_curvature`, which needs only the
-    tangent faces.
+    n-q the residual directions. This builds the complete n x n Q and all
+    n faces M_s, and is kept as the reference for `bates_curvature`, which
+    needs neither.
     """
-    q_mat, _, faces = _transformed_faces(v1, v2, qr=qr_full)
+    q_mat, r1 = qr_full(v1)
+    ell = solve_upper(r1, np.eye(r1.shape[0]))
+    faces = np.einsum("ki,skl,lj->sij", ell, np.asarray(v2, dtype=float), ell)
     q = faces.shape[1]
     rotated = np.einsum("st,sij->tij", q_mat, faces)
     return rotated[:q], rotated[q:]
 
 
 def _face_sums(faces):
-    """(sum of squared Frobenius norms, sum of squared traces) of a stack."""
-    traces = np.einsum("tii->t", faces)
-    return np.einsum("tij,tij->", faces, faces), float(traces @ traces)
+    """(sum of squared Frobenius norms, sum of squared traces) of a stack.
+
+    Leading axes of `faces` (..., n, q, q) are kept: each sample's sums are
+    one dot product of its own entries.
+    """
+    flat = faces.reshape(faces.shape[:-3] + (-1,))
+    traces = np.trace(faces, axis1=-2, axis2=-1)
+    return np.vecdot(flat, flat), np.vecdot(traces, traces)
 
 
 def _sphere_average(frob, trace_sq, q):
     # Sums that came out of a subtraction may sit a rounding error below 0,
-    # where the exact value is >= 0. `max` keeps a nan (it compares false).
-    return math.sqrt(max(2.0 * frob + trace_sq, 0.0) / (q * (q + 2)))
+    # where the exact value is >= 0. `maximum` keeps a nan.
+    return np.sqrt(np.maximum(2.0 * frob + trace_sq, 0.0) / (q * (q + 2)))
 
 
 def mean_square_curvature(faces, q):
@@ -104,7 +137,7 @@ def mean_square_curvature(faces, q):
     unit sphere is (2*tr(A^2) + tr(A)^2) / (q*(q+2)); summing over faces
     and taking the square root gives the mean-square curvature.
     """
-    return _sphere_average(*_face_sums(faces), q)
+    return float(_sphere_average(*_face_sums(np.asarray(faces, dtype=float)), q))
 
 
 @functools.lru_cache(maxsize=128)
@@ -124,22 +157,42 @@ def bates_curvature(v1, v2, sigma_hat, alpha=0.05):
     The intrinsic sums are the totals over the unrotated faces minus the
     tangent sums (see the module docstring); they agree with the explicit
     rotation of `rotated_faces` up to rounding.
+
+    Stacked input, `v1` (k, n, q), `v2` (k, n, q, q) and `sigma_hat` (k,),
+    gives one report whose measures and flags are (k,) arrays. There a
+    Jacobian that `qr_thin` would reject gives nan measures and failed
+    flags instead of an exception.
     """
-    q1, _, faces = _transformed_faces(v1, v2)
-    n, q = q1.shape
-    frob_total, trace_sq_total = _face_sums(faces)
-    frob_p, trace_sq_p = _face_sums(np.einsum("st,sij->tij", q1, faces))
-    rho = float(sigma_hat) * math.sqrt(q)
+    v1, v2, single = _stacked(v1, v2)
+    q1, ell, fault = _factor(v1, v2)
+    if single and fault[0] is not None:
+        raise fault[0]
+    k, n, q = q1.shape
+    # tangent faces: L' (sum_s Q1[s,t] V2_s) L
+    folded = (np.swapaxes(q1, -1, -2) @ v2.reshape(k, n, q * q)).reshape(k, q, q, q)
+    frob_p, trace_sq_p = _face_sums(np.swapaxes(ell, -1, -2)[:, None] @ folded @ ell[:, None])
+    # totals over the n faces M_s = L' V2_s L: tr(M_s) = <V2_s, P> and
+    # ||M_s||_F^2 = tr(V2_s P V2_s P), P = L L', so M_s is never formed
+    traces, p_mat = _face_traces(v2, ell)
+    trace_sq_total = np.vecdot(traces, traces)
+    twisted = v2 @ p_mat[:, None]
+    per_row = np.vecdot(twisted, np.swapaxes(twisted, -1, -2))
+    frob_total = np.vecdot(per_row.reshape(k, n * q), np.ones(n * q))
+    rho = np.asarray(sigma_hat, dtype=float).reshape(k) * math.sqrt(q)
     rho_k_p = rho * _sphere_average(frob_p, trace_sq_p, q)
     rho_k_n = rho * _sphere_average(frob_total - frob_p, trace_sq_total - trace_sq_p, q)
     critical = _critical(alpha, q, n - q)
+    planar_ok, uniform_ok = rho_k_n < critical, rho_k_p < critical
+    if single:
+        rho_k_n, rho_k_p = float(rho_k_n[0]), float(rho_k_p[0])
+        planar_ok, uniform_ok = bool(planar_ok[0]), bool(uniform_ok[0])
     return CurvatureReport(
         rho_k_n=rho_k_n,
         rho_k_p=rho_k_p,
         critical=critical,
         thresholds=(critical, 0.5 * critical, 0.2 * critical),
-        planar_ok=rho_k_n < critical,
-        uniform_ok=rho_k_p < critical,
+        planar_ok=planar_ok,
+        uniform_ok=uniform_ok,
         alpha=alpha,
     )
 
@@ -152,9 +205,12 @@ def box_bias(v1, v2, sigma_hat, theta_hat):
     are reported as nan.
     """
     theta_hat = np.asarray(theta_hat, dtype=float)
-    _, ell, faces = _transformed_faces(v1, v2)
-    face_traces = np.einsum("sii->s", faces)
-    bias = -0.5 * float(sigma_hat) ** 2 * (ell @ ell.T) @ (np.asarray(v1).T @ face_traces)
+    v1, v2, _ = _stacked(v1, v2)
+    _, ell, fault = _factor(v1, v2)
+    if fault[0] is not None:
+        raise fault[0]
+    face_traces, p_mat = _face_traces(v2, ell)
+    bias = -0.5 * float(sigma_hat) ** 2 * p_mat[0] @ (v1[0].T @ face_traces[0])
     percent = np.full_like(bias, np.nan)
     nonzero = theta_hat != 0.0
     percent[nonzero] = 100.0 * bias[nonzero] / theta_hat[nonzero]
@@ -204,10 +260,12 @@ def diagnostics_report(curvature, bias, residuals):
     """JSON-ready dict combining the three diagnostic blocks.
 
     Curvature and bias values appear raw and rounded to 5 decimals; nan
-    percent-bias markers become null.
+    percent-bias markers become null. A block passed as None (not
+    computed) is written as null.
     """
-    return {
-        "curvature": {
+    report = {"curvature": None, "box_bias": None, "residuals": None}
+    if curvature is not None:
+        report["curvature"] = {
             "rho_k_n": curvature.rho_k_n,
             "rho_k_p": curvature.rho_k_p,
             "rho_k_n_rounded": round(curvature.rho_k_n, 5),
@@ -217,13 +275,15 @@ def diagnostics_report(curvature, bias, residuals):
             "planar_ok": curvature.planar_ok,
             "uniform_ok": curvature.uniform_ok,
             "alpha": curvature.alpha,
-        },
-        "box_bias": {
+        }
+    if bias is not None:
+        report["box_bias"] = {
             "bias": [float(v) for v in bias.bias],
             "bias_rounded": [round(float(v), 5) for v in bias.bias],
             "percent_bias": [_clean(v) for v in bias.percent_bias],
-        },
-        "residuals": {
+        }
+    if residuals is not None:
+        report["residuals"] = {
             "spearman": {
                 name: {"rho": res.statistic, "p": res.pvalue}
                 for name, res in residuals.spearman.items()
@@ -236,5 +296,5 @@ def diagnostics_report(curvature, bias, residuals):
             "heteroscedastic": residuals.heteroscedastic,
             "autocorrelated": residuals.autocorrelated,
             "alpha": residuals.alpha,
-        },
-    }
+        }
+    return report

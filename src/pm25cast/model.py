@@ -71,7 +71,7 @@ def default_start(spec):
 
 def _check_theta(spec, theta):
     theta = np.asarray(theta, dtype=float)
-    if theta.shape != (spec.q,):
+    if theta.shape[-1:] != (spec.q,) or theta.ndim > 2:
         raise ValueError(f"theta must have length {spec.q}, got {theta.shape}")
     if not np.all(np.isfinite(theta)):
         raise ValueError("theta must be finite")
@@ -80,13 +80,31 @@ def _check_theta(spec, theta):
 
 def _pairs(frame):
     prev, curr = frame.lag_pairs()
-    if prev.size == 0:
+    if prev.shape[-1] == 0:
         raise DataError("no valid lag pairs (need consecutive-day rows)")
     return prev, curr
 
 
+def _take(col, idx):
+    """Column entries at row positions `idx`, sample by sample on a stack."""
+    if col.ndim == 1:
+        return col[idx]
+    return np.take_along_axis(col, idx, axis=-1)
+
+
+def observation_counts(spec, frame):
+    """Observations per sample of a stacked frame (lag pairs when iterated)."""
+    if spec.family in _ITERATED:
+        return frame.lag_steps().sum(axis=-1)
+    return np.full(frame.dates.shape[:-1], frame.n)
+
+
 def rows_used(spec, frame):
-    """Frame row indices the model's observations correspond to."""
+    """Frame row indices the model's observations correspond to.
+
+    On a stacked frame the iterated families give one row of positions
+    per sample; the other families use every row of every sample.
+    """
     if spec.family in _ITERATED:
         return _pairs(frame)[1]
     return np.arange(frame.n)
@@ -96,9 +114,9 @@ def response(spec, frame):
     """Observation vector the residuals are taken against."""
     if spec.family == "iterated":
         prev, curr = _pairs(frame)
-        return frame.lpm[curr] - spec.rho * frame.lpm[prev]
+        return _take(frame.lpm, curr) - spec.rho * _take(frame.lpm, prev)
     if spec.family == "iterated-free-rho":
-        return frame.lpm[_pairs(frame)[1]]
+        return _take(frame.lpm, _pairs(frame)[1])
     return frame.lpm.copy()
 
 
@@ -113,66 +131,87 @@ def regressor_columns(spec, frame):
     return cols
 
 
+def _lift(value, order):
+    """A per-sample scalar shaped to broadcast over order+1 trailing axes."""
+    return np.asarray(value)[(...,) + (None,) * (order + 1)]
+
+
 def _structural(beta, frame, idx, order):
     """Undifferenced equation on frame rows `idx` at parameters `beta`.
 
     A 2-vector `beta` is the linear test family; a 6- or 7-vector is the
     exponential-plus-linear equation without or with the id term. Returns
-    f for order 0, the (len(idx), q) Jacobian for order 1 and the
-    (len(idx), q, q) second-derivative faces for order 2, q = beta.size.
+    f for order 0, the (m, q) Jacobian for order 1 and the (m, q, q)
+    second-derivative faces for order 2, q = beta.shape[-1], m = len(idx);
+    `idx` None means every row. On a stacked frame `beta` is (samples, q),
+    `idx` holds one row of positions per sample, and every result gains a
+    leading samples axis.
     """
-    q = beta.size
-    if q == 2:
-        if order == 0:
-            return beta[0] + beta[1] * frame.t[idx]
-        if order == 1:
-            return np.column_stack([np.ones(idx.size), frame.t[idx]])
-        return np.zeros((idx.size, q, q))
 
-    trg = frame.trg[idx]
-    bad = idx[trg == 0.0]
-    if bad.size:
-        raise DataError(f"trg = 0 on {frame.dates[bad[0]]}")
-    expo = np.exp(-beta[1] / trg)
+    def col(name):
+        values = getattr(frame, name)
+        return values if idx is None else _take(values, idx)
+
+    q = beta.shape[-1]
+    if q == 2:
+        t = col("t")
+        if order == 0:
+            return beta[..., 0, None] + beta[..., 1, None] * t
+        if order == 1:
+            return np.stack([np.ones_like(t), t], axis=-1)
+        return np.zeros(t.shape + (q, q))
+
+    trg = col("trg")
+    bad = trg == 0.0
+    if bad.any():
+        raise DataError(f"trg = 0 on {col('dates')[bad][0]}")
+    expo = np.exp(-beta[..., 1, None] / trg)
     if order == 2:
-        cube = np.zeros((idx.size, q, q))
+        cube = np.zeros(trg.shape + (q, q))
         h12 = -expo / trg
-        cube[:, 0, 1] = h12
-        cube[:, 1, 0] = h12
-        cube[:, 1, 1] = beta[0] * expo / trg**2
+        cube[..., 0, 1] = h12
+        cube[..., 1, 0] = h12
+        cube[..., 1, 1] = beta[..., 0, None] * expo / trg**2
         return cube
-    lin = np.column_stack([getattr(frame, name)[idx] for name in _REGRESSORS[: q - 2]])
+    lin = np.stack([col(name) for name in _REGRESSORS[: q - 2]], axis=-1)
     if order == 0:
-        return beta[0] * expo + lin @ beta[2:]
-    return np.column_stack([expo, -beta[0] * expo / trg, lin])
+        return beta[..., 0, None] * expo + (lin @ beta[..., 2:, None])[..., 0]
+    return np.concatenate(
+        [expo[..., None], (-beta[..., 0, None] * expo / trg)[..., None], lin], axis=-1
+    )
 
 
 def _evaluate(spec, theta, frame, order):
     theta = _check_theta(spec, theta)
     if spec.family not in _ITERATED:
-        return _structural(theta, frame, np.arange(frame.n), order)
+        return _structural(theta, frame, None, order)
 
     prev, curr = _pairs(frame)
     free = spec.family == "iterated-free-rho"
-    beta, rho = (theta[:7], theta[7]) if free else (theta, spec.rho)
+    beta, rho = (theta[..., :7], theta[..., 7]) if free else (theta, spec.rho)
     g_prev = _structural(beta, frame, prev, order)
-    out = _structural(beta, frame, curr, order) - rho * g_prev
+    out = _structural(beta, frame, curr, order) - _lift(rho, order) * g_prev
     if not free:
         return out
+    lpm_prev = _take(frame.lpm, prev)
     if order == 0:
-        return out + rho * frame.lpm[prev]
+        return out + _lift(rho, 0) * lpm_prev
     lower = _structural(beta, frame, prev, order - 1)
     if order == 1:
-        return np.column_stack([out, frame.lpm[prev] - lower])
-    cube = np.zeros((prev.size, 8, 8))
-    cube[:, :7, :7] = out
-    cube[:, :7, 7] = -lower
-    cube[:, 7, :7] = -lower
+        return np.concatenate([out, (lpm_prev - lower)[..., None]], axis=-1)
+    cube = np.zeros(prev.shape + (8, 8))
+    cube[..., :7, :7] = out
+    cube[..., :7, 7] = -lower
+    cube[..., 7, :7] = -lower
     return cube
 
 
 def eval_f(spec, theta, frame):
-    """Expectation function at theta, one value per used observation."""
+    """Expectation function at theta, one value per used observation.
+
+    With a stacked frame and a (samples, q) theta, `eval_f`, `jacobian`
+    and `hessian_cube` evaluate every sample at its own theta in one call.
+    """
     return _evaluate(spec, theta, frame, 0)
 
 

@@ -21,34 +21,87 @@ class TestResult(NamedTuple):
     pvalue: float
 
 
+def _sign_fixed_qr_stack(a, mode, rank_tol):
+    a = np.asarray(a, dtype=float)
+    n, ncols = a.shape[-2:]
+    if n < ncols:
+        raise ValueError(f"need n >= q, got shape {a.shape[-2:]}")
+    finite = np.isfinite(a).all(axis=(-2, -1))
+    if not finite.all():
+        a = np.where(finite[:, None, None], a, 0.0)
+    q_mat, r_mat = np.linalg.qr(a, mode=mode)
+    r1 = r_mat[:, :ncols, :]
+    sign = np.where(np.diagonal(r1, axis1=-2, axis2=-1) < 0.0, -1.0, 1.0)
+    r1 = r1 * sign[:, :, None]
+    q_mat[:, :, :ncols] *= sign[:, None, :]
+    diag = np.abs(np.diagonal(r1, axis1=-2, axis2=-1))
+    fault = [None] * a.shape[0]
+    if ncols:
+        low = diag.min(axis=-1)
+        high = diag.max(axis=-1)
+        for k in np.flatnonzero((high == 0.0) | (low <= rank_tol * high)):
+            fault[k] = RankDeficiencyError(
+                f"columns numerically dependent (min |R1 diag| = {low[k]:.3e})"
+            )
+    for k in np.flatnonzero(~finite):
+        fault[k] = ValueError("cannot factor a matrix with non-finite entries")
+    return q_mat, r1, fault
+
+
+def qr_stack(a, rank_tol=1e-10):
+    """Reduced QR of every matrix in a (k, n, q) stack, in one numpy call.
+
+    Applies the sign convention, rank check and non-finite check of
+    `qr_thin` to each matrix, but reports a failure per matrix instead of
+    raising, so one bad matrix does not stop the others.
+
+    Returns
+    -------
+    q1 : ndarray, shape (k, n, q)
+    r1 : ndarray, shape (k, q, q)
+    fault : list of length k
+        None for a matrix that factored; otherwise the exception `qr_thin`
+        would raise on it (its factors are then meaningless). A non-finite
+        matrix is not factored.
+    """
+    return _sign_fixed_qr_stack(a, "reduced", rank_tol)
+
+
 def _sign_fixed_qr(a, mode, rank_tol):
     a = np.asarray(a, dtype=float)
-    n, ncols = a.shape
-    if n < ncols:
-        raise ValueError(f"need n >= q, got shape {a.shape}")
-    if not np.isfinite(a).all():
-        raise ValueError("cannot factor a matrix with non-finite entries")
-    q_mat, r_mat = np.linalg.qr(a, mode=mode)
-    r1 = r_mat[:ncols, :]
-    for j in range(ncols):
-        if r1[j, j] < 0.0:
-            r1[j, :] = -r1[j, :]
-            q_mat[:, j] = -q_mat[:, j]
-    diag = np.abs(np.diag(r1))
-    if diag.size and (diag.max() == 0.0 or diag.min() <= rank_tol * diag.max()):
-        raise RankDeficiencyError(
-            f"columns numerically dependent (min |R1 diag| = {diag.min():.3e})"
-        )
-    return q_mat, r1
+    if a.ndim != 2:
+        raise ValueError(f"need a 2-d matrix, got shape {a.shape}")
+    q_mat, r1, fault = _sign_fixed_qr_stack(a[None], mode, rank_tol)
+    if fault[0] is not None:
+        raise fault[0]
+    return q_mat[0], r1[0]
+
+
+def solve_upper(r, b):
+    """Solve r x = b for upper-triangular r, stacked over leading axes.
+
+    `r` is (..., q, q); `b` is (..., q) or (..., q, m), with the same
+    leading axes as `r`. Back substitution runs column by column in
+    elementwise numpy operations, so each system's result does not depend
+    on the others in the stack.
+    """
+    r = np.asarray(r, dtype=float)
+    b = np.asarray(b, dtype=float)
+    vector = b.ndim == r.ndim - 1
+    x = (b[..., None] if vector else b).copy()
+    for j in range(r.shape[-1] - 1, -1, -1):
+        x[..., j, :] /= r[..., j, j, None]
+        x[..., :j, :] -= r[..., :j, j, None] * x[..., j, None, :]
+    return x[..., 0] if vector else x
 
 
 def qr_full(a, rank_tol=1e-10):
     """Complete QR factorisation with a positive R1 diagonal.
 
     This is the reference route: it builds the whole n x n orthogonal
-    factor, which the tests use to check the reduced route (`qr_thin`)
-    and the curvature shortcut built on it. Production code paths call
-    `qr_thin`.
+    factor, which the tests use to check the reduced route (`qr_thin`,
+    `qr_stack`) and the curvature shortcut built on it. Production code
+    paths call `qr_stack`.
 
     Parameters
     ----------
@@ -219,10 +272,32 @@ def spearman_test(x, y):
 
 
 def _ecdf_distance(a_sorted, b_sorted):
-    pooled = np.concatenate([a_sorted, b_sorted])
-    cdf_a = np.searchsorted(a_sorted, pooled, side="right") / a_sorted.size
-    cdf_b = np.searchsorted(b_sorted, pooled, side="right") / b_sorted.size
-    return float(np.max(np.abs(cdf_a - cdf_b)))
+    """Sup-distance between the ECDF of each row of `a_sorted` and that of `b_sorted`.
+
+    Both ECDFs are taken over the pooled points of a row and b, as
+    searchsorted(sample, pooled, side="right") / size, but b is searched
+    once for all rows together.
+    """
+    k, na = a_sorted.shape
+    nb = b_sorted.size
+    # at the points of b: #{a <= b_j} = #{i : #{b < a_i} <= j}
+    below = np.searchsorted(b_sorted, a_sorted, side="left")
+    bins = (below + (nb + 1) * np.arange(k)[:, None]).ravel()
+    hist = np.bincount(bins, minlength=k * (nb + 1)).reshape(k, nb + 1)
+    a_at_b = np.cumsum(hist, axis=1)[:, :nb] / na
+    b_at_b = np.searchsorted(b_sorted, b_sorted, side="right") / nb
+    # at the points of a: #{a <= a_i} is one past the last tie of a_i
+    ends = np.where(
+        np.concatenate([a_sorted[:, 1:] != a_sorted[:, :-1], np.ones((k, 1), bool)], axis=1),
+        np.arange(1, na + 1),
+        na,
+    )
+    a_at_a = np.minimum.accumulate(ends[:, ::-1], axis=1)[:, ::-1] / na
+    b_at_a = np.searchsorted(b_sorted, a_sorted, side="right") / nb
+    return np.maximum(
+        np.abs(a_at_a - b_at_a).max(axis=1, initial=0.0),
+        np.abs(a_at_b - b_at_b).max(axis=1, initial=0.0),
+    )
 
 
 def ks_two_sample(a, b):
@@ -231,14 +306,20 @@ def ks_two_sample(a, b):
     D is the sup-distance between the two empirical CDFs evaluated over
     the pooled sample; p = K(sqrt(na*nb/(na+nb)) * D) where K is the
     Kolmogorov survival function. Identical samples give (0, 1).
+
+    A 2-d `a` is a stack of samples, one per row, each tested against the
+    same `b`; statistic and p-value are then arrays with one entry per row.
     """
-    a = np.sort(np.asarray(a, dtype=float))
+    a = np.asarray(a, dtype=float)
     b = np.sort(np.asarray(b, dtype=float))
-    if a.size == 0 or b.size == 0:
+    if a.shape[-1] == 0 or b.size == 0:
         raise ValueError("both samples must be non-empty")
-    d = _ecdf_distance(a, b)
-    en = np.sqrt(a.size * b.size / (a.size + b.size))
-    return TestResult(d, float(special.kolmogorov(en * d)))
+    d = _ecdf_distance(np.sort(a.reshape(-1, a.shape[-1]), axis=-1), b)
+    en = np.sqrt(a.shape[-1] * b.size / (a.shape[-1] + b.size))
+    p = special.kolmogorov(en * d)
+    if a.ndim == 1:
+        return TestResult(float(d[0]), float(p[0]))
+    return TestResult(d, p)
 
 
 def ks_normal(x):

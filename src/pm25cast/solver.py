@@ -5,11 +5,11 @@ from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
-from scipy.linalg import solve_triangular
 
 from . import model
+from .errors import DataError
 # qr_full stays bound here for bench/tests/test_bench.py::test_tracer_rebinds_every_namespace_and_restores
-from .numerics import qr_full, qr_thin  # noqa: F401
+from .numerics import qr_full, qr_stack, solve_upper  # noqa: F401
 
 
 class TraceStep(NamedTuple):
@@ -42,6 +42,12 @@ class FitResult:
 def _fit_result(spec, theta, fitted, resid, trace, converged):
     rss = trace[-1].rss
     sigma_hat = float(np.sqrt(rss / (resid.size - spec.q)))
+    if not np.isfinite(sigma_hat):
+        std_residuals = np.full_like(resid, np.nan)
+    elif sigma_hat > 0:
+        std_residuals = resid / sigma_hat
+    else:
+        std_residuals = np.zeros_like(resid)
     return FitResult(
         spec=spec,
         theta=theta,
@@ -49,11 +55,154 @@ def _fit_result(spec, theta, fitted, resid, trace, converged):
         sigma_hat=sigma_hat,
         fitted=fitted,
         residuals=resid,
-        std_residuals=resid / sigma_hat if sigma_hat > 0 else np.zeros_like(resid),
+        std_residuals=std_residuals,
         trace=tuple(trace),
         converged=converged,
         steps=len(trace) - 1,
     )
+
+
+class StackFit(NamedTuple):
+    """End state of `fit_stack`, one entry (or row) per sample.
+
+    `fault[i]` is None, or the exception a single fit of sample i raises
+    (rank deficiency, a model input error, a non-finite trial theta); the
+    other fields of a faulted sample are meaningless. `path` starts with
+    (all samples, start theta, start RSS) and then lists the accepted steps
+    of each round of trials as (samples, theta, rss), in order.
+    """
+
+    theta: np.ndarray
+    rss: np.ndarray
+    fitted: np.ndarray
+    residuals: np.ndarray
+    converged: np.ndarray
+    fault: list
+    path: list
+
+    def trace(self, i):
+        """TraceSteps of sample i: its start, then every accepted step."""
+        steps = []
+        for samples, theta, rss in self.path:
+            hit = np.flatnonzero(samples == i)
+            if hit.size:
+                steps.append(TraceStep(theta[hit[0]].copy(), float(rss[hit[0]])))
+        return steps
+
+
+def _first_eval(spec, theta, frame, fault):
+    """First evaluation of f on a stack; a sample the model rejects is faulted.
+
+    The model raises DataError for the whole stack when one sample holds a
+    row it cannot use (trg = 0), so on an error each sample is evaluated
+    alone to find the ones that raise.
+    """
+    try:
+        return model.eval_f(spec, theta, frame)
+    except DataError:
+        fitted = np.full(frame.dates.shape, np.nan)
+        for i in range(theta.shape[0]):
+            try:
+                fitted[i] = model.eval_f(spec, theta[i : i + 1], frame.subset([i]))[0]
+            except DataError as exc:
+                fault[i] = exc
+        return fitted
+
+
+def _rss(resid):
+    # an RSS that overflows to inf is handled as a non-finite RSS
+    with np.errstate(over="ignore"):
+        return np.vecdot(resid, resid)
+
+
+def _pick(frame, samples):
+    """Samples of a stacked frame, given as sorted distinct indices."""
+    return frame if samples.size == frame.dates.shape[0] else frame.subset(samples)
+
+
+def fit_stack(spec, frame, theta0, max_steps=50, rel_tol=1e-8, max_halvings=10):
+    """Gauss-Newton with step halving on every sample of a stacked frame at once.
+
+    Every sample follows exactly the iteration `gauss_newton` documents, in
+    lockstep with the others: one stacked Jacobian, one stacked QR and one
+    stacked triangular solve per iteration, and one stacked evaluation per
+    round of step trials. Each sample keeps its own step scale, accept mask
+    and stop flag, and leaves the active set when it converges or stops.
+    Every operation works sample by sample, so a sample's result does not
+    depend on which other samples share the stack.
+
+    `theta0` is a q-vector (shared start) or a (samples, q) array. Raises
+    ValueError when the samples have no more observations than parameters
+    and DataError when the iterated families find no lag pair; failures
+    of single samples are reported in `fault`.
+    """
+    y = model.response(spec, frame)
+    k, n = y.shape
+    q = spec.q
+    if n <= q:
+        raise ValueError(f"need more observations than parameters (n={n}, q={q})")
+    theta = np.array(np.broadcast_to(np.asarray(theta0, dtype=float), (k, q)))
+    fault = [None] * k
+    fitted = _first_eval(spec, theta, frame, fault)
+    resid = y - fitted
+    rss = _rss(resid)
+    converged = np.zeros(k, dtype=bool)
+    path = [(np.arange(k), theta.copy(), rss.copy())]
+    live = np.flatnonzero(np.isfinite(rss) & np.array([f is None for f in fault]))
+
+    for _ in range(max_steps):
+        if not live.size:
+            break
+        v1 = model.jacobian(spec, theta[live], _pick(frame, live))
+        finite = np.isfinite(v1).all(axis=(1, 2))
+        live, v1 = live[finite], v1[finite]
+        q1, r1, qr_fault = qr_stack(v1)
+        for i, exc in zip(live, qr_fault):
+            fault[i] = exc
+        factored = np.array([exc is None for exc in qr_fault], dtype=bool)
+        live, q1, r1 = live[factored], q1[factored], r1[factored]
+        if not live.size:
+            break
+        sub = _pick(frame, live)
+        gain = (np.swapaxes(q1, -1, -2) @ resid[live][..., None])[..., 0]
+        delta = solve_upper(r1, gain)
+
+        scale = np.ones(live.size)
+        accepted = np.zeros(live.size, dtype=bool)
+        trying = np.arange(live.size)
+        for _ in range(max_halvings + 1):
+            theta_try = theta[live[trying]] + scale[trying, None] * delta[trying]
+            finite = np.isfinite(theta_try).all(axis=1)
+            for i in live[trying[~finite]]:
+                fault[i] = ValueError("theta must be finite")
+            trying, theta_try = trying[finite], theta_try[finite]
+            if not trying.size:
+                break
+            fitted_try = model.eval_f(spec, theta_try, _pick(sub, trying))
+            resid_try = y[live[trying]] - fitted_try
+            rss_try = _rss(resid_try)
+            down = np.isfinite(rss_try) & (rss_try <= rss[live[trying]])
+            took = live[trying[down]]
+            rss_prev = rss[took]
+            theta[took], fitted[took], resid[took], rss[took] = (
+                theta_try[down], fitted_try[down], resid_try[down], rss_try[down]
+            )
+            path.append((took, theta_try[down], rss_try[down]))
+            converged[took] = rss_prev - rss[took] <= rel_tol * rss_prev
+            accepted[trying[down]] = True
+            trying = trying[~down]
+            scale[trying] *= 0.5
+            if not trying.size:
+                break
+        # Halving exhausted: a point where the predicted decrease |Q1'r|^2
+        # is already below rel_tol*RSS is a minimum at the rounding floor
+        # (every trial step came out a few ulps above the current RSS).
+        stuck = ~accepted & np.array([fault[i] is None for i in live], dtype=bool)
+        floor = stuck & (np.vecdot(gain, gain) <= rel_tol * rss[live])
+        converged[live[floor]] = True
+        live = live[accepted & ~converged[live]]
+
+    return StackFit(theta, rss, fitted, resid, converged, fault, path)
 
 
 def gauss_newton(spec, frame, theta0=None, max_steps=50, rel_tol=1e-8, max_halvings=10):
@@ -62,60 +211,31 @@ def gauss_newton(spec, frame, theta0=None, max_steps=50, rel_tol=1e-8, max_halvi
     Each iteration solves R1*delta = Q1'*r from a reduced QR factorisation
     of the Jacobian (neither the normal matrix nor an n x n orthogonal
     factor is formed). A full step that fails to decrease the RSS is
-    halved up to `max_halvings` times; exhausting the halving budget ends
-    the fit unconverged. Convergence is declared when an accepted step
-    changes the RSS by less than `rel_tol` relative.
+    halved up to `max_halvings` times. Convergence is declared when an
+    accepted step changes the RSS by less than `rel_tol` relative, or when
+    the halving budget runs out at a point whose predicted decrease
+    |Q1'r|^2 is at most `rel_tol` times the RSS (a minimum at the rounding
+    floor of the RSS); otherwise exhausting the budget ends the fit
+    unconverged.
 
     Returns a FitResult; non-convergence is reported through the
     `converged` flag, not an exception. A non-finite RSS at the start or a
     non-finite Jacobian ends the fit unconverged at the current point.
     Rank deficiency of the Jacobian raises RankDeficiencyError.
+
+    This is `fit_stack` run on a stack of one sample, the whole frame.
     """
-    y = model.response(spec, frame)
-    n, q = y.size, spec.q
-    if n <= q:
-        raise ValueError(f"need more observations than parameters (n={n}, q={q})")
     theta = np.array(model.default_start(spec) if theta0 is None else theta0, dtype=float)
-    if theta.shape != (q,):
-        raise ValueError(f"theta0 must have length {q}")
-
-    fitted = model.eval_f(spec, theta, frame)
-    resid = y - fitted
-    rss = float(resid @ resid)
-    trace = [TraceStep(theta.copy(), rss)]
-    converged = False
-
-    for _ in range(max_steps):
-        if not np.isfinite(rss):
-            break
-        v1 = model.jacobian(spec, theta, frame)
-        if not np.isfinite(v1).all():
-            break
-        q1, r1 = qr_thin(v1)
-        delta = solve_triangular(r1, q1.T @ resid)
-
-        scale = 1.0
-        accepted = False
-        for _ in range(max_halvings + 1):
-            theta_try = theta + scale * delta
-            fitted_try = model.eval_f(spec, theta_try, frame)
-            resid_try = y - fitted_try
-            rss_try = float(resid_try @ resid_try)
-            if np.isfinite(rss_try) and rss_try <= rss:
-                accepted = True
-                break
-            scale *= 0.5
-        if not accepted:
-            break
-
-        rss_prev = rss
-        theta, fitted, resid, rss = theta_try, fitted_try, resid_try, rss_try
-        trace.append(TraceStep(theta.copy(), rss))
-        if rss_prev - rss <= rel_tol * rss_prev:
-            converged = True
-            break
-
-    return _fit_result(spec, theta, fitted, resid, trace, converged)
+    if theta.shape != (spec.q,):
+        raise ValueError(f"theta0 must have length {spec.q}")
+    run = fit_stack(
+        spec, frame.subset(np.arange(frame.n)[None]), theta, max_steps, rel_tol, max_halvings
+    )
+    if run.fault[0] is not None:
+        raise run.fault[0]
+    return _fit_result(
+        spec, run.theta[0], run.fitted[0], run.residuals[0], run.trace(0), bool(run.converged[0])
+    )
 
 
 def evaluate(spec, theta, frame):

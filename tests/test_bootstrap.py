@@ -1,4 +1,6 @@
 import json
+import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -6,8 +8,10 @@ import pytest
 from pm25cast import (
     ModelSpec,
     StratificationError,
+    bootstrap,
     build_frame,
     gauss_newton,
+    model,
     run_simulation,
     stratified_sample,
 )
@@ -20,6 +24,8 @@ from pm25cast.bootstrap import (
 )
 
 from conftest import jan2014_records, noise_free_frame, synthetic_records
+
+PIN = Path(__file__).resolve().parent / "data" / "bootstrap_jan2014_pin.json"
 
 
 @pytest.fixture(scope="module")
@@ -197,6 +203,85 @@ def test_no_converged_replication_reported_not_raised(tmp_path):
     write_replications_csv(s, tmp_path / "reps.csv")
     rows = tmp_path.joinpath("reps.csv").read_text().strip().splitlines()[1:]
     assert len(rows) == 20 and all(row.split(",")[1] == "0" for row in rows)
+
+
+# ---------------------------------------------------------------- lockstep engine
+
+
+def _outcome(summary):
+    return [
+        (r.rep, r.converged, r.curvature_pass, repr(r.ks_p), r.ks_pass, r.ks_strong,
+         r.identical_residuals, r.theta.tobytes())
+        for r in summary.detail
+    ]
+
+
+@pytest.mark.parametrize(
+    "spec,records,size",
+    [
+        (ModelSpec("with-id"), jan2014_records, 25),
+        # 60 of 365 days: lag-pair counts vary, some too small to fit
+        (ModelSpec("iterated", rho=0.3), lambda: synthetic_records(n=365, seed=3), 60),
+    ],
+    ids=["with-id", "iterated-0.3"],
+)
+def test_replications_do_not_depend_on_their_block(monkeypatch, spec, records, size):
+    frame = build_frame(records())
+    base = gauss_newton(spec, frame)
+    outcomes = []
+    for block in (1, 7, bootstrap.BLOCK):
+        monkeypatch.setattr(bootstrap, "BLOCK", block)
+        outcomes.append(_outcome(run_simulation(spec, frame, base, reps=40, size=size, seed=17)))
+    assert outcomes[0] == outcomes[1] == outcomes[2]
+    assert any(rec[1] for rec in outcomes[0])
+
+
+def test_january_2014_replications_match_the_recorded_run(month_frame, month_fit):
+    """Pinned against the replication-at-a-time solver. Reps listed as
+    floor reps (their last step sits at the RSS rounding floor, where the
+    path to the minimum depends on last bits) are held to their RSS only."""
+    pin = json.loads(PIN.read_text())
+    spec = ModelSpec("with-id")
+    s = run_simulation(spec, month_frame, month_fit, reps=200, size=25, seed=11)
+    assert {
+        "converged_count": s.converged_count,
+        "curvature_pass_count": s.curvature_pass_count,
+        "ks_pass_count": s.ks_pass_count,
+        "ks_strong_count": s.ks_strong_count,
+        "identical_residual_count": s.identical_residual_count,
+    } == pin["counts"]
+    assert [r.converged for r in s.detail] == pin["converged"]
+
+    old = np.array(pin["theta"], dtype=float)
+    new = np.array([r.theta for r in s.detail])
+    assert np.array_equal(np.isnan(old), np.isnan(new))
+    rest = [r for r in range(s.replications) if r not in pin["floor_reps"]]
+    scale = np.nanmax(np.abs(old), axis=0)
+    assert np.nanmax(np.abs(new[rest] - old[rest]) / scale) <= 1e-12
+
+    children = np.random.SeedSequence(11).spawn(s.replications)
+    for r, rec in enumerate(s.detail):
+        if rec.converged:
+            sub = stratified_sample(month_frame, 25, children[r])
+            resid = sub.lpm - model.eval_f(spec, rec.theta, sub)
+            assert resid @ resid == pytest.approx(pin["rss"][r], rel=1e-12, abs=0.0)
+
+
+def test_simulation_memory_stays_small():
+    """Fitting one replication at a time peaked at ~1.2 MiB; the lockstep
+    blocks add their stacked Jacobians and second-derivative arrays, which
+    must stay per block: one block of all 1000 replications takes ~30 MiB."""
+    spec = ModelSpec("with-id")
+    frame = build_frame(synthetic_records(n=365, seed=3))
+    base = gauss_newton(spec, frame)
+    tracemalloc.start()
+    try:
+        s = run_simulation(spec, frame, base, reps=1000, size=25, seed=0)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert s.converged_count > 900
+    assert peak < 3 * 2 ** 20
 
 
 # ---------------------------------------------------------------- correction

@@ -82,6 +82,24 @@ def test_fit_non_finite_start_fails_cleanly(tmp_path, capsys):
     assert "must not contain infs or NaNs" not in err
 
 
+def test_fit_non_finite_end_point_exits_2_and_writes_reports(tmp_path, capsys):
+    """The fit stops unconverged at an infinite RSS: no derivatives exist
+    there, so the diagnostic blocks are null, but the trace and the report
+    are written and the exit code is the non-convergence one."""
+    out = tmp_path / "fit"
+    code = run("fit", "--family", "with-id", "--start", "40,-10000,0,0,0,0,1",
+               "--out-dir", str(out), OBS_2014)
+    assert code == 2
+    assert "non-finite" in capsys.readouterr().err
+    trace = (out / "fit_trace.csv").read_text().strip().splitlines()
+    assert len(trace) == 2 and trace[1].endswith(",inf")
+    diag = json.loads((out / "diagnostics.json").read_text())
+    assert diag["fit"]["converged"] is False
+    assert diag["curvature"] is None
+    assert diag["box_bias"] is None
+    assert diag["residuals"] is None
+
+
 def test_commands_run_on_one_blas_thread(tmp_path, monkeypatch):
     from pm25cast import numerics
 

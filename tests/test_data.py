@@ -195,6 +195,20 @@ def test_lag_pairs_dense(jan2014_frame):
     assert prev[0] == 0 and curr[-1] == 30
 
 
+def test_stacked_subset_and_its_lag_pairs(jan2014_frame):
+    rows = np.array([[0, 1, 2, 5, 6], [3, 4, 8, 9, 10]])
+    stack = jan2014_frame.subset(rows)
+    assert stack.dates.shape == (2, 5) and stack.n == 5
+    assert np.array_equal(stack.lpm[1], jan2014_frame.lpm[rows[1]])
+    assert np.array_equal(stack.lag_steps().sum(axis=1), [3, 3])
+    prev, curr = stack.lag_pairs()
+    assert np.array_equal(curr, [[1, 2, 4], [1, 3, 4]])
+    assert np.array_equal(prev, curr - 1)
+    assert np.array_equal(stack.subset([1]).lpm, stack.lpm[1:])
+    with pytest.raises(ValueError, match="lag-pair count"):
+        jan2014_frame.subset(np.array([[0, 1, 2], [0, 2, 4]])).lag_pairs()
+
+
 def test_subset_and_order_checks(jan2014_frame):
     sub = jan2014_frame.subset([0, 3, 3, 7])
     assert sub.n == 4

@@ -208,6 +208,30 @@ def test_box_bias_matches_complete_factor(frame_name, family):
     assert np.allclose(got, ref, rtol=1e-12, atol=1e-12 * np.abs(ref).max())
 
 
+def test_stacked_curvature_is_each_fit_alone():
+    """One call on a stack gives every fit's report bit for bit; a
+    rank-deficient Jacobian in the stack reads nan and fails both flags
+    instead of raising."""
+    spec = ModelSpec("with-id")
+    frame = build_frame(synthetic_records(n=60, seed=9))
+    theta = gauss_newton(spec, frame).theta
+    rows = np.array([np.arange(k, k + 30) for k in (0, 7, 13, 30)])
+    stack = frame.subset(rows)
+    thetas = np.array([theta * (1.0 + 0.01 * k) for k in range(4)])
+    v1 = jacobian(spec, thetas, stack)
+    v2 = hessian_cube(spec, thetas, stack)
+    sigma = np.array([0.5, 1.0, 2.0, 3.0])
+    v1[3, :, 6] = v1[3, :, 5]
+    rep = bates_curvature(v1, v2, sigma)
+    for k in range(3):
+        one = bates_curvature(v1[k], v2[k], sigma[k])
+        assert (one.rho_k_n, one.rho_k_p) == (rep.rho_k_n[k], rep.rho_k_p[k])
+        assert (one.planar_ok, one.uniform_ok) == (rep.planar_ok[k], rep.uniform_ok[k])
+        assert one.critical == rep.critical
+    assert math.isnan(rep.rho_k_n[3]) and math.isnan(rep.rho_k_p[3])
+    assert not rep.planar_ok[3] and not rep.uniform_ok[3]
+
+
 def test_curvature_clamps_rounding_below_zero_and_keeps_nan():
     """Sums that cancel to a tiny negative number read as zero curvature;
     a nan face stack still gives nan, so its pass flags are False."""

@@ -226,6 +226,21 @@ def test_hessian_symmetric(family, frame):
     assert np.allclose(cube, np.transpose(cube, (0, 2, 1)), atol=1e-14)
 
 
+@pytest.mark.parametrize("family", FAMILIES)
+def test_stacked_frame_evaluates_each_sample_at_its_theta(family, frame):
+    """Samples with equal lag-pair counts, each at its own theta, in one call."""
+    spec = make_spec(family)
+    rng = np.random.default_rng(23)
+    rows = np.array([np.arange(0, 20), np.arange(10, 30), np.arange(15, 35)])
+    thetas = np.array([random_theta(spec, rng) for _ in rows])
+    stack = frame.subset(rows)
+    for fn in (eval_f, jacobian, hessian_cube):
+        got = fn(spec, thetas, stack)
+        for k, idx in enumerate(rows):
+            alone = fn(spec, thetas[k], frame.subset(idx))
+            assert np.allclose(got[k], alone, rtol=1e-15, atol=1e-15 * np.abs(alone).max())
+
+
 def test_linear_family_zero_cube(frame):
     cube = hessian_cube(ModelSpec("linear"), np.array([1.0, 2.0]), frame)
     assert np.all(cube == 0.0)

@@ -12,7 +12,9 @@ from pm25cast.numerics import (
     ks_two_sample,
     pearson_test,
     qr_full,
+    qr_stack,
     qr_thin,
+    solve_upper,
     spearman_test,
 )
 
@@ -87,6 +89,34 @@ def test_qr_thin_rank_checks():
         qr_thin(np.zeros((5, 2)))
     with pytest.raises(ValueError, match="n >= q"):
         qr_thin(np.ones((1, 2)))
+
+
+def test_qr_stack_reports_each_fault_and_factors_the_rest():
+    rng = np.random.default_rng(13)
+    a = rng.standard_normal((4, 12, 3))
+    a[1, 4, 2] = np.nan
+    a[2, :, 1] = 2.0 * a[2, :, 0]
+    q1, r1, fault = qr_stack(a)
+    assert fault[0] is None and fault[3] is None
+    assert isinstance(fault[1], ValueError) and "non-finite" in str(fault[1])
+    assert isinstance(fault[2], RankDeficiencyError)
+    for k in (0, 3):
+        ref_q, ref_r = qr_thin(a[k])
+        assert np.array_equal(q1[k], ref_q) and np.array_equal(r1[k], ref_r)
+
+
+def test_solve_upper_matches_triangular_solve():
+    from scipy.linalg import solve_triangular
+
+    rng = np.random.default_rng(14)
+    r = np.triu(rng.standard_normal((5, 7, 7))) + 4.0 * np.eye(7)
+    b = rng.standard_normal((5, 7))
+    x = solve_upper(r, b)
+    inv = solve_upper(r, np.broadcast_to(np.eye(7), r.shape))
+    for k in range(5):
+        assert np.allclose(x[k], solve_triangular(r[k], b[k]), rtol=1e-13, atol=0.0)
+        assert np.allclose(inv[k] @ r[k], np.eye(7), atol=1e-13)
+    assert np.array_equal(solve_upper(r[2:3], b[2:3])[0], x[2])
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
@@ -289,6 +319,26 @@ def test_ks_hand_case():
     assert abs(d - 1.0 / 3.0) < 1e-12
     en = math.sqrt(9.0 / 6.0)
     assert abs(p - scipy.stats.kstwobign.sf(en * d)) < 1e-12
+
+
+def test_ks_stack_matches_one_sample_at_a_time():
+    """Rows of a stacked first sample, with ties inside a row and shared
+    with the second sample, give the statistics of separate calls bit for
+    bit."""
+    rng = np.random.default_rng(12)
+    b = np.round(rng.standard_normal(60), 1)
+    a = np.round(rng.standard_normal((9, 25)), 1)
+    a[0] = b[:25]
+    a[1, :5] = a[1, 0]
+    stacked = ks_two_sample(a, b)
+    for row, d, p in zip(a, stacked.statistic, stacked.pvalue):
+        one = ks_two_sample(row, b)
+        sorted_a, sorted_b = np.sort(row), np.sort(b)
+        pooled = np.concatenate([sorted_a, sorted_b])
+        brute = np.max(np.abs(np.searchsorted(sorted_a, pooled, side="right") / row.size
+                              - np.searchsorted(sorted_b, pooled, side="right") / b.size))
+        assert one.statistic == d == brute
+        assert one.pvalue == p
 
 
 def test_ks_normal_gaussian_sample():

@@ -1,4 +1,6 @@
+import dataclasses
 import datetime as dt
+import warnings
 
 import numpy as np
 import pytest
@@ -12,7 +14,8 @@ from pm25cast import (
 )
 from pm25cast import model
 from pm25cast.model import jacobian
-from pm25cast.solver import write_trace_csv
+from pm25cast.numerics import qr_thin
+from pm25cast.solver import fit_stack, write_trace_csv
 
 from conftest import jan2014_records, noise_free_frame, synthetic_records
 
@@ -107,6 +110,77 @@ def test_non_finite_jacobian_ends_unconverged(synth_frame, monkeypatch):
     assert fit.steps == 1
     assert len(fit.trace) == 2
     assert np.isfinite(fit.rss) and fit.rss < fit.trace[0].rss
+
+
+def test_fit_started_at_its_minimum_converges():
+    """From its own minimum every halved trial step of this fit comes out a
+    few ulps above the RSS. The predicted decrease |Q1'r|^2 there is below
+    rel_tol * RSS, so the fit has converged at the rounding floor."""
+    spec = ModelSpec("initial")
+    frame = build_frame(synthetic_records(n=25, seed=185))
+    fit = gauss_newton(spec, frame)
+    again = gauss_newton(spec, frame, theta0=fit.theta)
+    q1, _ = qr_thin(jacobian(spec, fit.theta, frame))
+    gain = q1.T @ fit.residuals
+    assert gain @ gain <= 1e-8 * fit.rss
+    assert again.converged
+    assert again.steps == 0
+    assert np.array_equal(again.theta, fit.theta)
+
+
+def test_halving_exhausted_away_from_a_minimum_is_unconverged(synth_frame, monkeypatch):
+    """Every trial point is rejected (its f is made infinite) while the
+    predicted decrease is large: the fit stops unconverged at its start."""
+    real_eval_f = model.eval_f
+    start = model.default_start(ModelSpec("with-id"))
+
+    def eval_f_inf_off_start(spec, theta, frame):
+        f = real_eval_f(spec, theta, frame)
+        moved = ~np.all(np.asarray(theta) == start, axis=-1)
+        f[moved] = np.inf
+        return f
+
+    monkeypatch.setattr(model, "eval_f", eval_f_inf_off_start)
+    fit = gauss_newton(ModelSpec("with-id"), synth_frame)
+    assert not fit.converged
+    assert fit.steps == 0
+    assert np.array_equal(fit.theta, start)
+
+
+def test_infinite_rss_gives_nan_standardized_residuals_without_warning():
+    """exp(-th2/trg) overflows at th2 = -10000, so sigma_hat is inf."""
+    frame = build_frame(jan2014_records())
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with np.errstate(over="ignore"):
+            fit = gauss_newton(ModelSpec("with-id"), frame,
+                               theta0=[40.0, -10000.0, 0.0, 0.0, 0.0, 0.0, 1.0])
+    assert fit.sigma_hat == np.inf
+    assert np.isnan(fit.std_residuals).all()
+
+
+def test_fit_stack_matches_single_fits():
+    """A stack of samples fits each sample exactly as gauss_newton fits it
+    alone, and a sample the model rejects is faulted without stopping the
+    others."""
+    spec = ModelSpec("with-id")
+    frame = build_frame(synthetic_records(n=60, seed=9))
+    rows = np.array([np.arange(k, k + 30) for k in (0, 5, 11, 30)])
+    run = fit_stack(spec, frame.subset(rows), model.default_start(spec))
+    for i, idx in enumerate(rows):
+        alone = gauss_newton(spec, frame.subset(idx))
+        assert run.fault[i] is None
+        assert np.array_equal(run.theta[i], alone.theta)
+        assert run.rss[i] == alone.rss
+        assert bool(run.converged[i]) == alone.converged
+        assert [(list(t), r) for t, r in run.trace(i)] == [(list(t), r) for t, r in alone.trace]
+
+    trg = frame.trg.copy()
+    trg[40] = 0.0  # only the samples holding row 40 are rejected
+    run = fit_stack(spec, dataclasses.replace(frame, trg=trg).subset(rows),
+                    model.default_start(spec))
+    assert [type(f).__name__ if f else None for f in run.fault] == [None, None, "DataError", "DataError"]
+    assert run.converged[:2].all()
 
 
 def test_too_few_rows():
