@@ -19,7 +19,7 @@ from typing import NamedTuple
 import numpy as np
 
 from . import model
-from .diagnostics import bates_curvature
+from .diagnostics import bates_curvature, finite_or_none
 from .errors import DataError, StratificationError
 from .numerics import ks_two_sample
 # gauss_newton stays bound here for bench/tests/test_bench.py::test_tracer_rebinds_every_namespace_and_restores
@@ -166,7 +166,6 @@ def run_simulation(
     curvature_pass = np.zeros(reps, dtype=bool)
     identical = np.zeros(reps, dtype=bool)
     ks_p = np.full(reps, np.nan)
-    baseline_sorted = np.sort(baseline.residuals)
     baseline_at = np.full(frame.n, -1)
     baseline_at[model.rows_used(spec, frame)] = np.arange(baseline.residuals.size)
 
@@ -199,7 +198,7 @@ def run_simulation(
                 alpha=alpha,
             )
             curvature_pass[block] = curv.planar_ok & curv.uniform_ok
-            ks_p[block] = ks_two_sample(resid, baseline_sorted).pvalue
+            ks_p[block] = ks_two_sample(resid, baseline.residuals).pvalue
 
             used = np.broadcast_to(model.rows_used(spec, stack), resid.shape)
             at = baseline_at[np.take_along_axis(rows[block], used, axis=1)]
@@ -294,7 +293,7 @@ def summary_dict(summary):
     """JSON-ready view of a BootstrapSummary (omits per-rep detail)."""
 
     def listed(arr):
-        return [None if not np.isfinite(v) else float(v) for v in arr]
+        return [finite_or_none(v) for v in arr]
 
     return {
         "replications": summary.replications,

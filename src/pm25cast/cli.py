@@ -95,12 +95,14 @@ def _fit_with_diagnostics(spec, frame, args):
 
 
 def _fit_summary(fit, frame):
+    # a fit that stopped at a non-finite point has no JSON number for it: null
+    clean = diagnostics.finite_or_none
     return {
         "family": fit.spec.family,
         "rho": fit.spec.rho,
-        "theta": [float(v) for v in fit.theta],
-        "rss": fit.rss,
-        "sigma_hat": fit.sigma_hat,
+        "theta": [clean(v) for v in fit.theta],
+        "rss": clean(fit.rss),
+        "sigma_hat": clean(fit.sigma_hat),
         "converged": fit.converged,
         "steps": fit.steps,
         "n_observations": int(fit.residuals.size),

@@ -33,6 +33,7 @@ from .numerics import (
     qr_stack,
     solve_upper,
     spearman_test,
+    vecdot,
 )
 
 
@@ -81,19 +82,11 @@ def _factor(v1, v2):
     return q1, solve_upper(r1, np.broadcast_to(np.eye(q), r1.shape)), fault
 
 
-def _stacked(v1, v2):
-    v1 = np.asarray(v1, dtype=float)
-    v2 = np.asarray(v2, dtype=float)
-    if v1.ndim == 2:
-        return v1[None], v2[None], True
-    return v1, v2, False
-
-
 def _face_traces(v2, ell):
     """tr(M_s) = <V2_s, L L'> for every face, without forming M_s."""
     k, n, q = v2.shape[:3]
     p_mat = ell @ np.swapaxes(ell, -1, -2)
-    return np.vecdot(v2.reshape(k, n, q * q), p_mat.reshape(k, 1, q * q)), p_mat
+    return vecdot(v2.reshape(k, n, q * q), p_mat.reshape(k, 1, q * q)), p_mat
 
 
 def rotated_faces(v1, v2):
@@ -121,7 +114,7 @@ def _face_sums(faces):
     """
     flat = faces.reshape(faces.shape[:-3] + (-1,))
     traces = np.trace(faces, axis1=-2, axis2=-1)
-    return np.vecdot(flat, flat), np.vecdot(traces, traces)
+    return vecdot(flat, flat), vecdot(traces, traces)
 
 
 def _sphere_average(frob, trace_sq, q):
@@ -160,10 +153,14 @@ def bates_curvature(v1, v2, sigma_hat, alpha=0.05):
 
     Stacked input, `v1` (k, n, q), `v2` (k, n, q, q) and `sigma_hat` (k,),
     gives one report whose measures and flags are (k,) arrays. There a
-    Jacobian that `qr_thin` would reject gives nan measures and failed
+    Jacobian that `qr_full` would reject gives nan measures and failed
     flags instead of an exception.
     """
-    v1, v2, single = _stacked(v1, v2)
+    v1 = np.asarray(v1, dtype=float)
+    v2 = np.asarray(v2, dtype=float)
+    single = v1.ndim == 2
+    if single:
+        v1, v2 = v1[None], v2[None]
     q1, ell, fault = _factor(v1, v2)
     if single and fault[0] is not None:
         raise fault[0]
@@ -174,10 +171,10 @@ def bates_curvature(v1, v2, sigma_hat, alpha=0.05):
     # totals over the n faces M_s = L' V2_s L: tr(M_s) = <V2_s, P> and
     # ||M_s||_F^2 = tr(V2_s P V2_s P), P = L L', so M_s is never formed
     traces, p_mat = _face_traces(v2, ell)
-    trace_sq_total = np.vecdot(traces, traces)
+    trace_sq_total = vecdot(traces, traces)
     twisted = v2 @ p_mat[:, None]
-    per_row = np.vecdot(twisted, np.swapaxes(twisted, -1, -2))
-    frob_total = np.vecdot(per_row.reshape(k, n * q), np.ones(n * q))
+    per_row = vecdot(twisted, np.swapaxes(twisted, -1, -2))
+    frob_total = vecdot(per_row.reshape(k, n * q), np.ones(n * q))
     rho = np.asarray(sigma_hat, dtype=float).reshape(k) * math.sqrt(q)
     rho_k_p = rho * _sphere_average(frob_p, trace_sq_p, q)
     rho_k_n = rho * _sphere_average(frob_total - frob_p, trace_sq_total - trace_sq_p, q)
@@ -205,12 +202,15 @@ def box_bias(v1, v2, sigma_hat, theta_hat):
     are reported as nan.
     """
     theta_hat = np.asarray(theta_hat, dtype=float)
-    v1, v2, _ = _stacked(v1, v2)
-    _, ell, fault = _factor(v1, v2)
+    v1 = np.asarray(v1, dtype=float)
+    v2 = np.asarray(v2, dtype=float)
+    if v1.ndim != 2:
+        raise ValueError(f"box_bias takes one Jacobian (n, q), got shape {v1.shape}")
+    _, ell, fault = _factor(v1[None], v2[None])
     if fault[0] is not None:
         raise fault[0]
-    face_traces, p_mat = _face_traces(v2, ell)
-    bias = -0.5 * float(sigma_hat) ** 2 * p_mat[0] @ (v1[0].T @ face_traces[0])
+    face_traces, p_mat = _face_traces(v2[None], ell)
+    bias = -0.5 * float(sigma_hat) ** 2 * p_mat[0] @ (v1.T @ face_traces[0])
     percent = np.full_like(bias, np.nan)
     nonzero = theta_hat != 0.0
     percent[nonzero] = 100.0 * bias[nonzero] / theta_hat[nonzero]
@@ -251,7 +251,8 @@ def residual_screen(fit, frame, alpha=0.05):
     )
 
 
-def _clean(value):
+def finite_or_none(value):
+    """`value` as a float, or None (JSON null) when it is not finite."""
     value = float(value)
     return value if math.isfinite(value) else None
 
@@ -280,7 +281,7 @@ def diagnostics_report(curvature, bias, residuals):
         report["box_bias"] = {
             "bias": [float(v) for v in bias.bias],
             "bias_rounded": [round(float(v), 5) for v in bias.bias],
-            "percent_bias": [_clean(v) for v in bias.percent_bias],
+            "percent_bias": [finite_or_none(v) for v in bias.percent_bias],
         }
     if residuals is not None:
         report["residuals"] = {

@@ -51,30 +51,24 @@ def _sign_fixed_qr_stack(a, mode, rank_tol):
 def qr_stack(a, rank_tol=1e-10):
     """Reduced QR of every matrix in a (k, n, q) stack, in one numpy call.
 
-    Applies the sign convention, rank check and non-finite check of
-    `qr_thin` to each matrix, but reports a failure per matrix instead of
-    raising, so one bad matrix does not stop the others.
+    Each matrix gets the sign convention, rank check and non-finite check
+    of `qr_full`, but only the first q columns of its orthogonal factor, so
+    memory and time grow with n*q rather than n*n. A failure is reported
+    per matrix instead of raised, so one bad matrix does not stop the
+    others.
 
     Returns
     -------
     q1 : ndarray, shape (k, n, q)
+        Orthonormal basis of the column space of each matrix.
     r1 : ndarray, shape (k, q, q)
+        Upper-triangular factors with a strictly positive diagonal.
     fault : list of length k
-        None for a matrix that factored; otherwise the exception `qr_thin`
+        None for a matrix that factored; otherwise the exception `qr_full`
         would raise on it (its factors are then meaningless). A non-finite
         matrix is not factored.
     """
     return _sign_fixed_qr_stack(a, "reduced", rank_tol)
-
-
-def _sign_fixed_qr(a, mode, rank_tol):
-    a = np.asarray(a, dtype=float)
-    if a.ndim != 2:
-        raise ValueError(f"need a 2-d matrix, got shape {a.shape}")
-    q_mat, r1, fault = _sign_fixed_qr_stack(a[None], mode, rank_tol)
-    if fault[0] is not None:
-        raise fault[0]
-    return q_mat[0], r1[0]
 
 
 def solve_upper(r, b):
@@ -99,9 +93,9 @@ def qr_full(a, rank_tol=1e-10):
     """Complete QR factorisation with a positive R1 diagonal.
 
     This is the reference route: it builds the whole n x n orthogonal
-    factor, which the tests use to check the reduced route (`qr_thin`,
-    `qr_stack`) and the curvature shortcut built on it. Production code
-    paths call `qr_stack`.
+    factor, which the tests use to check the reduced route (`qr_stack`)
+    and the curvature shortcut built on it. Production code paths call
+    `qr_stack`.
 
     Parameters
     ----------
@@ -132,24 +126,25 @@ def qr_full(a, rank_tol=1e-10):
     downstream quantity that depends on Q itself (rotated second-derivative
     arrays, bias vectors) reproducible bit-for-bit across BLAS builds.
     """
-    return _sign_fixed_qr(a, "complete", rank_tol)
+    a = np.asarray(a, dtype=float)
+    if a.ndim != 2:
+        raise ValueError(f"need a 2-d matrix, got shape {a.shape}")
+    q_mat, r1, fault = _sign_fixed_qr_stack(a[None], "complete", rank_tol)
+    if fault[0] is not None:
+        raise fault[0]
+    return q_mat[0], r1[0]
 
 
-def qr_thin(a, rank_tol=1e-10):
-    """Reduced QR factorisation with a positive R1 diagonal.
+def vecdot(a, b):
+    """Dot product over the last axis, broadcast over the leading axes.
 
-    Same sign convention, rank check and errors as `qr_full`, but returns
-    only the first q columns of the orthogonal factor, so memory and time
-    grow with n*q rather than n*n.
-
-    Returns
-    -------
-    q1 : ndarray, shape (n, q)
-        Orthonormal basis of the column space of `a`.
-    r1 : ndarray, shape (q, q)
-        Upper-triangular factor with a strictly positive diagonal.
+    Gives the same bits as numpy 2's `np.vecdot` on real input (each
+    result is one BLAS dot of its own two vectors, so it does not depend
+    on the other rows), but runs on numpy 1.x too.
     """
-    return _sign_fixed_qr(a, "reduced", rank_tol)
+    a = np.asarray(a, dtype=float)
+    b = np.asarray(b, dtype=float)
+    return np.matmul(a[..., None, :], b[..., :, None])[..., 0, 0]
 
 
 # OpenBLAS thread-count entry points, as exported by plain, ILP64 and the

@@ -9,7 +9,7 @@ import numpy as np
 from . import model
 from .errors import DataError
 # qr_full stays bound here for bench/tests/test_bench.py::test_tracer_rebinds_every_namespace_and_restores
-from .numerics import qr_full, qr_stack, solve_upper  # noqa: F401
+from .numerics import qr_full, qr_stack, solve_upper, vecdot  # noqa: F401
 
 
 class TraceStep(NamedTuple):
@@ -112,7 +112,7 @@ def _first_eval(spec, theta, frame, fault):
 def _rss(resid):
     # an RSS that overflows to inf is handled as a non-finite RSS
     with np.errstate(over="ignore"):
-        return np.vecdot(resid, resid)
+        return vecdot(resid, resid)
 
 
 def _pick(frame, samples):
@@ -198,7 +198,7 @@ def fit_stack(spec, frame, theta0, max_steps=50, rel_tol=1e-8, max_halvings=10):
         # is already below rel_tol*RSS is a minimum at the rounding floor
         # (every trial step came out a few ulps above the current RSS).
         stuck = ~accepted & np.array([fault[i] is None for i in live], dtype=bool)
-        floor = stuck & (np.vecdot(gain, gain) <= rel_tol * rss[live])
+        floor = stuck & (vecdot(gain, gain) <= rel_tol * rss[live])
         converged[live[floor]] = True
         live = live[accepted & ~converged[live]]
 

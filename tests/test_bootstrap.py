@@ -284,6 +284,23 @@ def test_simulation_memory_stays_small():
     assert peak < 3 * 2 ** 20
 
 
+def test_simulation_runs_without_numpy_2_vecdot(monkeypatch, month_frame, month_fit):
+    """numpy >= 1.24 is supported: nothing on the fit, curvature or KS path
+    may need `np.vecdot` (new in numpy 2), and its stand-in gives the same bits."""
+    spec = ModelSpec("with-id")
+    with_it = run_simulation(spec, month_frame, month_fit, reps=30, size=25, seed=4)
+    monkeypatch.delattr(np, "vecdot", raising=False)
+    fit = gauss_newton(spec, month_frame)
+    assert fit.converged and np.array_equal(fit.theta, month_fit.theta)
+    without = run_simulation(spec, month_frame, fit, reps=30, size=25, seed=4)
+    assert without.converged_count == with_it.converged_count > 0
+    for a, b in zip(with_it.detail, without.detail):
+        assert np.array_equal(a.theta, b.theta, equal_nan=True)
+        assert a.ks_p == b.ks_p or (np.isnan(a.ks_p) and np.isnan(b.ks_p))
+    corrected = apply_correction(fit, without, spec, month_frame)
+    assert np.isfinite([corrected.curvature.rho_k_n, corrected.curvature.rho_k_p]).all()
+
+
 # ---------------------------------------------------------------- correction
 
 

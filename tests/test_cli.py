@@ -82,6 +82,10 @@ def test_fit_non_finite_start_fails_cleanly(tmp_path, capsys):
     assert "must not contain infs or NaNs" not in err
 
 
+def _reject_non_json(token):
+    raise ValueError(f"{token} is not a JSON number")
+
+
 def test_fit_non_finite_end_point_exits_2_and_writes_reports(tmp_path, capsys):
     """The fit stops unconverged at an infinite RSS: no derivatives exist
     there, so the diagnostic blocks are null, but the trace and the report
@@ -93,8 +97,9 @@ def test_fit_non_finite_end_point_exits_2_and_writes_reports(tmp_path, capsys):
     assert "non-finite" in capsys.readouterr().err
     trace = (out / "fit_trace.csv").read_text().strip().splitlines()
     assert len(trace) == 2 and trace[1].endswith(",inf")
-    diag = json.loads((out / "diagnostics.json").read_text())
+    diag = json.loads((out / "diagnostics.json").read_text(), parse_constant=_reject_non_json)
     assert diag["fit"]["converged"] is False
+    assert diag["fit"]["rss"] is None and diag["fit"]["sigma_hat"] is None
     assert diag["curvature"] is None
     assert diag["box_bias"] is None
     assert diag["residuals"] is None

@@ -287,6 +287,13 @@ def test_box_bias_zero_for_linear():
     assert np.allclose(rep.bias, 0.0, atol=1e-14)
 
 
+def test_box_bias_rejects_a_stack():
+    """Box bias takes one fit; a stack is refused, not read as its first fit."""
+    _, v1, v2 = toy_surfaces()
+    with pytest.raises(ValueError, match="one Jacobian"):
+        box_bias(np.stack([v1, v1]), np.stack([v2, v2]), 0.3, np.array([2.5, 0.7]))
+
+
 def test_percent_bias_and_zero_theta_marker():
     _, v1, v2 = toy_surfaces()
     theta = np.array([2.5, 0.0])

@@ -13,7 +13,6 @@ from pm25cast.numerics import (
     pearson_test,
     qr_full,
     qr_stack,
-    qr_thin,
     solve_upper,
     spearman_test,
 )
@@ -64,6 +63,14 @@ def test_qr_zero_matrix_raises():
         qr_full(np.zeros((5, 2)))
 
 
+def qr_thin(a):
+    """Reduced QR of one matrix: `qr_stack` on a stack of one, raising its fault."""
+    q1, r1, fault = qr_stack(np.asarray(a, dtype=float)[None])
+    if fault[0] is not None:
+        raise fault[0]
+    return q1[0], r1[0]
+
+
 @pytest.mark.parametrize("n,p,seed", [(1, 1, 0), (10, 3, 0), (200, 8, 2), (3000, 7, 3)])
 def test_qr_thin_is_the_leading_block_of_the_complete_factor(n, p, seed):
     rng = np.random.default_rng(seed)
@@ -101,8 +108,26 @@ def test_qr_stack_reports_each_fault_and_factors_the_rest():
     assert isinstance(fault[1], ValueError) and "non-finite" in str(fault[1])
     assert isinstance(fault[2], RankDeficiencyError)
     for k in (0, 3):
-        ref_q, ref_r = qr_thin(a[k])
-        assert np.array_equal(q1[k], ref_q) and np.array_equal(r1[k], ref_r)
+        ref_q, ref_r = qr_full(a[k])
+        assert np.allclose(r1[k], ref_r, rtol=0.0, atol=1e-12 * np.abs(ref_r).max())
+        assert np.allclose(q1[k], ref_q[:, :3], rtol=0.0, atol=1e-12)
+        # a matrix factors to the same bits alone as in the stack
+        alone_q, alone_r, _ = qr_stack(a[k : k + 1])
+        assert np.array_equal(q1[k], alone_q[0]) and np.array_equal(r1[k], alone_r[0])
+
+
+@pytest.mark.skipif(not hasattr(np, "vecdot"), reason="np.vecdot is new in numpy 2")
+def test_vecdot_matches_numpy_2_bit_for_bit():
+    rng = np.random.default_rng(15)
+    a = rng.standard_normal((6, 25, 7, 7))
+    pairs = [
+        (a, a),
+        (a, np.swapaxes(a, -1, -2)),
+        (a.reshape(6, 25, 49), a[:, :1].reshape(6, 1, 49)),
+        (a.reshape(6, -1), np.ones(25 * 49)),
+    ]
+    for x, y in pairs:
+        assert np.array_equal(numerics.vecdot(x, y), np.vecdot(x, y))
 
 
 def test_solve_upper_matches_triangular_solve():

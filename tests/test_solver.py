@@ -14,7 +14,7 @@ from pm25cast import (
 )
 from pm25cast import model
 from pm25cast.model import jacobian
-from pm25cast.numerics import qr_thin
+from pm25cast.numerics import qr_stack
 from pm25cast.solver import fit_stack, write_trace_csv
 
 from conftest import jan2014_records, noise_free_frame, synthetic_records
@@ -120,8 +120,8 @@ def test_fit_started_at_its_minimum_converges():
     frame = build_frame(synthetic_records(n=25, seed=185))
     fit = gauss_newton(spec, frame)
     again = gauss_newton(spec, frame, theta0=fit.theta)
-    q1, _ = qr_thin(jacobian(spec, fit.theta, frame))
-    gain = q1.T @ fit.residuals
+    q1, _, _ = qr_stack(jacobian(spec, fit.theta, frame)[None])
+    gain = q1[0].T @ fit.residuals
     assert gain @ gain <= 1e-8 * fit.rss
     assert again.converged
     assert again.steps == 0
