@@ -97,8 +97,12 @@ class ModelFrame:
         if len(shape) not in (1, 2):
             raise DataError("frame columns must be 1-d, or 2-d for a stack of samples")
         for name in ("lpm", "trg", "t", "w", "pc", "ep", "id"):
-            if getattr(self, name).shape != shape:
+            values = getattr(self, name)
+            if values.shape != shape:
                 raise DataError(f"frame column {name} has mismatched length")
+            finite = np.isfinite(values)
+            if not finite.all():
+                raise DataError(f"frame column {name} is non-finite on {self.dates[~finite][0]}")
         if shape[-1] > 1 and np.any(np.diff(self.dates, axis=-1) < np.timedelta64(0, "D")):
             raise DataError("frame dates must be non-decreasing")
 

@@ -148,6 +148,10 @@ def predict_pm(model, predictors, id_value):
     """Single-value concentration forecast from the frozen model."""
     if id_value not in (-1, 0, 1):
         raise ValueError(f"id must be -1, 0 or 1, got {id_value}")
+    for name in Predictors._fields:
+        value = getattr(predictors, name)
+        if not math.isfinite(value):
+            raise DataError(f"predictor {name} is non-finite: {value}")
     if predictors.trg == 0.0:
         raise DataError("trg = 0: the nonlinear term is undefined")
     expo = _safe_exp(-model.b / predictors.trg)
@@ -186,10 +190,11 @@ def interval(pm_hat, profile):
     Arms: below 35 -> the fixed low band (0, 35); above 150 -> the open
     high band; otherwise a band of width 2.5r around pm_hat with the
     profile's offsets, lower bound clamped at 0. pm_hat exactly 150 falls
-    in the band arm by convention.
+    in the band arm by convention. An infinite pm_hat (an overflowing
+    forecast) is in the high arm; a nan one is refused.
     """
-    if pm_hat <= 0:
-        raise ValueError("pm_hat must be positive")
+    if not pm_hat > 0:
+        raise ValueError(f"pm_hat must be positive, got {pm_hat}")
     if pm_hat < 35.0:
         return IntervalForecast("low", 0.0, 35.0, pm_hat)
     if pm_hat > 150.0:

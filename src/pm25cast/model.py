@@ -165,7 +165,9 @@ def _structural(beta, frame, idx, order):
     bad = trg == 0.0
     if bad.any():
         raise DataError(f"trg = 0 on {col('dates')[bad][0]}")
-    expo = np.exp(-beta[..., 1, None] / trg)
+    # an exponential that overflows to inf is handled as a non-finite fit
+    with np.errstate(over="ignore"):
+        expo = np.exp(-beta[..., 1, None] / trg)
     if order == 2:
         cube = np.zeros(trg.shape + (q, q))
         h12 = -expo / trg

@@ -3,6 +3,12 @@
 The statistical tests return asymptotic p-values from fixed closed forms
 (t approximation for the correlation tests, Kolmogorov limit law for the
 ECDF tests) so that results are reproducible across library versions.
+
+P-values and quantiles come straight from the `scipy.special` routines
+(`fdtri`, `stdtr`, `ndtr`, `kolmogorov`) that `scipy.stats` itself calls
+for these distributions, and ranks from a small numpy mid-rank helper.
+`scipy.stats` is deliberately not imported, for start-up time: importing
+it takes about a second, more than the rest of a CLI start-up together.
 """
 
 import contextlib
@@ -11,7 +17,7 @@ import os
 from typing import NamedTuple
 
 import numpy as np
-from scipy import special, stats
+from scipy import special
 
 from .errors import RankDeficiencyError
 
@@ -217,11 +223,11 @@ def f_quantile(p, dfn, dfd):
     """Quantile of the F(dfn, dfd) distribution at probability p."""
     if not 0.0 < p < 1.0:
         raise ValueError("p must lie strictly between 0 and 1")
-    return float(stats.f.ppf(p, dfn, dfd))
+    return float(special.fdtri(dfn, dfd, p))
 
 
 def _t_two_sided_p(t_stat, df):
-    return float(2.0 * stats.t.sf(abs(t_stat), df))
+    return float(2.0 * special.stdtr(df, -abs(t_stat)))
 
 
 def pearson_test(x, y):
@@ -261,9 +267,26 @@ def spearman_test(x, y):
     y = np.asarray(y, dtype=float)
     if x.shape != y.shape or x.ndim != 1:
         raise ValueError("x and y must be 1-d arrays of equal length")
-    rx = stats.rankdata(x)
-    ry = stats.rankdata(y)
-    return pearson_test(rx, ry)
+    return pearson_test(_midranks(x), _midranks(y))
+
+
+def _midranks(x):
+    """Ranks 1..n of a 1-d sample, ties sharing the mean of their ranks.
+
+    A sample holding a nan gets nan ranks throughout, since its order is
+    undefined.
+    """
+    x = np.asarray(x, dtype=float)
+    if np.isnan(x).any():
+        return np.full(x.shape, np.nan)
+    order = np.argsort(x, kind="stable")
+    ordered = x[order]
+    # 0-based start of each tie group, and one past its end
+    starts = np.flatnonzero(np.concatenate([[True], ordered[1:] != ordered[:-1]]))
+    ends = np.append(starts[1:], x.size)
+    ranks = np.empty(x.size)
+    ranks[order] = np.repeat((starts + ends + 1) / 2.0, ends - starts)
+    return ranks
 
 
 def _ecdf_distance(a_sorted, b_sorted):
@@ -332,7 +355,7 @@ def ks_normal(x):
     sd = x.std(ddof=1)
     if sd == 0.0:
         raise ValueError("zero variance input")
-    cdf = stats.norm.cdf(x, loc=x.mean(), scale=sd)
+    cdf = special.ndtr((x - x.mean()) / sd)
     grid = np.arange(1, n + 1) / n
     d = float(np.max(np.maximum(np.abs(cdf - grid), np.abs(cdf - (grid - 1.0 / n)))))
     return TestResult(d, float(special.kolmogorov(np.sqrt(n) * d)))

@@ -1,10 +1,14 @@
 import csv
 import json
 import math
+import subprocess
+import sys
+import warnings
 from pathlib import Path
 
 import pytest
 
+import pm25cast
 from pm25cast.cli import main
 
 DEMO_DATA = Path(__file__).resolve().parent.parent / "demos" / "data"
@@ -103,6 +107,27 @@ def test_fit_non_finite_end_point_exits_2_and_writes_reports(tmp_path, capsys):
     assert diag["curvature"] is None
     assert diag["box_bias"] is None
     assert diag["residuals"] is None
+
+
+def test_cli_start_up_does_not_import_scipy_stats():
+    """Importing scipy.stats costs over a second; the CLI's statistics come
+    from scipy.special alone, so a fresh start must not load it."""
+    src = str(Path(pm25cast.__file__).resolve().parent.parent)
+    code = ("import sys; sys.path.insert(0, sys.argv[1]); import pm25cast.cli as cli; "
+            "cli.build_parser(); print(sorted(m for m in sys.modules if m.startswith('scipy.stats')))")
+    done = subprocess.run([sys.executable, "-c", code, src], capture_output=True, text=True,
+                          timeout=120, check=True)
+    assert done.stdout.strip() == "[]"
+
+
+def test_fit_non_finite_end_point_warns_nothing(tmp_path):
+    """The overflow of exp(-b/trg) at such a start is reported through the
+    unconverged fit, not as a RuntimeWarning."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code = run("fit", "--family", "with-id", "--start", "40,-10000,0,0,0,0,1",
+                   "--out-dir", str(tmp_path), OBS_2014)
+    assert code == 2
 
 
 def test_commands_run_on_one_blas_thread(tmp_path, monkeypatch):

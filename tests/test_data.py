@@ -1,3 +1,4 @@
+import dataclasses
 import datetime as dt
 import io
 import math
@@ -215,6 +216,20 @@ def test_subset_and_order_checks(jan2014_frame):
     assert sub.lpm[1] == sub.lpm[2]
     with pytest.raises(DataError):
         jan2014_frame.subset([5, 2])
+
+
+@pytest.mark.parametrize("column", ["lpm", "trg", "t", "w", "pc", "ep", "id"])
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_frame_rejects_non_finite_columns(jan2014_frame, column, bad):
+    values = getattr(jan2014_frame, column).copy()
+    values[4] = bad
+    with pytest.raises(DataError, match=f"column {column} .*{jan2014_frame.dates[4]}"):
+        dataclasses.replace(jan2014_frame, **{column: values})
+    stack = jan2014_frame.subset([[0, 1, 2], [3, 5, 6]])
+    values = getattr(stack, column).copy()
+    values[1, 1] = bad
+    with pytest.raises(DataError, match=f"column {column} .*{stack.dates[1, 1]}"):
+        dataclasses.replace(stack, **{column: values})
 
 
 def test_frame_csv_roundtrip(tmp_path, jan2014_frame):

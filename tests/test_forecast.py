@@ -112,6 +112,13 @@ def test_predict_pm_preconditions():
         predict_pm(MODEL, ROW1, 0.5)
 
 
+@pytest.mark.parametrize("field", ["trg", "w", "t", "pc", "ep"])
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_predict_pm_refuses_non_finite_predictors(field, bad):
+    with pytest.raises(DataError, match=f"predictor {field} "):
+        predict_pm(MODEL, ROW1._replace(**{field: bad}), 0)
+
+
 def test_negative_trg_still_evaluates():
     # sign flip turns decay into growth; value stays finite here
     out = predict_pm(MODEL, ROW1._replace(trg=-6.0), 0)
@@ -216,6 +223,17 @@ def test_interval_lower_clamp():
 def test_interval_rejects_nonpositive():
     with pytest.raises(ValueError):
         interval(0.0, PROFILES["ncep-i1"])
+
+
+def test_interval_refuses_nan_and_puts_inf_in_the_high_arm():
+    with pytest.raises(ValueError, match="nan"):
+        interval(math.nan, PROFILES["ncep-i1"])
+    with pytest.raises(ValueError):
+        interval(-math.inf, PROFILES["ncep-i1"])
+    overflowing = predict_pm(MODEL, ROW1._replace(trg=-0.001), 0)
+    assert overflowing == math.inf
+    high = interval(overflowing, PROFILES["ncep-i1"])
+    assert high.arm == "high" and high.lo == 150.0 and math.isinf(high.hi)
 
 
 def test_profile_validation():

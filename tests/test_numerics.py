@@ -227,6 +227,15 @@ def test_f_quantile_cdf_roundtrip():
         assert abs(scipy.stats.f.cdf(x, 7, 524) - p) < 1e-6
 
 
+@pytest.mark.parametrize("dfn", range(2, 9))
+def test_f_quantile_equals_scipy_stats_bit_for_bit(dfn):
+    """The curvature critical values (p = 1 - alpha, q = 2..8) and a wider
+    grid give exactly the bits of scipy.stats.f.ppf."""
+    for p in (1.0 - 0.05, 1.0 - 0.01, 1e-6, 0.01, 0.25, 0.5, 0.9, 0.999999):
+        for dfd in (1, 2, 5, 17, 23, 24, 293, 524, 2993, 9990, 0.5, 31.5):
+            assert f_quantile(p, dfn, dfd) == scipy.stats.f.ppf(p, dfn, dfd), (p, dfn, dfd)
+
+
 @pytest.mark.parametrize("p", [0.0, 1.0, -0.2, 1.5])
 def test_f_quantile_domain(p):
     with pytest.raises(ValueError):
@@ -293,6 +302,49 @@ def test_spearman_tied_values_use_midranks():
     expect, _ = pearson_test(rx, ry)
     rho, _ = spearman_test(x, y)
     assert abs(rho - expect) < 1e-12
+
+
+def _spearman_p_reference(rho, n):
+    if abs(rho) == 1.0:
+        return 0.0
+    tstat = rho * np.sqrt((n - 2) / (1.0 - rho * rho))
+    return float(2.0 * scipy.stats.t.sf(abs(tstat), n - 2))
+
+
+def test_spearman_p_equals_scipy_stats_bit_for_bit():
+    rng = np.random.default_rng(21)
+    for n in (3, 4, 10, 57, 400):
+        for _ in range(10):
+            x = rng.standard_normal(n)
+            y = 0.4 * x + rng.standard_normal(n)
+            pairs = [(x, y)] if n < 10 else [(x, y), (np.round(x), np.round(y, 1))]
+            for a, b in pairs:
+                rho, p = spearman_test(a, b)
+                assert p == _spearman_p_reference(rho, n)
+
+
+@pytest.mark.parametrize("sample", [
+    [3.0, 1.0, 2.0],
+    [1.0, 2.0, 2.0, 3.0, 2.0, 1.0, -0.0, 0.0],
+    [7.5] * 6,
+    [42.0],
+    [np.inf, -np.inf, 1.0, np.inf],
+])
+def test_midranks_equal_scipy_rankdata(sample):
+    assert np.array_equal(numerics._midranks(sample), scipy.stats.rankdata(sample))
+
+
+def test_midranks_equal_scipy_rankdata_on_random_ties():
+    rng = np.random.default_rng(22)
+    for n in (1, 2, 5, 30, 500):
+        x = rng.integers(0, max(1, n // 4), n).astype(float)
+        assert np.array_equal(numerics._midranks(x), scipy.stats.rankdata(x))
+
+
+def test_midranks_of_a_sample_with_nan_are_all_nan():
+    ranks = numerics._midranks([1.0, np.nan, 2.0])
+    assert np.isnan(ranks).all()
+    assert np.isnan(scipy.stats.rankdata([1.0, np.nan, 2.0])).all()
 
 
 def test_spearman_monotone_transform_invariance():
@@ -378,6 +430,17 @@ def test_ks_normal_bimodal_rejected():
     x = np.concatenate([rng.normal(-2.0, 0.2, 500), rng.normal(2.0, 0.2, 500)])
     d, p = ks_normal(x)
     assert p < 1e-6
+
+
+def test_ks_normal_statistic_equals_scipy_stats_bit_for_bit():
+    rng = np.random.default_rng(23)
+    for n in (3, 10, 31, 365, 3000):
+        x = np.round(rng.standard_t(4, n) * 3.0, 1)
+        d, _ = ks_normal(x)
+        xs = np.sort(x)
+        cdf = scipy.stats.norm.cdf(xs, loc=xs.mean(), scale=xs.std(ddof=1))
+        grid = np.arange(1, n + 1) / n
+        assert d == np.max(np.maximum(np.abs(cdf - grid), np.abs(cdf - (grid - 1.0 / n))))
 
 
 def test_ks_normal_degenerate():
