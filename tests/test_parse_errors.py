@@ -1,0 +1,107 @@
+"""Every DataError a CSV parser raises, pinned to its exact message.
+
+Each input holds one fault. The inputs go through the command line, so
+each message is checked as a user sees it: `error: <message>` on stderr
+and exit code 1.
+"""
+
+from pathlib import Path
+
+import pytest
+
+from pm25cast.cli import main
+
+OBS_2014 = Path(__file__).resolve().parent.parent / "demos" / "data" / "obs_201401.csv"
+
+OBS = "date,pm,t,tmax,tmin,pc,w,ep\n"
+DAY1 = "2014-01-01,153,44,179,-26,0,27,17\n"
+DAY2 = "2014-01-02,181,44,155,-25,0,21,14\n"
+NCEP = "date,slot,t,tmax,tmin,pc,w\n"
+FORECAST = "date,pm_hat,id_source,arm,lo,hi,flags\n"
+FC1 = "2014-01-01,120.0,algo2,band,90.0,150.0,\n"
+
+
+def _slots(date, slots):
+    return "".join(f"{date},{slot},70,110,80,0,24\n" for slot in slots)
+
+
+CASES = [
+    # observations, read by `fit`
+    pytest.param("fit", "date,pm,t,tmax,tmin,pc,w\n2014-01-01,153,44,179,-26,0,27\n",
+                 "missing required column 'ep'", id="obs-missing-column"),
+    pytest.param("fit", OBS + DAY1 + "2014-02-30,181,44,155,-25,0,21,14\n",
+                 "row 2: bad date value '2014-02-30'", id="obs-bad-date"),
+    pytest.param("fit", OBS + DAY1 + "2014-01-02,oops,44,155,-25,0,21,14\n",
+                 "row 2: bad pm value 'oops'", id="obs-bad-cell"),
+    pytest.param("fit", OBS + "2014-01-01,153,44,179,-26,wet,27,17\n",
+                 "row 1: bad pc value 'wet'", id="obs-bad-pc"),
+    pytest.param("fit", OBS + "2014-01-01,153,44,179,-26,0,inf,17\n",
+                 "row 1: non-finite w value 'inf'", id="obs-non-finite"),
+    pytest.param("fit", "date,pm,t,tmax,tmin,pc,w,ep,hm\n2014-01-01,153,44,179,-26,0,27,17,x\n",
+                 "row 1: bad hm value 'x'", id="obs-bad-hm"),
+    pytest.param("fit", OBS + "2014-01-01,-1,44,179,-26,0,27,17\n",
+                 "row 1: 2014-01-01: negative pm (-1.0)", id="obs-negative-pm"),
+    pytest.param("fit", OBS + DAY1 + "2014-01-02,181,44,155,-25,-0.5,21,14\n",
+                 "row 2: 2014-01-02: negative pc (-0.5)", id="obs-negative-pc"),
+    pytest.param("fit", OBS + "2014-01-01,153,44,179,-26,0,-2,17\n",
+                 "row 1: 2014-01-01: negative w (-2.0)", id="obs-negative-w"),
+    pytest.param("fit", OBS + "2014-01-01,153,44,179,-26,0,27,-5\n",
+                 "row 1: 2014-01-01: negative ep (-5.0)", id="obs-negative-ep"),
+    pytest.param("fit", OBS + "2014-01-01,153,44,-30,-26,0,27,17\n",
+                 "row 1: 2014-01-01: tmax (-30.0) below tmin (-26.0)", id="obs-tmax-below-tmin"),
+    pytest.param("fit", OBS + DAY2 + DAY1,
+                 "records out of order: 2014-01-01 follows 2014-01-02", id="obs-out-of-order"),
+    pytest.param("fit", OBS + DAY1 + DAY1,
+                 "records out of order: 2014-01-01 follows 2014-01-01", id="obs-repeated-date"),
+    pytest.param("fit", OBS + "\n" + DAY1 + "\n\n" + "2014-01-02,181,44,155,-25,0,21,x\n",
+                 "row 2: bad ep value 'x'", id="obs-after-blank-line"),
+    # six-hourly forecasts, read by `aggregate-ncep`
+    pytest.param("aggregate-ncep", "date,slot,t,tmax,tmin,pc\n2017-12-01,0,70,110,80,0\n",
+                 "missing required column 'w'", id="ncep-missing-column"),
+    pytest.param("aggregate-ncep", NCEP + "2017-12-32,0,70,110,80,0,24\n",
+                 "row 1: bad date value '2017-12-32'", id="ncep-bad-date"),
+    pytest.param("aggregate-ncep", NCEP + "2017-12-01,six,70,110,80,0,24\n",
+                 "row 1: bad slot value 'six'", id="ncep-bad-slot"),
+    pytest.param("aggregate-ncep", NCEP + _slots("2017-12-01", (0, 6)) + "2017-12-01,3,70,110,80,0,24\n",
+                 "row 3: slot must be one of (0, 6, 12, 18)", id="ncep-slot-outside-set"),
+    pytest.param("aggregate-ncep", NCEP + "2017-12-01,0,70,,80,0,24\n",
+                 "row 1: missing tmax", id="ncep-blank-cell"),
+    pytest.param("aggregate-ncep", NCEP + "2017-12-01,0,70,110,80,0\n",
+                 "row 1: missing w", id="ncep-short-row"),
+    pytest.param("aggregate-ncep", NCEP + "2017-12-01,0,70,110,80,wet,24\n",
+                 "row 1: bad pc value 'wet'", id="ncep-bad-cell"),
+    pytest.param("aggregate-ncep", NCEP + "2017-12-01,0,-inf,110,80,0,24\n",
+                 "row 1: non-finite t value '-inf'", id="ncep-non-finite"),
+    pytest.param("aggregate-ncep",
+                 NCEP + _slots("2017-12-03", (0,)) + _slots("2017-12-01", (0, 6, 12, 18))
+                 + _slots("2017-12-02", (12, 0, 6)),
+                 "2017-12-02: need exactly the four slots (0, 6, 12, 18), got [0, 6, 12]",
+                 id="ncep-missing-slot"),
+    pytest.param("aggregate-ncep", NCEP + _slots("2017-12-01", (0, 6, 12, 18, 18)),
+                 "2017-12-01: need exactly the four slots (0, 6, 12, 18), got [0, 6, 12, 18, 18]",
+                 id="ncep-repeated-slot"),
+    pytest.param("aggregate-ncep", NCEP + "\n" + _slots("2017-12-01", (0,)) + "\n"
+                 + "2017-12-01,6,70,110,80,0,nan\n",
+                 "row 2: non-finite w value 'nan'", id="ncep-after-blank-line"),
+    # forecast tables, read by `validate`
+    pytest.param("validate", FORECAST + FC1 + "x\n",
+                 "row 2: malformed forecast row", id="forecast-bad-date"),
+    pytest.param("validate", FORECAST + FC1 + "2014-01-02,high,algo2,band,90.0,150.0,\n",
+                 "row 2: malformed forecast row", id="forecast-bad-cell"),
+    pytest.param("validate", FORECAST + "\n" + FC1 + "\n" + "2014-01-02,120.0,algo2,band,lo,150.0,\n",
+                 "row 2: malformed forecast row", id="forecast-after-blank-line"),
+]
+
+
+@pytest.mark.parametrize("command,text,message", CASES)
+def test_parser_error_message(tmp_path, capsys, command, text, message):
+    path = tmp_path / "input.csv"
+    path.write_text(text, encoding="utf-8")
+    out = tmp_path / "out"
+    argv = {
+        "fit": ["fit", "--out-dir", out, path],
+        "aggregate-ncep": ["aggregate-ncep", "--out-dir", out, path],
+        "validate": ["validate", "--out-dir", out, path, OBS_2014],
+    }[command]
+    assert main([str(a) for a in argv]) == 1
+    assert capsys.readouterr().err == f"error: {message}\n"
