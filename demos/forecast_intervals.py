@@ -35,14 +35,13 @@ OBS = HERE / "data" / "obs_201712.csv"
 
 
 def main():
-    days = [aggregate_ncep(day) for day in parse_ncep(NCEP)]
-    print(f"aggregated {len(days)} days from 6-hourly fields")
+    daily = aggregate_ncep(parse_ncep(NCEP))
+    print(f"aggregated {len(daily.date)} days from 6-hourly fields")
 
-    records = parse_observations(OBS)
-    pm_by_date = {r.date: r.pm for r in records if r.pm is not None}
-    ep_by_date = {r.date: r.ep for r in records if r.ep is not None}
+    observations = parse_observations(OBS)
+    pm_by_date = observations.by_date("pm")
 
-    dated, skipped_join = predictors_from_aggregated(days, ep_by_date)
+    dated, skipped_join = predictors_from_aggregated(daily, observations)
     model = PRESETS["thesis-2018"]
     rows, skipped_fc = forecast_series(
         model,

@@ -12,7 +12,6 @@ identical output.
 """
 
 import csv
-import json
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -309,12 +308,3 @@ def summary_dict(summary):
         "mse": listed(summary.mse),
         "theta_corrected": listed(summary.theta_corrected),
     }
-
-
-def write_summary_json(summary, path, extra=None):
-    payload = summary_dict(summary)
-    if extra:
-        payload.update(extra)
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(payload, fh, indent=2, ensure_ascii=False)
-        fh.write("\n")

@@ -72,8 +72,7 @@ def _make_spec(args):
 
 
 def _load_frame(path):
-    records = data.parse_observations(path)
-    frame = data.build_frame(records)
+    frame = data.build_frame(data.parse_observations(path))
     if frame.n == 0:
         raise Pm25CastError("no usable rows after filtering")
     return frame
@@ -206,22 +205,18 @@ def _load_frozen_model(name_or_path):
 def cmd_forecast(args):
     frozen = _load_frozen_model(args.model)
     profile = forecast.PROFILES[args.profile]
-    records = data.parse_observations(args.obs)
-    pm_by_date = {rec.date: rec.pm for rec in records if rec.pm is not None}
-    ep_by_date = {rec.date: rec.ep for rec in records if rec.ep is not None}
+    observations = data.parse_observations(args.obs)
+    pm_by_date = observations.by_date("pm")
     inputs = [args.obs]
 
-    skipped = []
     if args.predictors == "ncep":
         if args.ncep is None:
             raise ValueError("--ncep is required unless --predictors observed")
-        days = [data.aggregate_ncep(day) for day in data.parse_ncep(args.ncep)]
-        dated, skipped_join = forecast.predictors_from_aggregated(days, ep_by_date)
-        skipped.extend(skipped_join)
+        daily = data.aggregate_ncep(data.parse_ncep(args.ncep))
+        dated, skipped = forecast.predictors_from_aggregated(daily, observations)
         inputs.append(args.ncep)
     else:
-        dated, skipped_rec = forecast.predictors_from_records(records)
-        skipped.extend(skipped_rec)
+        dated, skipped = forecast.predictors_from_records(observations)
 
     id_source = {"1": "algo1", "2": "algo2", "observed": "observed"}[args.id_algo]
     rows, skipped_fc = forecast.forecast_series(
@@ -252,8 +247,7 @@ def cmd_forecast(args):
 
 def cmd_validate(args):
     rows = forecast.read_forecast_csv(args.forecast)
-    records = data.parse_observations(args.obs)
-    pm_by_date = {rec.date: rec.pm for rec in records if rec.pm is not None}
+    pm_by_date = data.parse_observations(args.obs).by_date("pm")
     report = forecast.inclusion_report(rows, pm_by_date)
     report["config"] = _config_echo(args, [args.forecast, args.obs])
     out = Path(args.out_dir)
@@ -263,10 +257,10 @@ def cmd_validate(args):
 
 
 def cmd_aggregate_ncep(args):
-    days = [data.aggregate_ncep(day) for day in data.parse_ncep(args.ncep)]
+    daily = data.aggregate_ncep(data.parse_ncep(args.ncep))
     out = Path(args.out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    data.write_aggregated_csv(days, out / "ncep_daily.csv")
+    data.write_aggregated_csv(daily, out / "ncep_daily.csv")
     return 0
 
 

@@ -11,7 +11,6 @@ import datetime as dt
 import math
 import os
 from dataclasses import dataclass
-from typing import NamedTuple
 
 import numpy as np
 
@@ -21,6 +20,7 @@ from .errors import AggregationError, DataError
 TRACE_TOKENS = frozenset({"微量", "T", "trace"})
 
 OBS_REQUIRED = ("pm", "t", "tmax", "tmin", "pc", "w", "ep")
+NCEP_FIELDS = ("t", "tmax", "tmin", "pc", "w")
 NCEP_SLOTS = (0, 6, 12, 18)
 
 ID_LOW_CUT = 35.0   # lpm scale; pm scale e^3.5
@@ -40,32 +40,50 @@ def id_from_lpm(lpm):
 
 
 @dataclass(frozen=True)
-class DailyRecord:
-    """One calendar day of observations; None marks a missing value."""
+class Observations:
+    """Daily observations as columns, one entry per data row in file order.
 
-    date: dt.date
-    pm: float | None
-    t: float | None
-    tmax: float | None
-    tmin: float | None
-    pc: float | None
-    w: float | None
-    ep: float | None
-    hm: float | None = None  # parsed when present, never used as a regressor
+    `date` is datetime64[D]; every other column is float, with NaN for a
+    blank cell. `hm` is None when the file has no hm column; it is parsed
+    when present but never used as a regressor. Row N of a message is
+    entry N - 1.
+    """
+
+    date: np.ndarray
+    pm: np.ndarray
+    t: np.ndarray
+    tmax: np.ndarray
+    tmin: np.ndarray
+    pc: np.ndarray
+    w: np.ndarray
+    ep: np.ndarray
+    hm: np.ndarray | None = None
 
     def __post_init__(self):
         for name in ("pm", "pc", "w", "ep"):
-            value = getattr(self, name)
-            if value is not None and value < 0:
-                raise DataError(f"{self.date}: negative {name} ({value})")
-        if self.tmax is not None and self.tmin is not None and self.tmax < self.tmin:
-            raise DataError(f"{self.date}: tmax ({self.tmax}) below tmin ({self.tmin})")
+            values = getattr(self, name)
+            bad = np.flatnonzero(values < 0)
+            if bad.size:
+                i = bad[0]
+                value = float(values[i])
+                raise DataError(f"row {i + 1}: {self.date[i]}: negative {name} ({value})")
+        bad = np.flatnonzero(self.tmax < self.tmin)
+        if bad.size:
+            i = bad[0]
+            raise DataError(f"row {i + 1}: {self.date[i]}: tmax ({float(self.tmax[i])}) "
+                            f"below tmin ({float(self.tmin[i])})")
 
     @property
     def complete(self):
-        return all(
-            getattr(self, name) is not None for name in OBS_REQUIRED
-        )
+        """True on the rows that hold every required field."""
+        values = np.array([getattr(self, name) for name in OBS_REQUIRED])
+        return ~np.isnan(values).any(axis=0)
+
+    def by_date(self, name):
+        """{date: value} over the non-blank cells of one column."""
+        values = getattr(self, name)
+        present = ~np.isnan(values)
+        return dict(zip(self.date[present].tolist(), values[present].tolist()))
 
 
 @dataclass(frozen=True)
@@ -155,18 +173,19 @@ class ModelFrame:
         )
 
     def write_csv(self, path):
-        with open(path, "w", newline="", encoding="utf-8") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(["date", "lpm", "trg", "t", "w", "pc", "ep", "id"])
-            for i in range(self.n):
-                writer.writerow(
-                    [str(self.dates[i])]
-                    + [
-                        repr(float(col[i]))
-                        for col in (self.lpm, self.trg, self.t, self.w, self.pc, self.ep)
-                    ]
-                    + [int(self.id[i])]
-                )
+        columns = (self.dates, self.lpm, self.trg, self.t, self.w, self.pc, self.ep)
+        _write_columns(path, ["date", "lpm", "trg", "t", "w", "pc", "ep", "id"],
+                       columns + (self.id.astype(int),))
+
+
+def _write_columns(path, header, columns):
+    """CSV with one row per entry: the date column in ISO form, then each
+    value as its repr."""
+    with open(path, "w", newline="", encoding="utf-8") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(header)
+        for date, *values in zip(*(c.tolist() for c in columns)):
+            writer.writerow([date.isoformat(), *map(repr, values)])
 
 
 def _open_text(source):
@@ -179,222 +198,202 @@ def _open_text(source):
         return fh.read().splitlines()
 
 
-def _parse_float(raw, row_num, field):
-    text = raw.strip() if raw is not None else ""
-    if text == "":
-        return None
-    try:
-        value = float(text)
-    except ValueError:
-        raise DataError(f"row {row_num}: bad {field} value {text!r}") from None
-    if not math.isfinite(value):
-        raise DataError(f"row {row_num}: non-finite {field} value {text!r}")
-    return value
+def _read_columns(source, required, optional=()):
+    """{name: stripped cells} of the named columns of a CSV with a header.
+
+    Like csv.DictReader, blank lines are skipped and not counted, and a
+    short row reads its missing trailing cells as blank. An optional
+    column the header lacks is left out.
+    """
+    rows = csv.reader(_open_text(source))
+    header = next(rows, [])
+    index = {name: i for i, name in enumerate(header)}
+    for name in required:
+        if name not in index:
+            raise DataError(f"missing required column {name!r}")
+    body = [row + [""] * (len(header) - len(row)) for row in rows if row]
+    return {
+        name: [row[index[name]].strip() for row in body]
+        for name in (*required, *optional)
+        if name in index
+    }
 
 
-def parse_observations(source, columns=None):
-    """Parse an observation CSV into DailyRecord rows.
+def _convert(cells, convert, name):
+    """`convert` applied cell by cell; a ValueError names the 1-based row."""
+    out = []
+    for row_num, text in enumerate(cells, start=1):
+        try:
+            out.append(convert(text))
+        except ValueError:
+            raise DataError(f"row {row_num}: bad {name} value {text!r}") from None
+    return out
+
+
+def _date_column(cells):
+    return np.array(_convert(cells, dt.date.fromisoformat, "date"), dtype="datetime64[D]")
+
+
+def _float_column(cells, name):
+    """Finite floats, NaN for a blank cell."""
+    values = np.array(
+        _convert(cells, lambda text: float(text) if text else math.nan, name), dtype=float
+    )
+    for i in np.flatnonzero(~np.isfinite(values)):
+        if cells[i]:
+            raise DataError(f"row {i + 1}: non-finite {name} value {cells[i]!r}")
+    return values
+
+
+def parse_observations(source):
+    """Parse an observation CSV into an Observations table.
 
     Parameters
     ----------
     source : path or file object
         UTF-8 delimited text with a header row.
-    columns : mapping, optional
-        Renames canonical column names (date, pm, t, tmax, tmin, pc, w, ep,
-        hm) to the actual header names.
 
     Returns
     -------
-    list of DailyRecord
-        One record per data row, in file order. Empty cells become None;
+    Observations
+        One entry per data row, in file order. Empty cells become NaN;
         trace-precipitation tokens become pc = 0.
 
     Raises
     ------
     DataError
-        On a missing required column or a malformed cell (the message names
-        the 1-based data row and the field).
+        On a missing required column, a malformed cell or an impossible
+        value (the message names the 1-based data row and the field).
     """
-    colmap = dict(columns) if columns else {}
-
-    def col(name):
-        return colmap.get(name, name)
-
-    lines = _open_text(source)
-    reader = csv.DictReader(lines)
-    header = reader.fieldnames or []
-    for name in ("date",) + OBS_REQUIRED:
-        if col(name) not in header:
-            raise DataError(f"missing required column {col(name)!r}")
-    has_hm = col("hm") in header
-
-    records = []
-    for row_num, row in enumerate(reader, start=1):
-        raw_date = (row.get(col("date")) or "").strip()
-        try:
-            date = dt.date.fromisoformat(raw_date)
-        except ValueError:
-            raise DataError(f"row {row_num}: bad date value {raw_date!r}") from None
-
-        raw_pc = (row.get(col("pc")) or "").strip()
-        if raw_pc in TRACE_TOKENS:
-            pc = 0.0
-        else:
-            pc = _parse_float(raw_pc, row_num, "pc")
-
-        values = {
-            name: _parse_float(row.get(col(name)), row_num, name)
-            for name in ("pm", "t", "tmax", "tmin", "w", "ep")
-        }
-        hm = _parse_float(row.get(col("hm")), row_num, "hm") if has_hm else None
-        try:
-            records.append(DailyRecord(date=date, pc=pc, hm=hm, **values))
-        except DataError as exc:
-            raise DataError(f"row {row_num}: {exc}") from None
-    return records
+    cells = _read_columns(source, ("date",) + OBS_REQUIRED, optional=("hm",))
+    date = _date_column(cells.pop("date"))
+    cells["pc"] = ["0" if text in TRACE_TOKENS else text for text in cells["pc"]]
+    return Observations(date=date, **{name: _float_column(cells[name], name) for name in cells})
 
 
-def build_frame(records):
-    """Assemble a ModelFrame, dropping incomplete or nonpositive-pm rows.
+def build_frame(table):
+    """Assemble a ModelFrame from an Observations table.
 
-    Records must be strictly increasing in date. Dropped rows are listed in
-    the frame's drop_log; emitted + dropped row counts always equal the
-    input count.
+    Rows that miss a field or have pm <= 0 are dropped and listed in the
+    frame's drop_log; emitted + dropped row counts always equal the input
+    count. Dates must be strictly increasing.
     """
-    records = list(records)
-    for prev, curr in zip(records, records[1:]):
-        if curr.date <= prev.date:
-            raise DataError(
-                f"records out of order: {curr.date} follows {prev.date}"
-            )
+    date = table.date
+    out_of_order = np.flatnonzero(date[1:] <= date[:-1])
+    if out_of_order.size:
+        i = out_of_order[0]
+        raise DataError(f"records out of order: {date[i + 1]} follows {date[i]}")
 
-    kept = []
-    drop_log = []
-    for rec in records:
-        if not rec.complete:
-            drop_log.append((rec.date, "missing field"))
-        elif rec.pm <= 0:
-            drop_log.append((rec.date, "nonpositive concentration"))
-        else:
-            kept.append(rec)
-
-    lpm = np.array([10.0 * math.log(rec.pm) for rec in kept])
+    complete = table.complete
+    keep = complete & (table.pm > 0)
+    reasons = np.where(complete[~keep], "nonpositive concentration", "missing field")
+    # math.log, not np.log: the two differ in the last bit on some inputs
+    lpm = np.array([10.0 * math.log(pm) for pm in table.pm[keep].tolist()], dtype=float)
     return ModelFrame(
-        dates=np.array([rec.date for rec in kept], dtype="datetime64[D]"),
+        dates=date[keep],
         lpm=lpm,
-        trg=np.array([rec.tmax - rec.tmin for rec in kept], dtype=float),
-        t=np.array([rec.t for rec in kept], dtype=float),
-        w=np.array([rec.w for rec in kept], dtype=float),
-        pc=np.array([rec.pc for rec in kept], dtype=float),
-        ep=np.array([rec.ep for rec in kept], dtype=float),
-        id=np.array([float(id_from_lpm(v)) for v in lpm]),
-        drop_log=tuple(drop_log),
+        trg=table.tmax[keep] - table.tmin[keep],
+        t=table.t[keep],
+        w=table.w[keep],
+        pc=table.pc[keep],
+        ep=table.ep[keep],
+        id=id_from_lpm(lpm),
+        drop_log=tuple(zip(date[~keep].tolist(), reasons.tolist())),
     )
 
 
-class SlotForecast(NamedTuple):
-    slot: int
-    t: float
-    tmax: float
-    tmin: float
-    pc: float
-    w: float
+@dataclass(frozen=True)
+class SixHourly:
+    """Six-hourly forecast rows as columns, sorted by date, then slot.
+
+    `date` is datetime64[D], `slot` the integer cycle hour; the forecast
+    fields are finite floats.
+    """
+
+    date: np.ndarray
+    slot: np.ndarray
+    t: np.ndarray
+    tmax: np.ndarray
+    tmin: np.ndarray
+    pc: np.ndarray
+    w: np.ndarray
 
 
 @dataclass(frozen=True)
-class NcepSixHourly:
-    """All forecast cycles issued for one calendar day."""
+class NcepDaily:
+    """Daily predictor rows collapsed from four six-hourly forecasts."""
 
-    date: dt.date
-    slots: tuple
-
-
-@dataclass(frozen=True)
-class AggregatedDay:
-    """Daily predictor row collapsed from four six-hourly forecasts."""
-
-    date: dt.date
-    t: float
-    tmax: float
-    tmin: float
-    trg: float
-    pc: float
-    w: float
+    date: np.ndarray
+    t: np.ndarray
+    tmax: np.ndarray
+    tmin: np.ndarray
+    trg: np.ndarray
+    pc: np.ndarray
+    w: np.ndarray
 
 
 def parse_ncep(source):
     """Parse a six-hourly forecast CSV (`date,slot,t,tmax,tmin,pc,w`).
 
-    Rows are grouped per date, sorted by date then slot. Slot must be one
-    of 0, 6, 12, 18; every other field must be numeric (the forecast
-    product has no missing cells).
+    Rows are stably sorted by date, then slot. Slot must be one of 0, 6,
+    12, 18; every other field must be numeric (the forecast product has no
+    missing cells).
     """
-    lines = _open_text(source)
-    reader = csv.DictReader(lines)
-    header = reader.fieldnames or []
-    for name in ("date", "slot", "t", "tmax", "tmin", "pc", "w"):
-        if name not in header:
-            raise DataError(f"missing required column {name!r}")
-
-    by_date = {}
-    for row_num, row in enumerate(reader, start=1):
-        raw_date = (row.get("date") or "").strip()
-        try:
-            date = dt.date.fromisoformat(raw_date)
-        except ValueError:
-            raise DataError(f"row {row_num}: bad date value {raw_date!r}") from None
-        raw_slot = (row.get("slot") or "").strip()
-        try:
-            slot = int(raw_slot)
-        except ValueError:
-            raise DataError(f"row {row_num}: bad slot value {raw_slot!r}") from None
-        if slot not in NCEP_SLOTS:
+    cells = _read_columns(source, ("date", "slot") + NCEP_FIELDS)
+    date = _date_column(cells["date"])
+    slot = _convert(cells["slot"], int, "slot")
+    for row_num, value in enumerate(slot, start=1):
+        if value not in NCEP_SLOTS:
             raise DataError(f"row {row_num}: slot must be one of {NCEP_SLOTS}")
-        values = []
-        for name in ("t", "tmax", "tmin", "pc", "w"):
-            value = _parse_float(row.get(name), row_num, name)
-            if value is None:
-                raise DataError(f"row {row_num}: missing {name}")
-            values.append(value)
-        by_date.setdefault(date, []).append(SlotForecast(slot, *values))
-
-    return [
-        NcepSixHourly(date=date, slots=tuple(sorted(by_date[date])))
-        for date in sorted(by_date)
-    ]
-
-
-def aggregate_ncep(day):
-    """Collapse one day's four forecast cycles to a single predictor row.
-
-    t, tmax, tmin, pc aggregate by arithmetic mean and w by maximum;
-    trg = mean(tmax) - mean(tmin), which may come out negative.
-    """
-    slots = day.slots
-    if len(slots) != 4 or {s.slot for s in slots} != set(NCEP_SLOTS):
-        raise AggregationError(
-            f"{day.date}: need exactly the four slots {NCEP_SLOTS}, "
-            f"got {sorted(s.slot for s in slots)}"
-        )
-    tmax = sum(s.tmax for s in slots) / 4.0
-    tmin = sum(s.tmin for s in slots) / 4.0
-    return AggregatedDay(
-        date=day.date,
-        t=sum(s.t for s in slots) / 4.0,
-        tmax=tmax,
-        tmin=tmin,
-        trg=tmax - tmin,
-        pc=sum(s.pc for s in slots) / 4.0,
-        w=max(s.w for s in slots),
+    slot = np.array(slot, dtype=int)
+    values = {}
+    for name in NCEP_FIELDS:
+        values[name] = _float_column(cells[name], name)
+        blank = np.flatnonzero(np.isnan(values[name]))
+        if blank.size:
+            raise DataError(f"row {blank[0] + 1}: missing {name}")
+    order = np.lexsort((slot, date))
+    return SixHourly(
+        date=date[order], slot=slot[order], **{name: v[order] for name, v in values.items()}
     )
 
 
-def write_aggregated_csv(days, path):
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["date", "t", "tmax", "tmin", "trg", "pc", "w"])
-        for day in days:
-            writer.writerow(
-                [day.date.isoformat()]
-                + [repr(float(v)) for v in (day.t, day.tmax, day.tmin, day.trg, day.pc, day.w)]
-            )
+def aggregate_ncep(table):
+    """Collapse each day's four forecast cycles to a single predictor row.
+
+    t, tmax, tmin, pc aggregate by the mean (0.0 + s0 + s1 + s2 + s3) / 4
+    and w by the first maximum, both folded in slot order, so every Python
+    version gives the same bits (the builtin sum() of floats is compensated
+    from Python 3.12 on). trg = mean(tmax) - mean(tmin), which may come out
+    negative. `table` is sorted as parse_ncep returns it.
+    """
+    days, first, counts = np.unique(table.date, return_index=True, return_counts=True)
+    # a day is whole when its rows are exactly the four slots, in order
+    whole = counts == 4
+    rows = first[whole][:, None] + np.arange(4)
+    whole[whole] = (table.slot[rows] == NCEP_SLOTS).all(axis=1)
+    if not whole.all():
+        k = np.argmin(whole)
+        got = table.slot[first[k]:first[k] + counts[k]].tolist()
+        raise AggregationError(
+            f"{days[k]}: need exactly the four slots {NCEP_SLOTS}, got {got}"
+        )
+
+    def mean(name):
+        s0, s1, s2, s3 = getattr(table, name).reshape(-1, 4).T
+        return (0.0 + s0 + s1 + s2 + s3) / 4.0
+
+    slots = table.w.reshape(-1, 4).T
+    wind = slots[0]
+    for s in slots[1:]:
+        wind = np.where(s > wind, s, wind)
+    tmax = mean("tmax")
+    tmin = mean("tmin")
+    return NcepDaily(
+        date=days, t=mean("t"), tmax=tmax, tmin=tmin, trg=tmax - tmin, pc=mean("pc"), w=wind
+    )
+
+
+def write_aggregated_csv(daily, path):
+    columns = (daily.date, daily.t, daily.tmax, daily.tmin, daily.trg, daily.pc, daily.w)
+    _write_columns(path, ["date", "t", "tmax", "tmin", "trg", "pc", "w"], columns)

@@ -16,8 +16,12 @@ import math
 from dataclasses import dataclass
 from typing import NamedTuple
 
-from .data import id_from_lpm
+import numpy as np
+
+from .data import _read_columns, id_from_lpm
 from .errors import DataError
+
+FORECAST_COLUMNS = ("date", "pm_hat", "id_source", "arm", "lo", "hi", "flags")
 
 # Predictor ranges seen while building the frozen model; leaving them marks
 # a forecast as extrapolation.
@@ -297,45 +301,41 @@ def forecast_series(
     return rows, skipped
 
 
-def predictors_from_aggregated(days, ep_by_date):
-    """Join aggregated forecast days with observed evaporation.
+def _split_rows(keep, reason, date, *columns):
+    """(date, Predictors) rows where `keep` holds, (date, reason) elsewhere.
+
+    `columns` are the five predictor arrays in Predictors field order.
+    """
+    values = (c[keep].tolist() for c in columns)
+    dated = [(d, Predictors(*row)) for d, *row in zip(date[keep].tolist(), *values)]
+    return dated, [(d, reason) for d in date[~keep].tolist()]
+
+
+def predictors_from_aggregated(daily, observations):
+    """Join an NcepDaily table with the observed evaporation.
 
     Evaporation has no forecast product, so each day takes the observed
     value; days without one are skipped and reported.
     """
-    dated = []
-    skipped = []
-    for day in days:
-        ep = ep_by_date.get(day.date)
-        if ep is None:
-            skipped.append((day.date, "no observed ep"))
-            continue
-        dated.append((day.date, Predictors(trg=day.trg, w=day.w, t=day.t, pc=day.pc, ep=ep)))
-    return dated, skipped
+    ep_by_date = observations.by_date("ep")
+    ep = np.array([ep_by_date.get(d, math.nan) for d in daily.date.tolist()], dtype=float)
+    return _split_rows(
+        ~np.isnan(ep), "no observed ep", daily.date, daily.trg, daily.w, daily.t, daily.pc, ep
+    )
 
 
-def predictors_from_records(records):
-    """Predictor rows straight from complete daily observations."""
-    dated = []
-    skipped = []
-    for rec in records:
-        if not rec.complete:
-            skipped.append((rec.date, "missing field"))
-            continue
-        dated.append(
-            (
-                rec.date,
-                Predictors(trg=rec.tmax - rec.tmin, w=rec.w, t=rec.t, pc=rec.pc, ep=rec.ep),
-            )
-        )
-    return dated, skipped
+def predictors_from_records(obs):
+    """Predictor rows straight from the complete rows of an Observations table."""
+    return _split_rows(
+        obs.complete, "missing field", obs.date, obs.tmax - obs.tmin, obs.w, obs.t, obs.pc, obs.ep
+    )
 
 
 def write_forecast_csv(rows, path):
     """Forecast table: `date,pm_hat,id_source,arm,lo,hi,flags`."""
     with open(path, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
-        writer.writerow(["date", "pm_hat", "id_source", "arm", "lo", "hi", "flags"])
+        writer.writerow(FORECAST_COLUMNS)
         for row in rows:
             fc = row.interval
             writer.writerow(
@@ -352,27 +352,23 @@ def write_forecast_csv(rows, path):
 
 
 def read_forecast_csv(path):
+    """ForecastRow list of a forecast table.
+
+    An infinite pm_hat is an overflowing forecast and is kept; a nan one
+    is refused.
+    """
+    columns = _read_columns(path, FORECAST_COLUMNS).values()
     rows = []
-    with open(path, "r", newline="", encoding="utf-8") as fh:
-        reader = csv.DictReader(fh)
-        for row_num, row in enumerate(reader, start=1):
-            try:
-                rows.append(
-                    ForecastRow(
-                        date=dt.date.fromisoformat(row["date"]),
-                        pm_hat=float(row["pm_hat"]),
-                        id_source=row["id_source"],
-                        interval=IntervalForecast(
-                            arm=row["arm"],
-                            lo=float(row["lo"]),
-                            hi=float(row["hi"]),
-                            pm_hat=float(row["pm_hat"]),
-                            flags=tuple(f for f in row["flags"].split(";") if f),
-                        ),
-                    )
-                )
-            except (KeyError, TypeError, ValueError):
-                raise DataError(f"row {row_num}: malformed forecast row") from None
+    for row_num, (date, pm_hat, id_source, arm, lo, hi, flags) in enumerate(zip(*columns), 1):
+        try:
+            pm = float(pm_hat)
+            flagged = tuple(f for f in flags.split(";") if f)
+            fc = IntervalForecast(arm, float(lo), float(hi), pm, flagged)
+            rows.append(ForecastRow(dt.date.fromisoformat(date), pm, id_source, fc))
+        except ValueError:
+            raise DataError(f"row {row_num}: malformed forecast row") from None
+        if math.isnan(pm):
+            raise DataError(f"row {row_num}: bad pm_hat value {pm_hat!r}")
     return rows
 
 

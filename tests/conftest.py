@@ -1,11 +1,13 @@
 """Shared fixtures: bundled data tables and synthetic frame builders."""
 
+import collections
 import datetime as dt
 
 import numpy as np
 import pytest
 
-from pm25cast import DailyRecord, build_frame
+from pm25cast import Observations, build_frame
+from pm25cast.data import OBS_REQUIRED
 
 # January 2014 observation month shipped with the demos:
 # (day, pm, t, tmax, tmin, pc, w, ep) in raw 0.1-scaled units.
@@ -81,20 +83,30 @@ DEC_2017 = [
 ]
 
 
+def obs_table(rows):
+    """Observations table from (date, pm, t, tmax, tmin, pc, w, ep) rows;
+    None marks a blank cell."""
+    columns = list(zip(*rows))
+    return Observations(
+        date=np.array(columns[0], dtype="datetime64[D]"),
+        **{name: np.array(col, dtype=float) for name, col in zip(OBS_REQUIRED, columns[1:])},
+    )
+
+
+ObsRow = collections.namedtuple("ObsRow", ("date",) + OBS_REQUIRED)
+
+
+def obs_rows(table):
+    """The rows of an Observations table as ObsRow tuples, NaN for a blank."""
+    columns = [table.date.tolist()] + [getattr(table, name).tolist() for name in OBS_REQUIRED]
+    return [ObsRow(*row) for row in zip(*columns)]
+
+
 def jan2014_records():
-    return [
-        DailyRecord(
-            date=dt.date(2014, 1, day),
-            pm=float(pm),
-            t=float(t),
-            tmax=float(tmax),
-            tmin=float(tmin),
-            pc=float(pc),
-            w=float(w),
-            ep=float(ep),
-        )
+    return obs_table(
+        (dt.date(2014, 1, day), pm, t, tmax, tmin, pc, w, ep)
         for day, pm, t, tmax, tmin, pc, w, ep in JAN_2014
-    ]
+    )
 
 
 @pytest.fixture(scope="session")
@@ -114,22 +126,16 @@ def synthetic_records(n=40, seed=0, start=dt.date(2020, 1, 1), gap_every=None):
     for i in range(n):
         trg = float(rng.uniform(30.0, 200.0))
         tmin = float(rng.uniform(-40.0, 40.0))
-        records.append(
-            DailyRecord(
-                date=date,
-                pm=float(np.exp(rng.uniform(2.5, 5.5))),
-                t=float(rng.uniform(-30.0, 230.0)),
-                tmax=tmin + trg,
-                tmin=tmin,
-                pc=float(rng.uniform(0.0, 600.0)),
-                w=float(rng.uniform(16.0, 90.0)),
-                ep=float(rng.uniform(0.0, 60.0)),
-            )
-        )
+        pm = float(np.exp(rng.uniform(2.5, 5.5)))
+        t = float(rng.uniform(-30.0, 230.0))
+        pc = float(rng.uniform(0.0, 600.0))
+        w = float(rng.uniform(16.0, 90.0))
+        ep = float(rng.uniform(0.0, 60.0))
+        records.append((date, pm, t, tmin + trg, tmin, pc, w, ep))
         date += dt.timedelta(days=1)
         if gap_every and (i + 1) % gap_every == 0:
             date += dt.timedelta(days=2)
-    return records
+    return obs_table(records)
 
 
 @pytest.fixture
@@ -161,15 +167,6 @@ def noise_free_frame(theta, n=60, seed=5):
             + theta[5] * ep
         )
         records.append(
-            DailyRecord(
-                date=dt.date(2021, 1, 1) + dt.timedelta(days=i),
-                pm=math.exp(f / 10.0),
-                t=t,
-                tmax=trg,
-                tmin=0.0,
-                pc=pc,
-                w=w,
-                ep=ep,
-            )
+            (dt.date(2021, 1, 1) + dt.timedelta(days=i), math.exp(f / 10.0), t, trg, 0.0, pc, w, ep)
         )
-    return build_frame(records)
+    return build_frame(obs_table(records))

@@ -25,7 +25,7 @@ from pm25cast.forecast import PRESETS, PROFILES, forecast_series, inclusion_rate
 from pm25cast.model import hessian_cube, jacobian
 from pm25cast.numerics import f_quantile, ks_two_sample, spearman_test
 
-from conftest import jan2014_records, noise_free_frame, synthetic_records
+from conftest import jan2014_records, noise_free_frame, obs_rows, synthetic_records
 
 
 def report(num, name, ok, detail=""):
@@ -248,8 +248,8 @@ def test_12_full_dataset_reproduction():
     records = parse_observations(obs2017)
     vframe = build_frame(records)
     dated = [(r.date, Predictors(trg=r.tmax - r.tmin, w=r.w, t=r.t, pc=r.pc, ep=r.ep))
-             for r in records if r.complete]
-    pm_by_date = {r.date: r.pm for r in records if r.pm}
+             for r, complete in zip(obs_rows(records), records.complete) if complete]
+    pm_by_date = {d: pm for d, pm in records.by_date("pm").items() if pm}
     rates = {}
     for name in ("standard-i1", "standard-i2"):
         rows, _ = forecast_series(model, dated, PROFILES[name],

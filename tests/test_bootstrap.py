@@ -20,7 +20,6 @@ from pm25cast.bootstrap import (
     apply_correction,
     summary_dict,
     write_replications_csv,
-    write_summary_json,
 )
 
 from conftest import jan2014_records, noise_free_frame, synthetic_records
@@ -336,9 +335,7 @@ def test_replication_csv_and_summary_json(tmp_path, month_frame, month_fit):
     assert len(lines) == 13
     assert lines[0].startswith("rep,converged,")
 
-    json_path = tmp_path / "summary.json"
-    write_summary_json(s, json_path)
-    payload = json.loads(json_path.read_text())
+    payload = json.loads(json.dumps(summary_dict(s)))
     assert payload["converged"] == s.converged_count
     assert len(payload["bias"]) == 7
     assert payload == summary_dict(s)

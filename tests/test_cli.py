@@ -204,13 +204,13 @@ def test_simulate_size_too_large(tmp_path):
 
 
 def test_simulate_no_converged_replication_exit_code(tmp_path, capsys):
-    from conftest import synthetic_records
+    from conftest import obs_rows, synthetic_records
 
     obs = tmp_path / "obs.csv"
     with open(obs, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
         writer.writerow(["date", "pm", "t", "tmax", "tmin", "pc", "w", "ep"])
-        for r in synthetic_records(n=365, seed=3):
+        for r in obs_rows(synthetic_records(n=365, seed=3)):
             writer.writerow([r.date.isoformat()]
                             + [repr(v) for v in (r.pm, r.t, r.tmax, r.tmin, r.pc, r.w, r.ep)])
     out = tmp_path / "sim"

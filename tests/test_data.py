@@ -2,6 +2,7 @@ import dataclasses
 import datetime as dt
 import io
 import math
+import types
 from pathlib import Path
 
 import numpy as np
@@ -9,21 +10,20 @@ import pytest
 
 from pm25cast import (
     AggregationError,
-    DailyRecord,
     DataError,
     aggregate_ncep,
     build_frame,
     parse_ncep,
     parse_observations,
 )
-from pm25cast.data import NcepSixHourly, SlotForecast, id_from_lpm, write_aggregated_csv
+from pm25cast.data import SixHourly, id_from_lpm, write_aggregated_csv
 
-from conftest import JAN_2014, jan2014_records, synthetic_records
+from conftest import JAN_2014, jan2014_records, obs_rows, obs_table, synthetic_records
 
 DEMO_DATA = Path(__file__).resolve().parent.parent / "demos" / "data"
 
 
-# ------------------------------------------------------------ DailyRecord
+# ------------------------------------------------------------ Observations
 
 
 def test_record_rejects_negative_quantities():
@@ -31,23 +31,21 @@ def test_record_rejects_negative_quantities():
     for field, bad in (("pm", -1.0), ("pc", -0.1), ("w", -2.0), ("ep", -5.0)):
         kw = dict(base)
         kw[field] = bad
-        with pytest.raises(DataError):
-            DailyRecord(**kw)
+        with pytest.raises(DataError, match=rf"^row 1: 2020-01-01: negative {field} \({bad}\)$"):
+            obs_table([tuple(kw.values())])
 
 
 def test_record_rejects_inverted_temperature_range():
-    with pytest.raises(DataError):
-        DailyRecord(date=dt.date(2020, 1, 1), pm=10.0, t=0.0, tmax=-1.0, tmin=0.0,
-                    pc=0.0, w=1.0, ep=0.0)
+    with pytest.raises(DataError, match=r"^row 2: 2020-01-02: tmax \(-1.0\) below tmin \(0.0\)$"):
+        obs_table([(dt.date(2020, 1, 1), 10.0, 0.0, 5.0, 0.0, 0.0, 1.0, 0.0),
+                   (dt.date(2020, 1, 2), 10.0, 0.0, -1.0, 0.0, 0.0, 1.0, 0.0)])
 
 
 def test_record_complete_flag():
-    rec = DailyRecord(date=dt.date(2020, 1, 1), pm=10.0, t=0.0, tmax=5.0, tmin=0.0,
-                      pc=0.0, w=1.0, ep=None)
-    assert not rec.complete
-    rec2 = DailyRecord(date=dt.date(2020, 1, 1), pm=10.0, t=0.0, tmax=5.0, tmin=0.0,
-                       pc=0.0, w=1.0, ep=3.0)
-    assert rec2.complete
+    table = obs_table([(dt.date(2020, 1, 1), 10.0, 0.0, 5.0, 0.0, 0.0, 1.0, None),
+                       (dt.date(2020, 1, 2), 10.0, 0.0, 5.0, 0.0, 0.0, 1.0, 3.0)])
+    assert not table.complete[0]
+    assert table.complete[1]
 
 
 # ------------------------------------------------------------ observation CSV
@@ -58,10 +56,10 @@ def _csv(text):
 
 
 def test_parse_observations_basic():
-    recs = parse_observations(_csv(
+    recs = obs_rows(parse_observations(_csv(
         "date,pm,t,tmax,tmin,pc,w,ep\n"
         "2014-01-01,153,44,179,-26,0,27,17\n"
-    ))
+    )))
     assert len(recs) == 1
     r = recs[0]
     assert r.date == dt.date(2014, 1, 1)
@@ -74,7 +72,7 @@ def test_parse_trace_precipitation_tokens(token):
         "date,pm,t,tmax,tmin,pc,w,ep\n"
         f"2014-01-01,153,44,179,-26,{token},27,17\n"
     ))
-    assert recs[0].pc == 0.0
+    assert recs.pc[0] == 0.0
 
 
 def test_parse_empty_cells_become_none():
@@ -82,9 +80,9 @@ def test_parse_empty_cells_become_none():
         "date,pm,t,tmax,tmin,pc,w,ep\n"
         "2014-01-01,153,,179,-26,0,27,\n"
     ))
-    assert recs[0].t is None
-    assert recs[0].ep is None
-    assert not recs[0].complete
+    assert math.isnan(recs.t[0])
+    assert math.isnan(recs.ep[0])
+    assert not recs.complete[0]
 
 
 def test_parse_bad_value_reports_row():
@@ -124,11 +122,11 @@ def test_parse_missing_column():
 
 
 def test_parse_header_only():
-    assert parse_observations(_csv("date,pm,t,tmax,tmin,pc,w,ep\n")) == []
+    assert obs_rows(parse_observations(_csv("date,pm,t,tmax,tmin,pc,w,ep\n"))) == []
 
 
 def test_demo_observation_file_matches_table():
-    recs = parse_observations(DEMO_DATA / "obs_201401.csv")
+    recs = obs_rows(parse_observations(DEMO_DATA / "obs_201401.csv"))
     assert len(recs) == len(JAN_2014)
     for rec, row in zip(recs, JAN_2014):
         day, pm, t, tmax, tmin, pc, w, ep = row
@@ -156,12 +154,10 @@ def test_id_thresholds_exact():
 
 
 def test_build_frame_drops_incomplete_and_nonpositive():
-    recs = list(jan2014_records())
-    recs[4] = DailyRecord(date=recs[4].date, pm=recs[4].pm, t=None, tmax=recs[4].tmax,
-                          tmin=recs[4].tmin, pc=recs[4].pc, w=recs[4].w, ep=recs[4].ep)
-    recs[7] = DailyRecord(date=recs[7].date, pm=0.0, t=recs[7].t, tmax=recs[7].tmax,
-                          tmin=recs[7].tmin, pc=recs[7].pc, w=recs[7].w, ep=recs[7].ep)
-    frame = build_frame(recs)
+    recs = obs_rows(jan2014_records())
+    recs[4] = recs[4]._replace(t=None)
+    recs[7] = recs[7]._replace(pm=0.0)
+    frame = build_frame(obs_table(recs))
     assert frame.n == 29
     reasons = dict(frame.drop_log)
     assert "missing field" in reasons[recs[4].date]
@@ -169,11 +165,11 @@ def test_build_frame_drops_incomplete_and_nonpositive():
 
 
 def test_build_frame_requires_increasing_dates():
-    recs = jan2014_records()
+    recs = obs_rows(jan2014_records())
     with pytest.raises(DataError):
-        build_frame([recs[1], recs[0]])
+        build_frame(obs_table([recs[1], recs[0]]))
     with pytest.raises(DataError):
-        build_frame([recs[0], recs[0]])
+        build_frame(obs_table([recs[0], recs[0]]))
 
 
 def test_frame_id_consistent_with_lpm(jan2014_frame):
@@ -247,7 +243,24 @@ def test_frame_csv_roundtrip(tmp_path, jan2014_frame):
 
 
 def _ncep_day(date, rows):
-    return NcepSixHourly(date=date, slots=tuple(SlotForecast(*r) for r in rows))
+    """SixHourly table of one date from (slot, t, tmax, tmin, pc, w) rows."""
+    slot, *values = (np.array(col) for col in zip(*rows))
+    fields = dict(zip(("t", "tmax", "tmin", "pc", "w"), values))
+    return SixHourly(date=np.full(len(rows), date, dtype="datetime64[D]"), slot=slot, **fields)
+
+
+def _daily_row(daily, i):
+    """Row i of an NcepDaily table, as scalars."""
+    return types.SimpleNamespace(
+        **{f.name: getattr(daily, f.name)[i].item() for f in dataclasses.fields(daily)}
+    )
+
+
+def _aggregate_day(day):
+    """The one row that aggregate_ncep makes of a one-date table."""
+    daily = aggregate_ncep(day)
+    assert daily.date.shape == (1,)
+    return _daily_row(daily, 0)
 
 
 def test_aggregate_means_and_max_wind():
@@ -257,7 +270,7 @@ def test_aggregate_means_and_max_wind():
         (12, 74.0, 114.0, 84.0, 0.1, 18.0),
         (18, 76.0, 114.0, 88.0, 0.0, 30.5),
     ])
-    agg = aggregate_ncep(day)
+    agg = _aggregate_day(day)
     assert agg.t == pytest.approx(73.0)
     assert agg.tmax == pytest.approx(112.5)
     assert agg.tmin == pytest.approx(83.5)
@@ -268,7 +281,7 @@ def test_aggregate_means_and_max_wind():
 
 def test_aggregate_identical_slots_idempotent():
     day = _ncep_day(dt.date(2017, 12, 3), [(s, 97.21, 33.5, 33.5, 0.0, 19.593) for s in (0, 6, 12, 18)])
-    agg = aggregate_ncep(day)
+    agg = _aggregate_day(day)
     assert (agg.t, agg.tmax, agg.tmin, agg.pc, agg.w) == (97.21, 33.5, 33.5, 0.0, 19.593)
     assert agg.trg == 0.0
 
@@ -289,8 +302,10 @@ def test_parse_ncep_groups_and_sorts():
         "2017-12-01,18,1,2,0,0,5\n"
         "2017-12-02,0,1,2,0,0,5\n"
     ))
-    assert [d.date for d in days] == [dt.date(2017, 12, 1), dt.date(2017, 12, 2)]
-    assert [s.slot for s in days[0].slots] == [0, 18]
+    assert np.unique(days.date).tolist() == [dt.date(2017, 12, 1), dt.date(2017, 12, 2)]
+    assert days.slot[days.date == np.datetime64("2017-12-01")].tolist() == [0, 18]
+    assert days.date.tolist() == [dt.date(2017, 12, d) for d in (1, 1, 2, 2)]
+    assert days.slot.tolist() == [0, 18, 0, 6]
 
 
 def test_parse_ncep_rejects_missing_cells():
@@ -301,11 +316,11 @@ def test_parse_ncep_rejects_missing_cells():
 def test_demo_ncep_file_aggregates_to_table():
     from conftest import DEC_2017
 
-    days = parse_ncep(DEMO_DATA / "ncep_201712_6h.csv")
-    assert len(days) == 31
-    for day, row in zip(days, DEC_2017):
+    daily = aggregate_ncep(parse_ncep(DEMO_DATA / "ncep_201712_6h.csv"))
+    assert len(daily.date) == 31
+    for i, row in enumerate(DEC_2017):
         dnum, pm, t, tmax, tmin, pc, w, ep = row
-        agg = aggregate_ncep(day)
+        agg = _daily_row(daily, i)
         assert agg.date == dt.date(2017, 12, dnum)
         assert agg.t == pytest.approx(t, abs=1e-9)
         assert agg.trg == pytest.approx(tmax - tmin, abs=1e-9)
@@ -315,7 +330,7 @@ def test_demo_ncep_file_aggregates_to_table():
 def test_write_aggregated_csv(tmp_path):
     day = _ncep_day(dt.date(2017, 12, 1), [(s, 70.0, 110.0, 80.0, 0.0, 24.0) for s in (0, 6, 12, 18)])
     out = tmp_path / "daily.csv"
-    write_aggregated_csv([aggregate_ncep(day)], out)
+    write_aggregated_csv(aggregate_ncep(day), out)
     lines = out.read_text().strip().splitlines()
     assert lines[0] == "date,t,tmax,tmin,trg,pc,w"
     assert lines[1].startswith("2017-12-01,70.0,110.0,80.0,30.0")

@@ -9,7 +9,6 @@ import pytest
 from scipy.linalg import solve_triangular
 
 from pm25cast import (
-    DailyRecord,
     ModelSpec,
     bates_curvature,
     box_bias,
@@ -27,7 +26,7 @@ from pm25cast.model import FAMILIES, hessian_cube, jacobian
 from pm25cast.numerics import qr_full
 from pm25cast.solver import FitResult, TraceStep
 
-from conftest import DEC_2017, jan2014_records, synthetic_records
+from conftest import DEC_2017, jan2014_records, obs_table, synthetic_records
 
 
 def toy_surfaces(theta=(2.5, 0.7), n=10, seed=42):
@@ -151,12 +150,11 @@ def dec2017_records():
     """Observed pm and ep of December 2017 with the daily-aggregated forecast
     predictors; the days whose forecast tmax is not above tmin are left out
     because a daily record needs a positive temperature range."""
-    return [
-        DailyRecord(date=dt.date(2017, 12, day), pm=float(pm), t=t, tmax=tmax,
-                    tmin=tmin, pc=pc, w=w, ep=float(ep))
+    return obs_table(
+        (dt.date(2017, 12, day), pm, t, tmax, tmin, pc, w, ep)
         for day, pm, t, tmax, tmin, pc, w, ep in DEC_2017
         if tmax > tmin
-    ]
+    )
 
 
 EQUIVALENCE_FRAMES = {

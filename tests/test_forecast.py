@@ -360,6 +360,33 @@ def test_forecast_csv_high_arm_serializes_inf(tmp_path):
     assert math.isinf(again[0].interval.hi)
 
 
+@pytest.mark.parametrize("pm_hat", ["nan", "NaN"])
+def test_forecast_csv_refuses_nan_pm_hat(tmp_path, pm_hat):
+    path = tmp_path / "fc.csv"
+    path.write_text("date,pm_hat,id_source,arm,lo,hi,flags\n"
+                    "2017-12-01,80.0,algo2,band,50.0,100.0,\n"
+                    f"2017-12-02,{pm_hat},algo2,band,50.0,100.0,\n")
+    with pytest.raises(DataError, match=f"^row 2: bad pm_hat value '{pm_hat}'$"):
+        read_forecast_csv(path)
+
+
+def test_forecast_csv_short_row_reads_blank_flags(tmp_path):
+    path = tmp_path / "fc.csv"
+    path.write_text("date,pm_hat,id_source,arm,lo,hi,flags\n"
+                    "2017-12-01,80.0,algo2,band,50.0,100.0\n")
+    (row,) = read_forecast_csv(path)
+    assert row.interval.flags == () and row.interval.hi == 100.0
+
+
+def test_forecast_csv_keeps_infinite_pm_hat(tmp_path):
+    path = tmp_path / "fc.csv"
+    path.write_text("date,pm_hat,id_source,arm,lo,hi,flags\n"
+                    "2017-12-01,inf,algo2,high,150.0,inf,\n")
+    (row,) = read_forecast_csv(path)
+    assert math.isinf(row.pm_hat) and row.interval.pm_hat == row.pm_hat
+    assert row.interval.arm == "high" and row.interval.covers(400.0)
+
+
 # ---------------------------------------------------------------- validation
 
 

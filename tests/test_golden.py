@@ -10,14 +10,19 @@ input and output paths; the golden JSON files are stored without it.
 """
 
 import contextlib
+import datetime as dt
 import io
 import json
+import math
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from pm25cast import build_frame, parse_observations
 from pm25cast.cli import main
+
+from conftest import obs_table
 
 DEMO_DATA = Path(__file__).resolve().parent.parent / "demos" / "data"
 GOLDEN = Path(__file__).resolve().parent / "data" / "golden"
@@ -89,3 +94,15 @@ def test_aggregation_is_a_left_fold_in_slot_order(tmp_path):
     _cli("aggregate-ncep", "--out-dir", tmp_path, ncep)
     lines = (tmp_path / "ncep_daily.csv").read_text(encoding="utf-8").splitlines()
     assert lines == ["date,t,tmax,tmin,trg,pc,w", "2017-12-01,0.25,2.0,1.0,1.0,0.0,-0.0"]
+
+
+def test_lpm_is_math_log_bit_for_bit():
+    """lpm = 10 * math.log(pm) exactly; np.log differs from math.log in the
+    last bit on some inputs, most often near pm = 1."""
+    pm = np.random.default_rng(0).uniform(0.5, 2.0, 2000)
+    start = dt.date(2000, 1, 1)
+    frame = build_frame(obs_table(
+        (start + dt.timedelta(days=i), p, 50.0, 100.0, 0.0, 0.0, 20.0, 10.0)
+        for i, p in enumerate(pm.tolist())
+    ))
+    assert frame.lpm.tolist() == [10.0 * math.log(p) for p in pm.tolist()]

@@ -172,15 +172,12 @@ def test_iterated_response_is_differenced(frame):
 
 
 def test_zero_trg_row_raises_with_date():
-    import datetime as dt
+    from conftest import obs_rows, obs_table
 
-    from pm25cast import DailyRecord
-
-    recs = synthetic_records(n=5, seed=7)
-    flat = DailyRecord(date=recs[2].date, pm=recs[2].pm, t=recs[2].t, tmax=10.0,
-                       tmin=10.0, pc=recs[2].pc, w=recs[2].w, ep=recs[2].ep)
+    recs = obs_rows(synthetic_records(n=5, seed=7))
+    flat = recs[2]._replace(tmax=10.0, tmin=10.0)
     recs[2] = flat
-    frame = build_frame(recs)
+    frame = build_frame(obs_table(recs))
     with pytest.raises(DataError) as err:
         eval_f(ModelSpec("initial"), np.array([40.0, 1.0, 0, 0, 0, 0]), frame)
     assert flat.date.isoformat() in str(err.value)

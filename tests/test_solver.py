@@ -6,7 +6,6 @@ import numpy as np
 import pytest
 
 from pm25cast import (
-    DailyRecord,
     ModelSpec,
     RankDeficiencyError,
     build_frame,
@@ -17,7 +16,7 @@ from pm25cast.model import jacobian
 from pm25cast.numerics import qr_stack
 from pm25cast.solver import fit_stack, write_trace_csv
 
-from conftest import jan2014_records, noise_free_frame, synthetic_records
+from conftest import jan2014_records, noise_free_frame, obs_rows, obs_table, synthetic_records
 
 TRUE_THETA = np.array([50.0, 1.8, -0.06, -0.01, -0.013, -0.15])
 
@@ -52,20 +51,17 @@ def test_gradient_small_at_solution(synth_frame):
 
 def test_row_order_invariance():
     """The least-squares solution must not depend on row ordering."""
-    recs = synthetic_records(n=30, seed=14)
+    recs = obs_rows(synthetic_records(n=30, seed=14))
     rng = np.random.default_rng(0)
     perm = rng.permutation(30)
-    shuffled = [
-        DailyRecord(date=dt.date(2022, 1, 1) + dt.timedelta(days=i),
-                    pm=recs[k].pm, t=recs[k].t, tmax=recs[k].tmax, tmin=recs[k].tmin,
-                    pc=recs[k].pc, w=recs[k].w, ep=recs[k].ep)
+    shuffled = obs_table(
+        recs[k]._replace(date=dt.date(2022, 1, 1) + dt.timedelta(days=i))
         for i, k in enumerate(perm)
-    ]
-    relabeled = [
-        DailyRecord(date=dt.date(2022, 1, 1) + dt.timedelta(days=i),
-                    pm=r.pm, t=r.t, tmax=r.tmax, tmin=r.tmin, pc=r.pc, w=r.w, ep=r.ep)
+    )
+    relabeled = obs_table(
+        r._replace(date=dt.date(2022, 1, 1) + dt.timedelta(days=i))
         for i, r in enumerate(recs)
-    ]
+    )
     f1 = gauss_newton(ModelSpec("initial"), build_frame(relabeled))
     f2 = gauss_newton(ModelSpec("initial"), build_frame(shuffled))
     assert f1.converged and f2.converged
@@ -196,12 +192,12 @@ def test_rank_deficiency_raised():
     for i in range(20):
         shared = float(rng.uniform(20.0, 80.0))
         trg = float(rng.uniform(30.0, 200.0))
-        recs.append(DailyRecord(
-            date=dt.date(2022, 3, 1) + dt.timedelta(days=i),
-            pm=float(np.exp(rng.uniform(3.0, 5.0))), t=shared, tmax=trg, tmin=0.0,
-            pc=float(rng.uniform(0.0, 400.0)), w=shared, ep=float(rng.uniform(0.0, 50.0)),
+        recs.append((
+            dt.date(2022, 3, 1) + dt.timedelta(days=i),
+            float(np.exp(rng.uniform(3.0, 5.0))), shared, trg, 0.0,
+            float(rng.uniform(0.0, 400.0)), shared, float(rng.uniform(0.0, 50.0)),
         ))
-    frame = build_frame(recs)
+    frame = build_frame(obs_table(recs))
     with pytest.raises(RankDeficiencyError):
         gauss_newton(ModelSpec("initial"), frame)
 
