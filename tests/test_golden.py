@@ -1,9 +1,15 @@
-"""Golden outputs of the forecast path on the bundled demo data.
+"""Golden outputs of the forecast path and of one fit on the bundled demo data.
 
 The files under tests/data/golden/ are the outputs of `aggregate-ncep`,
-`forecast` and `validate` on the demo inputs, and the model frame of the
-January 2014 month. Nothing on this path calls LAPACK, so the bytes must
-match on every platform and every supported Python.
+`forecast` and `validate` on the demo inputs, the model frame of the
+January 2014 month, and `fit_trace.csv` / `residuals.csv` of the with-id
+fit of that month. Nothing on the forecast path calls LAPACK, so its bytes
+must match on every platform and every supported Python.
+
+The fit goes through LAPACK's QR, whose last bits depend on the build.
+Its files are compared as bytes on numpy 2 and later, the build they were
+made with, and separately at a relative tolerance of FIT_RTOL on every
+build (the numpy 1.x floor in CI links another LAPACK).
 
 JSON reports are compared without their `config` block, which echoes
 input and output paths; the golden JSON files are stored without it.
@@ -31,6 +37,13 @@ GOLDEN = Path(__file__).resolve().parent / "data" / "golden"
 FORECASTS = (
     ("ncep", ["--ncep", str(DEMO_DATA / "ncep_201712_6h.csv")], DEMO_DATA / "obs_201712.csv"),
     ("observed", ["--predictors", "observed"], DEMO_DATA / "obs_201401.csv"),
+    ("ncep-algo2", ["--ncep", str(DEMO_DATA / "ncep_201712_6h.csv"), "--id-algo", "2"],
+     DEMO_DATA / "obs_201712.csv"),
+    ("ncep-id-observed",
+     ["--ncep", str(DEMO_DATA / "ncep_201712_6h.csv"), "--id-algo", "observed"],
+     DEMO_DATA / "obs_201712.csv"),
+    ("observed-standard-i2", ["--predictors", "observed", "--profile", "standard-i2"],
+     DEMO_DATA / "obs_201401.csv"),
 )
 GOLDEN_FILES = (
     "ncep_daily.csv",
@@ -38,6 +51,9 @@ GOLDEN_FILES = (
     *(f"{name}/{leaf}" for name, _, _ in FORECASTS
       for leaf in ("forecast.csv", "forecast_meta.json", "validation.json")),
 )
+FIT_FILES = ("fit/fit_trace.csv", "fit/residuals.csv")
+FIT_RTOL = 1e-8
+NUMPY_2 = int(np.__version__.split(".")[0]) >= 2
 
 
 def _cli(*argv):
@@ -53,6 +69,7 @@ def regenerate(out):
         _cli("forecast", *options, "--obs", obs, "--out-dir", out / name)
         _cli("validate", out / name / "forecast.csv", obs, "--out-dir", out / name)
     build_frame(parse_observations(DEMO_DATA / "obs_201401.csv")).write_csv(out / "frame.csv")
+    _cli("fit", "--family", "with-id", "--out-dir", out / "fit", DEMO_DATA / "obs_201401.csv")
 
 
 def _comparable(path):
@@ -73,6 +90,29 @@ def regenerated(tmp_path_factory):
 @pytest.mark.parametrize("name", GOLDEN_FILES)
 def test_output_matches_golden_bytes(regenerated, name):
     assert _comparable(regenerated / name) == _comparable(GOLDEN / name)
+
+
+@pytest.mark.skipif(not NUMPY_2, reason="golden fit bytes come from a numpy 2 LAPACK build")
+@pytest.mark.parametrize("name", FIT_FILES)
+def test_fit_output_matches_golden_bytes(regenerated, name):
+    assert (regenerated / name).read_bytes() == (GOLDEN / name).read_bytes()
+
+
+def _csv_table(path):
+    header, *rows = path.read_text(encoding="utf-8").splitlines()
+    cells = [row.split(",") for row in rows]
+    return header, [row[0] for row in cells], np.array([row[1:] for row in cells], dtype=float)
+
+
+@pytest.mark.parametrize("name", FIT_FILES)
+def test_fit_output_matches_golden_within_tolerance(regenerated, name):
+    header, keys, values = _csv_table(regenerated / name)
+    golden_header, golden_keys, golden_values = _csv_table(GOLDEN / name)
+    assert (header, keys) == (golden_header, golden_keys)
+    # relative to each value, with the column's largest magnitude as the
+    # floor, so a coefficient or residual near 0 is not held to its own size
+    bound = FIT_RTOL * (np.abs(golden_values) + np.abs(golden_values).max(axis=0))
+    assert (np.abs(values - golden_values) <= bound).all()
 
 
 def test_aggregation_is_a_left_fold_in_slot_order(tmp_path):
