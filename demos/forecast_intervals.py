@@ -39,35 +39,36 @@ def main():
     print(f"aggregated {len(daily.date)} days from 6-hourly fields")
 
     observations = parse_observations(OBS)
-    pm_by_date = observations.by_date("pm")
 
-    dated, skipped_join = predictors_from_aggregated(daily, observations)
+    predictors, skipped_join = predictors_from_aggregated(daily, observations)
     model = PRESETS["thesis-2018"]
-    rows, skipped_fc = forecast_series(
+    table, skipped_fc = forecast_series(
         model,
-        dated,
+        predictors,
         PROFILES["ncep-i1"],
         id_source="algo1",
-        prev_pm_by_date=pm_by_date,
+        observations=observations,
     )
     for date, reason in skipped_join + skipped_fc:
         print(f"  skipped {date}: {reason}")
 
-    print(f"\n{len(rows)} forecasts (ncep-i1 profile, indicator from the "
+    observed = observations.lookup("pm", table.date)
+    covered = table.covers(observed)
+    print(f"\n{len(table)} forecasts (ncep-i1 profile, indicator from the "
           "previous day's observation where available):")
     print(f"  {'date':>10} {'pm_hat':>8} {'id':>6} {'arm':>5} "
           f"{'interval':>16} {'obs':>5}  flags")
-    for row in rows:
-        fc = row.interval
-        hi = "inf" if fc.hi == float("inf") else f"{fc.hi:.1f}"
-        span = f"[{fc.lo:.1f}, {hi}]"
-        obs = pm_by_date[row.date]
-        hit = "*" if fc.covers(obs) else " "
-        flags = ",".join(fc.flags) if fc.flags else "-"
-        print(f"  {row.date.isoformat():>10} {row.pm_hat:>8.1f} "
-              f"{row.id_source:>6} {fc.arm:>5} {span:>16} {obs:>5.0f}{hit} {flags}")
+    columns = (table.date, table.pm_hat, table.id_source, table.arm, table.lo,
+               table.hi, observed, covered, table.flags)
+    for date, pm_hat, source, arm, lo, hi, obs, hit, flags in zip(*(c.tolist() for c in columns)):
+        hi = "inf" if hi == float("inf") else f"{hi:.1f}"
+        span = f"[{lo:.1f}, {hi}]"
+        hit = "*" if hit else " "
+        flags = flags.replace(";", ",") or "-"
+        print(f"  {date.isoformat():>10} {pm_hat:>8.1f} "
+              f"{source:>6} {arm:>5} {span:>16} {obs:>5.0f}{hit} {flags}")
 
-    report = inclusion_report(rows, pm_by_date)
+    report = inclusion_report(table, observed)
     print(f"\nrecorded inclusion rate: {report['recorded']['rate']:.3f} "
           f"over {report['n']} days")
     print("the same point forecasts under each preset interval profile:")
@@ -78,12 +79,12 @@ def main():
         print(f"  {source:>12}: {block['rate']:.3f} over {block['n']} days")
 
     # the wider band is not free: compare the band widths directly
-    at = rows[0].pm_hat
+    at = float(table.pm_hat[0])
     narrow = interval(at, PROFILES["ncep-i1"])
     wide = interval(at, PROFILES["ncep-i2"])
     print(f"\nwidth at pm_hat={at:.1f}: ncep-i1 {narrow.hi - narrow.lo:.0f}, "
           f"ncep-i2 {wide.hi - wide.lo:.0f}")
-    covered = inclusion_rate([narrow], [pm_by_date[rows[0].date]])
+    covered = inclusion_rate([narrow], [float(observed[0])])
     print(f"(first day covered under ncep-i1: {bool(covered)})")
 
 

@@ -6,7 +6,6 @@ SHA-256 digest of each input file.
 """
 
 import argparse
-import csv
 import hashlib
 import json
 import sys
@@ -117,18 +116,11 @@ def cmd_fit(args):
     out = Path(args.out_dir)
     out.mkdir(parents=True, exist_ok=True)
     solver.write_trace_csv(fit, out / "fit_trace.csv")
-    idx = model.rows_used(spec, frame)
-    with open(out / "residuals.csv", "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["date", "fitted", "residual", "std_residual"])
-        for i in range(idx.size):
-            writer.writerow(
-                [str(frame.dates[idx[i]])]
-                + [
-                    repr(float(v))
-                    for v in (fit.fitted[i], fit.residuals[i], fit.std_residuals[i])
-                ]
-            )
+    data._write_columns(
+        out / "residuals.csv",
+        ["date", "fitted", "residual", "std_residual"],
+        [frame.dates[model.rows_used(spec, frame)], fit.fitted, fit.residuals, fit.std_residuals],
+    )
     report = {
         "config": _config_echo(args, [args.obs]),
         "fit": _fit_summary(fit, frame),
@@ -206,26 +198,20 @@ def cmd_forecast(args):
     frozen = _load_frozen_model(args.model)
     profile = forecast.PROFILES[args.profile]
     observations = data.parse_observations(args.obs)
-    pm_by_date = observations.by_date("pm")
     inputs = [args.obs]
 
     if args.predictors == "ncep":
         if args.ncep is None:
             raise ValueError("--ncep is required unless --predictors observed")
         daily = data.aggregate_ncep(data.parse_ncep(args.ncep))
-        dated, skipped = forecast.predictors_from_aggregated(daily, observations)
+        predictors, skipped = forecast.predictors_from_aggregated(daily, observations)
         inputs.append(args.ncep)
     else:
-        dated, skipped = forecast.predictors_from_records(observations)
+        predictors, skipped = forecast.predictors_from_records(observations)
 
     id_source = {"1": "algo1", "2": "algo2", "observed": "observed"}[args.id_algo]
-    rows, skipped_fc = forecast.forecast_series(
-        frozen,
-        dated,
-        profile,
-        id_source=id_source,
-        prev_pm_by_date=pm_by_date,
-        pm_by_date=pm_by_date,
+    table, skipped_fc = forecast.forecast_series(
+        frozen, predictors, profile, id_source=id_source, observations=observations
     )
     skipped.extend(skipped_fc)
     for date, reason in skipped:
@@ -233,11 +219,11 @@ def cmd_forecast(args):
 
     out = Path(args.out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    forecast.write_forecast_csv(rows, out / "forecast.csv")
+    forecast.write_forecast_csv(table, out / "forecast.csv")
     _write_json(
         {
             "config": _config_echo(args, inputs),
-            "rows": len(rows),
+            "rows": len(table),
             "skipped": [[d.isoformat(), reason] for d, reason in skipped],
         },
         out / "forecast_meta.json",
@@ -246,9 +232,9 @@ def cmd_forecast(args):
 
 
 def cmd_validate(args):
-    rows = forecast.read_forecast_csv(args.forecast)
-    pm_by_date = data.parse_observations(args.obs).by_date("pm")
-    report = forecast.inclusion_report(rows, pm_by_date)
+    table = forecast.read_forecast_csv(args.forecast)
+    observed = data.parse_observations(args.obs).lookup("pm", table.date)
+    report = forecast.inclusion_report(table, observed)
     report["config"] = _config_echo(args, [args.forecast, args.obs])
     out = Path(args.out_dir)
     out.mkdir(parents=True, exist_ok=True)

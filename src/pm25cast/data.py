@@ -7,7 +7,7 @@ lpm = 10*ln(pm), trg = tmax - tmin and the pollution-level indicator id.
 """
 
 import csv
-import datetime as dt
+import functools
 import math
 import os
 from dataclasses import dataclass
@@ -79,11 +79,18 @@ class Observations:
         values = np.array([getattr(self, name) for name in OBS_REQUIRED])
         return ~np.isnan(values).any(axis=0)
 
-    def by_date(self, name):
-        """{date: value} over the non-blank cells of one column."""
+    def lookup(self, name, dates):
+        """Column `name` on each of `dates` (datetime64[D]), NaN where no row
+        of that date has a non-blank cell; a repeated date takes its last
+        such row."""
         values = getattr(self, name)
-        present = ~np.isnan(values)
-        return dict(zip(self.date[present].tolist(), values[present].tolist()))
+        rows = np.flatnonzero(~np.isnan(values))
+        if not rows.size:
+            return np.full(len(dates), math.nan)
+        rows = rows[np.argsort(self.date[rows], kind="stable")]
+        i = np.searchsorted(self.date[rows], dates, side="right") - 1
+        found = (i >= 0) & (self.date[rows[i]] == dates)
+        return np.where(found, values[rows[i]], math.nan)
 
 
 @dataclass(frozen=True)
@@ -179,13 +186,17 @@ class ModelFrame:
 
 
 def _write_columns(path, header, columns):
-    """CSV with one row per entry: the date column in ISO form, then each
-    value as its repr."""
+    """CSV with one row per entry: dates in ISO form, numbers as their repr,
+    strings as they are. No cell holds a comma, quote or line break, so none
+    is quoted; lines end in \r\n as csv.writer's do."""
+    cells = [
+        np.datetime_as_string(c).tolist() if c.dtype.kind == "M"
+        else c.tolist() if c.dtype.kind == "U"
+        else list(map(repr, c.tolist()))
+        for c in columns
+    ]
     with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(header)
-        for date, *values in zip(*(c.tolist() for c in columns)):
-            writer.writerow([date.isoformat(), *map(repr, values)])
+        fh.write("\r\n".join([",".join(header), *map(",".join, zip(*cells)), ""]))
 
 
 def _open_text(source):
@@ -203,42 +214,67 @@ def _read_columns(source, required, optional=()):
 
     Like csv.DictReader, blank lines are skipped and not counted, and a
     short row reads its missing trailing cells as blank. An optional
-    column the header lacks is left out.
+    column the header lacks is left out. A row csv refuses (an oversized
+    cell, or a NUL byte before Python 3.11) raises a DataError naming it.
     """
     rows = csv.reader(_open_text(source))
-    header = next(rows, [])
+    header, body = None, []
+    try:
+        header = next(rows, [])
+        for row in rows:
+            if row:
+                body.append(row)
+    except csv.Error as exc:
+        where = "header" if header is None else f"row {len(body) + 1}"
+        raise DataError(f"{where}: {exc}") from None
     index = {name: i for i, name in enumerate(header)}
     for name in required:
         if name not in index:
             raise DataError(f"missing required column {name!r}")
-    body = [row + [""] * (len(header) - len(row)) for row in rows if row]
+    if body and min(map(len, body)) < len(header):
+        body = [row + [""] * (len(header) - len(row)) for row in body]
+    columns = list(zip(*body)) or [()] * len(header)
     return {
-        name: [row[index[name]].strip() for row in body]
+        name: list(map(str.strip, columns[index[name]]))
         for name in (*required, *optional)
         if name in index
     }
 
 
-def _convert(cells, convert, name):
-    """`convert` applied cell by cell; a ValueError names the 1-based row."""
-    out = []
-    for row_num, text in enumerate(cells, start=1):
-        try:
-            out.append(convert(text))
-        except ValueError:
-            raise DataError(f"row {row_num}: bad {name} value {text!r}") from None
-    return out
+def _convert(cells, parse, bad):
+    """parse(cells), the whole column in one call. numpy refuses a column as
+    a whole, so on failure parse runs cell by cell to find the first bad
+    row: the DataError reads `row N: ` + bad.format(cell)."""
+    try:
+        return parse(cells)
+    except (ValueError, OverflowError):
+        for row_num, text in enumerate(cells, start=1):
+            try:
+                parse([text])
+            except (ValueError, OverflowError):
+                raise DataError(f"row {row_num}: " + bad.format(text)) from None
+        raise
 
 
-def _date_column(cells):
-    return np.array(_convert(cells, dt.date.fromisoformat, "date"), dtype="datetime64[D]")
+# numpy converts each str cell as float() and int() do (tests/test_data.py)
+_floats = functools.partial(np.array, dtype=float)
+_ints = functools.partial(np.array, dtype=int)
+
+
+def _iso_dates(cells):
+    """datetime64[D] of `YYYY-MM-DD` cells. numpy also reads `2014-01`,
+    `20140101` (as a year), `NaT` and `today`, so each date must lie in
+    years 1-9999 and print back as its own cell."""
+    dates = np.array(cells, dtype="datetime64[D]")
+    in_range = (dates >= np.datetime64("0001-01-01")) & (dates <= np.datetime64("9999-12-31"))
+    if not in_range.all() or np.datetime_as_string(dates).tolist() != cells:
+        raise ValueError("not a YYYY-MM-DD date")
+    return dates
 
 
 def _float_column(cells, name):
     """Finite floats, NaN for a blank cell."""
-    values = np.array(
-        _convert(cells, lambda text: float(text) if text else math.nan, name), dtype=float
-    )
+    values = _convert([text or "nan" for text in cells], _floats, f"bad {name} value {{!r}}")
     for i in np.flatnonzero(~np.isfinite(values)):
         if cells[i]:
             raise DataError(f"row {i + 1}: non-finite {name} value {cells[i]!r}")
@@ -266,7 +302,7 @@ def parse_observations(source):
         value (the message names the 1-based data row and the field).
     """
     cells = _read_columns(source, ("date",) + OBS_REQUIRED, optional=("hm",))
-    date = _date_column(cells.pop("date"))
+    date = _convert(cells.pop("date"), _iso_dates, "bad date value {!r}")
     cells["pc"] = ["0" if text in TRACE_TOKENS else text for text in cells["pc"]]
     return Observations(date=date, **{name: _float_column(cells[name], name) for name in cells})
 
@@ -340,12 +376,11 @@ def parse_ncep(source):
     missing cells).
     """
     cells = _read_columns(source, ("date", "slot") + NCEP_FIELDS)
-    date = _date_column(cells["date"])
-    slot = _convert(cells["slot"], int, "slot")
-    for row_num, value in enumerate(slot, start=1):
-        if value not in NCEP_SLOTS:
-            raise DataError(f"row {row_num}: slot must be one of {NCEP_SLOTS}")
-    slot = np.array(slot, dtype=int)
+    date = _convert(cells["date"], _iso_dates, "bad date value {!r}")
+    slot = _convert(cells["slot"], _ints, "bad slot value {!r}")
+    outside = np.flatnonzero(~np.isin(slot, NCEP_SLOTS))
+    if outside.size:
+        raise DataError(f"row {outside[0] + 1}: slot must be one of {NCEP_SLOTS}")
     values = {}
     for name in NCEP_FIELDS:
         values[name] = _float_column(cells[name], name)

@@ -9,8 +9,6 @@ by the log-transform factor 10, except b, which sits inside the inner
 exponential and carries over unchanged.
 """
 
-import csv
-import datetime as dt
 import json
 import math
 from dataclasses import dataclass
@@ -18,10 +16,11 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .data import _read_columns, id_from_lpm
+from .data import _convert, _floats, _iso_dates, _read_columns, _write_columns, id_from_lpm
 from .errors import DataError
 
 FORECAST_COLUMNS = ("date", "pm_hat", "id_source", "arm", "lo", "hi", "flags")
+ARMS = ("low", "band", "high")
 
 # Predictor ranges seen while building the frozen model; leaving them marks
 # a forecast as extrapolation.
@@ -40,6 +39,43 @@ class Predictors(NamedTuple):
     t: float
     pc: float
     ep: float
+
+
+class PredictorTable(NamedTuple):
+    """Predictor columns of the forecast days in input order: `date` is
+    datetime64[D], the Predictors fields float arrays."""
+
+    date: np.ndarray
+    trg: np.ndarray
+    w: np.ndarray
+    t: np.ndarray
+    pc: np.ndarray
+    ep: np.ndarray
+
+
+@dataclass(frozen=True)
+class ForecastTable:
+    """Interval forecasts as columns, one entry per forecast day.
+
+    `date` is datetime64[D]; `pm_hat`, `lo` and `hi` are floats;
+    `id_source`, `arm` and `flags` are strings, `flags` the row's hazard
+    flags joined by ';' ('' when it has none).
+    """
+
+    date: np.ndarray
+    pm_hat: np.ndarray
+    id_source: np.ndarray
+    arm: np.ndarray
+    lo: np.ndarray
+    hi: np.ndarray
+    flags: np.ndarray
+
+    def __len__(self):
+        return len(self.date)
+
+    def covers(self, pm):
+        """True on the rows whose interval holds the row's observed pm."""
+        return _covers(self.arm, self.lo, self.hi, pm)
 
 
 @dataclass(frozen=True)
@@ -131,14 +167,15 @@ class IntervalForecast:
     lo: float
     hi: float
     pm_hat: float
-    flags: tuple = ()
 
     def covers(self, pm):
-        if self.arm == "low":
-            return pm < 35.0
-        if self.arm == "high":
-            return pm > 150.0
-        return self.lo <= pm <= self.hi
+        return bool(_covers(self.arm, self.lo, self.hi, pm))
+
+
+def _covers(arm, lo, hi, pm):
+    """True where pm falls inside its interval: below 35 in the low arm,
+    above 150 in the high arm, within [lo, hi] in a band."""
+    return np.where(arm == "low", pm < 35.0, np.where(arm == "high", pm > 150.0, (lo <= pm) & (pm <= hi)))
 
 
 def _safe_exp(x):
@@ -148,44 +185,76 @@ def _safe_exp(x):
         return math.inf
 
 
+def _exp(x):
+    # math.exp, not np.exp: the two differ in the last bit on some inputs
+    return np.array([_safe_exp(v) for v in x.tolist()], dtype=float)
+
+
+def _columns(predictors):
+    """One Predictors row as a Predictors of one-entry arrays."""
+    return Predictors(*np.array([predictors], dtype=float).T)
+
+
+def _pm_hat(model, predictors, id_value):
+    """Single-value forecasts over predictor columns: the sum is taken left
+    to right as the formula reads, each exponential per element."""
+    for name in Predictors._fields:
+        values = getattr(predictors, name)
+        if not np.isfinite(values).all():
+            raise DataError(f"predictor {name} is non-finite: {values[~np.isfinite(values)][0]}")
+    if (predictors.trg == 0.0).any():
+        raise DataError("trg = 0: the nonlinear term is undefined")
+    # overflow and 0 * inf pass silently, as they do on Python floats
+    with np.errstate(over="ignore", invalid="ignore"):
+        expo = _exp(-model.b / predictors.trg)
+        return _exp(
+            model.a * expo
+            + model.c_w * predictors.w
+            + model.c_t * predictors.t
+            + model.c_pc * predictors.pc
+            + model.c_ep * predictors.ep
+            + model.c_id * id_value
+        )
+
+
 def predict_pm(model, predictors, id_value):
     """Single-value concentration forecast from the frozen model."""
     if id_value not in (-1, 0, 1):
         raise ValueError(f"id must be -1, 0 or 1, got {id_value}")
-    for name in Predictors._fields:
-        value = getattr(predictors, name)
-        if not math.isfinite(value):
-            raise DataError(f"predictor {name} is non-finite: {value}")
-    if predictors.trg == 0.0:
-        raise DataError("trg = 0: the nonlinear term is undefined")
-    expo = _safe_exp(-model.b / predictors.trg)
-    return _safe_exp(
-        model.a * expo
-        + model.c_w * predictors.w
-        + model.c_t * predictors.t
-        + model.c_pc * predictors.pc
-        + model.c_ep * predictors.ep
-        + model.c_id * id_value
-    )
+    return float(_pm_hat(model, _columns(predictors), id_value)[0])
 
 
 def _id_from_pm(pm):
-    # the frame's indicator on lpm = 10*ln(pm); an id-free forecast can
-    # underflow to pm = 0, whose lpm is -inf
-    return int(id_from_lpm(-math.inf if pm <= 0 else 10.0 * math.log(pm)))
+    # the frame's indicator on lpm = 10*ln(pm), math.log per element; an
+    # id-free forecast can underflow to pm = 0, whose lpm is -inf
+    return id_from_lpm([-math.inf if v <= 0 else 10.0 * math.log(v)
+                        for v in np.atleast_1d(pm).tolist()])
 
 
 def predict_id_algo1(prev_pm):
     """Indicator from the previous day's observed concentration."""
     if prev_pm is None or prev_pm <= 0:
         raise DataError("previous-day concentration unavailable or nonpositive")
-    return _id_from_pm(prev_pm)
+    return int(_id_from_pm(prev_pm)[0])
 
 
 def predict_id_algo2(model, predictors):
     """Indicator from the id-free single-value forecast."""
-    pm_prime = predict_pm(model, predictors, 0)
-    return _id_from_pm(pm_prime)
+    return int(_id_from_pm(predict_pm(model, predictors, 0))[0])
+
+
+def _intervals(pm_hat, profile):
+    """(arm, lo, hi) columns of the interval forecasts around pm_hat."""
+    bad = ~(pm_hat > 0)
+    if bad.any():
+        raise ValueError(f"pm_hat must be positive, got {pm_hat[bad][0]}")
+    d_lo, d_hi = profile.offsets
+    low = pm_hat < 35.0
+    high = pm_hat > 150.0
+    arm = np.where(low, "low", np.where(high, "high", "band"))
+    lo = np.where(low, 0.0, np.where(high, 150.0, np.maximum(pm_hat - d_lo, 0.0)))
+    hi = np.where(low, 35.0, np.where(high, math.inf, pm_hat + d_hi))
+    return arm, lo, hi
 
 
 def interval(pm_hat, profile):
@@ -197,14 +266,8 @@ def interval(pm_hat, profile):
     in the band arm by convention. An infinite pm_hat (an overflowing
     forecast) is in the high arm; a nan one is refused.
     """
-    if not pm_hat > 0:
-        raise ValueError(f"pm_hat must be positive, got {pm_hat}")
-    if pm_hat < 35.0:
-        return IntervalForecast("low", 0.0, 35.0, pm_hat)
-    if pm_hat > 150.0:
-        return IntervalForecast("high", 150.0, math.inf, pm_hat)
-    d_lo, d_hi = profile.offsets
-    return IntervalForecast("band", max(0.0, pm_hat - d_lo), pm_hat + d_hi, pm_hat)
+    arm, lo, hi = _intervals(np.array([pm_hat], dtype=float), profile)
+    return IntervalForecast(str(arm[0]), float(lo[0]), float(hi[0]), pm_hat)
 
 
 def inclusion_rate(forecasts, observed):
@@ -219,6 +282,25 @@ def inclusion_rate(forecasts, observed):
     return covered / len(forecasts)
 
 
+def _hazards(predictors, pm_hat, ranges):
+    """Each forecast's hazard flags joined by ';', '' when it has none."""
+    negative = predictors.trg < 0
+    hits = {}
+    for name in ("t", "trg", "w", "pc", "ep"):
+        lo, hi = ranges[name]
+        values = getattr(predictors, name)
+        outside = ~((lo <= values) & (values <= hi))
+        hits[f"EXTRAPOLATION({name})"] = outside & ~negative if name == "trg" else outside
+    hits["NEGATIVE_TRG"] = negative
+    hits["UNRELIABLE"] = negative & (pm_hat > 300.0)
+    flags = np.array(list(hits))
+    hits = np.array(list(hits.values()))
+    cells = [""] * len(pm_hat)
+    for i in np.flatnonzero(hits.any(axis=0)).tolist():
+        cells[i] = ";".join(flags[hits[:, i]])
+    return np.array(cells, dtype=str)
+
+
 def hazard_flags(predictors, pm_hat, build_ranges=None):
     """Extrapolation markers for a forecast row.
 
@@ -227,88 +309,49 @@ def hazard_flags(predictors, pm_hat, build_ranges=None):
     UNRELIABLE joins it when a negative trg drives pm_hat above 300.
     """
     ranges = BUILD_RANGES if build_ranges is None else build_ranges
-    flags = []
-    for name in ("t", "trg", "w", "pc", "ep"):
-        value = getattr(predictors, name)
-        if name == "trg" and value < 0:
-            continue
-        lo, hi = ranges[name]
-        if not lo <= value <= hi:
-            flags.append(f"EXTRAPOLATION({name})")
-    if predictors.trg < 0:
-        flags.append("NEGATIVE_TRG")
-        if pm_hat > 300.0:
-            flags.append("UNRELIABLE")
-    return tuple(flags)
+    (cell,) = _hazards(_columns(predictors), np.array([pm_hat], dtype=float), ranges)
+    return tuple(filter(None, cell.split(";")))
 
 
-@dataclass(frozen=True)
-class ForecastRow:
-    date: dt.date
-    pm_hat: float
-    id_source: str
-    interval: IntervalForecast
-
-
-def forecast_series(
-    model,
-    dated_predictors,
-    profile,
-    id_source="algo1",
-    prev_pm_by_date=None,
-    pm_by_date=None,
-):
-    """Run the single-value and interval models over dated predictor rows.
+def forecast_series(model, predictors, profile, id_source="algo1", observations=None):
+    """Run the single-value and interval models over a PredictorTable.
 
     id_source selects the indicator: "algo1" thresholds the previous day's
     observed concentration and falls back to algorithm 2 for days without
     one; "algo2" uses the id-free forecast; "observed" thresholds the same
-    day's observed concentration. Returns (rows, skipped) where skipped
-    lists (date, reason) for rows that could not be forecast.
+    day's observed concentration. Observed concentrations are the pm
+    column of `observations`, an Observations table. Returns (table,
+    skipped): a ForecastTable, and (date, reason) for the days that could
+    not be forecast.
     """
     if id_source not in ("algo1", "algo2", "observed"):
         raise ValueError(f"unknown id source {id_source!r}")
-    prev_pm_by_date = prev_pm_by_date or {}
-    pm_by_date = pm_by_date or {}
-    rows = []
-    skipped = []
-    for date, predictors in dated_predictors:
-        if predictors.trg == 0.0:
-            skipped.append((date, "trg = 0: single-value model undefined"))
-            continue
-        used = id_source
-        if id_source == "algo1":
-            prev = prev_pm_by_date.get(date - dt.timedelta(days=1))
-            if prev is not None and prev > 0:
-                id_value = _id_from_pm(prev)
-            else:
-                id_value = predict_id_algo2(model, predictors)
-                used = "algo2"
-        elif id_source == "algo2":
-            id_value = predict_id_algo2(model, predictors)
-        else:
-            pm_today = pm_by_date.get(date)
-            if pm_today is None or pm_today <= 0:
-                skipped.append((date, "no observed concentration for id"))
-                continue
-            id_value = _id_from_pm(pm_today)
-        pm_hat = predict_pm(model, predictors, id_value)
-        fc = interval(pm_hat, profile)
-        fc = IntervalForecast(
-            fc.arm, fc.lo, fc.hi, pm_hat, hazard_flags(predictors, pm_hat)
-        )
-        rows.append(ForecastRow(date, pm_hat, used, fc))
-    return rows, skipped
+    date = predictors.date
+    if observations is None or id_source == "algo2":
+        pm = np.full(len(date), math.nan)
+    else:
+        pm = observations.lookup("pm", date - np.timedelta64(1, "D") if id_source == "algo1" else date)
+    flat = predictors.trg == 0.0
+    skip = flat | ~(pm > 0) if id_source == "observed" else flat
+    skipped = [
+        (d, "trg = 0: single-value model undefined" if f else "no observed concentration for id")
+        for d, f in zip(date[skip].tolist(), flat[skip].tolist())
+    ]
+    predictors = PredictorTable(*(column[~skip] for column in predictors))
+    pm = pm[~skip]
+    from_obs = pm > 0
+    id_value = _id_from_pm(np.where(from_obs, pm, _pm_hat(model, predictors, 0)))
+    pm_hat = _pm_hat(model, predictors, id_value)
+    arm, lo, hi = _intervals(pm_hat, profile)
+    source = np.where(from_obs, id_source, "algo2")
+    flags = _hazards(predictors, pm_hat, BUILD_RANGES)
+    return ForecastTable(predictors.date, pm_hat, source, arm, lo, hi, flags), skipped
 
 
-def _split_rows(keep, reason, date, *columns):
-    """(date, Predictors) rows where `keep` holds, (date, reason) elsewhere.
-
-    `columns` are the five predictor arrays in Predictors field order.
-    """
-    values = (c[keep].tolist() for c in columns)
-    dated = [(d, Predictors(*row)) for d, *row in zip(date[keep].tolist(), *values)]
-    return dated, [(d, reason) for d in date[~keep].tolist()]
+def _predictor_table(keep, reason, date, trg, w, t, pc, ep):
+    """PredictorTable of the rows where `keep` holds; (date, reason) elsewhere."""
+    table = PredictorTable(*(column[keep] for column in (date, trg, w, t, pc, ep)))
+    return table, [(d, reason) for d in date[~keep].tolist()]
 
 
 def predictors_from_aggregated(daily, observations):
@@ -317,112 +360,85 @@ def predictors_from_aggregated(daily, observations):
     Evaporation has no forecast product, so each day takes the observed
     value; days without one are skipped and reported.
     """
-    ep_by_date = observations.by_date("ep")
-    ep = np.array([ep_by_date.get(d, math.nan) for d in daily.date.tolist()], dtype=float)
-    return _split_rows(
+    ep = observations.lookup("ep", daily.date)
+    return _predictor_table(
         ~np.isnan(ep), "no observed ep", daily.date, daily.trg, daily.w, daily.t, daily.pc, ep
     )
 
 
 def predictors_from_records(obs):
     """Predictor rows straight from the complete rows of an Observations table."""
-    return _split_rows(
+    return _predictor_table(
         obs.complete, "missing field", obs.date, obs.tmax - obs.tmin, obs.w, obs.t, obs.pc, obs.ep
     )
 
 
-def write_forecast_csv(rows, path):
+def write_forecast_csv(table, path):
     """Forecast table: `date,pm_hat,id_source,arm,lo,hi,flags`."""
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(FORECAST_COLUMNS)
-        for row in rows:
-            fc = row.interval
-            writer.writerow(
-                [
-                    row.date.isoformat(),
-                    repr(float(row.pm_hat)),
-                    row.id_source,
-                    fc.arm,
-                    repr(float(fc.lo)),
-                    repr(float(fc.hi)),
-                    ";".join(fc.flags),
-                ]
-            )
+    _write_columns(path, FORECAST_COLUMNS, [getattr(table, name) for name in FORECAST_COLUMNS])
 
 
 def read_forecast_csv(path):
-    """ForecastRow list of a forecast table.
+    """ForecastTable of a forecast CSV.
 
-    An infinite pm_hat is an overflowing forecast and is kept; a nan one
-    is refused.
+    A cell that does not parse makes its row malformed. pm_hat must be
+    positive; an infinite one is an overflowing forecast and is kept. lo
+    and hi must not be nan, and arm must be one of ARMS.
     """
-    columns = _read_columns(path, FORECAST_COLUMNS).values()
-    rows = []
-    for row_num, (date, pm_hat, id_source, arm, lo, hi, flags) in enumerate(zip(*columns), 1):
-        try:
-            pm = float(pm_hat)
-            flagged = tuple(f for f in flags.split(";") if f)
-            fc = IntervalForecast(arm, float(lo), float(hi), pm, flagged)
-            rows.append(ForecastRow(dt.date.fromisoformat(date), pm, id_source, fc))
-        except ValueError:
-            raise DataError(f"row {row_num}: malformed forecast row") from None
-        if math.isnan(pm):
-            raise DataError(f"row {row_num}: bad pm_hat value {pm_hat!r}")
-    return rows
+    cells = _read_columns(path, FORECAST_COLUMNS)
+    malformed = "malformed forecast row"
+    date = _convert(cells["date"], _iso_dates, malformed)
+    pm_hat, lo, hi = (_convert(cells[name], _floats, malformed) for name in ("pm_hat", "lo", "hi"))
+    arm = np.array(cells["arm"], dtype=str)
+    for name, bad in (
+        ("pm_hat", ~(pm_hat > 0)),
+        ("arm", ~np.isin(arm, ARMS)),
+        ("lo", np.isnan(lo)),
+        ("hi", np.isnan(hi)),
+    ):
+        rows = np.flatnonzero(bad)
+        if rows.size:
+            raise DataError(f"row {rows[0] + 1}: bad {name} value {cells[name][rows[0]]!r}")
+    id_source, flags = (np.array(cells[name], dtype=str) for name in ("id_source", "flags"))
+    return ForecastTable(date, pm_hat, id_source, arm, lo, hi, flags)
 
 
-def inclusion_report(rows, pm_by_date):
-    """Per-profile and per-id-source inclusion rates for a forecast table.
+def inclusion_report(table, observed):
+    """Per-profile and per-id-source inclusion rates for a ForecastTable.
 
-    Every forecast date must have an observation; unmatched dates raise.
-    Besides the rates of the intervals as recorded, each preset profile is
-    re-derived from pm_hat (arm cuts depend on pm_hat alone, so presets
-    are comparable on any forecast table).
+    `observed` holds the observed concentration of each forecast day, NaN
+    where there is none; such a day raises. Besides the rates of the
+    intervals as recorded, each preset profile is re-derived from pm_hat
+    (arm cuts depend on pm_hat alone, so presets are comparable on any
+    forecast table).
     """
-    rows = list(rows)
-    unmatched = [row.date for row in rows if row.date not in pm_by_date]
-    if unmatched:
+    unmatched = np.isnan(observed)
+    if unmatched.any():
         raise DataError(
-            "no observation for: " + ", ".join(d.isoformat() for d in unmatched)
+            "no observation for: " + ", ".join(map(str, table.date[unmatched].tolist()))
         )
-    if not rows:
+    n = len(table)
+    if not n:
         raise ValueError("empty forecast table")
-    observed = [pm_by_date[row.date] for row in rows]
 
-    def arm_counts(forecasts):
-        counts = {"low": 0, "band": 0, "high": 0}
-        covered = {"low": 0, "band": 0, "high": 0}
-        for fc, pm in zip(forecasts, observed):
-            counts[fc.arm] += 1
-            covered[fc.arm] += bool(fc.covers(pm))
+    def rates(arm, lo, hi):
+        covered = _covers(arm, lo, hi, observed)
+        members = {a: arm == a for a in ARMS}
         return {
-            arm: {"n": counts[arm], "covered": covered[arm]} for arm in counts
+            "rate": int(covered.sum()) / n,
+            "arms": {a: {"n": int(m.sum()), "covered": int((covered & m).sum())}
+                     for a, m in members.items()},
         }
 
-    recorded = [row.interval for row in rows]
+    covered = table.covers(observed)
     report = {
-        "n": len(rows),
-        "recorded": {
-            "rate": inclusion_rate(recorded, observed),
-            "arms": arm_counts(recorded),
-        },
-        "profiles": {},
+        "n": n,
+        "recorded": rates(table.arm, table.lo, table.hi),
+        "profiles": {name: rates(*_intervals(table.pm_hat, p)) for name, p in PROFILES.items()},
         "by_id_source": {},
     }
-    for name, profile in PROFILES.items():
-        forecasts = [interval(row.pm_hat, profile) for row in rows]
-        report["profiles"][name] = {
-            "rate": inclusion_rate(forecasts, observed),
-            "arms": arm_counts(forecasts),
-        }
-    for source in sorted({row.id_source for row in rows}):
-        members = [row for row in rows if row.id_source == source]
-        report["by_id_source"][source] = {
-            "n": len(members),
-            "rate": inclusion_rate(
-                [row.interval for row in members],
-                [pm_by_date[row.date] for row in members],
-            ),
-        }
+    for source in sorted(set(table.id_source.tolist())):
+        members = table.id_source == source
+        count = int(members.sum())
+        report["by_id_source"][source] = {"n": count, "rate": int(covered[members].sum()) / count}
     return report

@@ -21,11 +21,18 @@ from pm25cast import (
 )
 from pm25cast.data import id_from_lpm
 from pm25cast.diagnostics import mean_square_curvature, rotated_faces
-from pm25cast.forecast import PRESETS, PROFILES, forecast_series, inclusion_rate, interval
+from pm25cast.forecast import (
+    PRESETS,
+    PROFILES,
+    forecast_series,
+    inclusion_report,
+    interval,
+    predictors_from_records,
+)
 from pm25cast.model import hessian_cube, jacobian
 from pm25cast.numerics import f_quantile, ks_two_sample, spearman_test
 
-from conftest import jan2014_records, noise_free_frame, obs_rows, synthetic_records
+from conftest import jan2014_records, noise_free_frame, synthetic_records
 
 
 def report(num, name, ok, detail=""):
@@ -247,16 +254,14 @@ def test_12_full_dataset_reproduction():
     model = FrozenModel.from_lpm_params(fit.theta - bias.bias)
     records = parse_observations(obs2017)
     vframe = build_frame(records)
-    dated = [(r.date, Predictors(trg=r.tmax - r.tmin, w=r.w, t=r.t, pc=r.pc, ep=r.ep))
-             for r, complete in zip(obs_rows(records), records.complete) if complete]
-    pm_by_date = {d: pm for d, pm in records.by_date("pm").items() if pm}
+    predictors, _ = predictors_from_records(records)
     rates = {}
     for name in ("standard-i1", "standard-i2"):
-        rows, _ = forecast_series(model, dated, PROFILES[name],
-                                  id_source="observed", pm_by_date=pm_by_date)
-        covered = [r.interval for r in rows if r.date in pm_by_date]
-        observed = [pm_by_date[r.date] for r in rows if r.date in pm_by_date]
-        rates[name] = 100.0 * inclusion_rate(covered, observed)
+        # the observed indicator forecasts only days with an observed pm > 0
+        table, _ = forecast_series(model, predictors, PROFILES[name],
+                                   id_source="observed", observations=records)
+        report = inclusion_report(table, records.lookup("pm", table.date))
+        rates[name] = 100.0 * report["recorded"]["rate"]
     inc_ok = abs(rates["standard-i1"] - 65.4) <= 0.5 and abs(rates["standard-i2"] - 83.0) <= 0.5
 
     report(12, "full-dataset reproduction",

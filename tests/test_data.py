@@ -2,6 +2,7 @@ import dataclasses
 import datetime as dt
 import io
 import math
+import re
 import types
 from pathlib import Path
 
@@ -16,6 +17,7 @@ from pm25cast import (
     parse_ncep,
     parse_observations,
 )
+from pm25cast import data
 from pm25cast.data import SixHourly, id_from_lpm, write_aggregated_csv
 
 from conftest import JAN_2014, jan2014_records, obs_rows, obs_table, synthetic_records
@@ -123,6 +125,85 @@ def test_parse_missing_column():
 
 def test_parse_header_only():
     assert obs_rows(parse_observations(_csv("date,pm,t,tmax,tmin,pc,w,ep\n"))) == []
+
+
+def test_lookup_takes_the_last_non_blank_row_of_a_date():
+    table = parse_observations(_csv(
+        "date,pm,t,tmax,tmin,pc,w,ep\n"
+        "2014-01-03,30,44,179,-26,0,27,\n"
+        "2014-01-01,10,44,179,-26,0,27,17\n"
+        "2014-01-01,11,44,179,-26,0,27,\n"
+        "2014-01-03,,44,179,-26,0,27,\n"
+        "2014-01-01,12,44,179,-26,0,27,\n"
+    ))
+    dates = np.array(["2014-01-01", "2014-01-02", "2014-01-03", "2013-12-31", "2014-01-04"],
+                     dtype="datetime64[D]")
+    assert repr(table.lookup("pm", dates).tolist()) == "[12.0, nan, 30.0, nan, nan]"
+    assert repr(table.lookup("ep", dates).tolist()) == "[17.0, nan, nan, nan, nan]"
+    assert repr(table.lookup("ep", dates[:1]).tolist()) == "[17.0]"
+    assert repr(parse_observations(_csv(
+        "date,pm,t,tmax,tmin,pc,w,ep\n2014-01-01,10,44,179,-26,0,27,\n"
+    )).lookup("ep", dates[:2]).tolist()) == "[nan, nan]"
+
+
+# Cells numpy's column conversion must read exactly as float() and int() do:
+# digit grouping, non-ASCII digits, padding, signed and spelled-out
+# specials, overflow, and text that only looks numeric.
+NUMBER_CELLS = (
+    "1_0", "1__0", "_1", "1_", "１２", "١٢", "٣.٥", "−1", " 5 ", "\t7\n", "\u20035\xa0",
+    "+nan", "-NaN", "nan(1)", "snan", "infinity", "-Infinity", "iNf", "1e400", "-1e400", "1e-400",
+    "-0", "+0.0", "007", "0x10", "0b1", "0o7", "1e", "e5", "1E5", "1e+5", "1.", ".5", ".",
+    "1,5", "1 000", "+-1", "1j", "True", "", " ", "1.5", "-2", "4" * 25, "-" + "9" * 19,
+)
+DATE_CELLS = (
+    "2014-01-01", "2016-02-29", "2014-02-29", "2014-02-30", "2014-13-01", "2014-00-10",
+    "2014-01-00", "0001-01-01", "9999-12-31", "0000-01-01", "10000-01-01", "-001-01-01",
+    "20140101", "2014-W01-1", "2014-01", "2014", "2014-1-1", "2014-01-01T00", "2014-01-01Z",
+    "+2014-01-01", "２０１４-01-01", "NaT", "nat", "today", "now", "", "2014/01/01",
+)
+
+
+def _python_int(text):
+    # integers beyond int64 are refused as well: no slot is that large
+    value = int(text)
+    if not -2**63 <= value < 2**63:
+        raise ValueError(text)
+    return value
+
+
+def _python_date(text):
+    if not (len(text) == 10 and text[4] == text[7] == "-" and text.replace("-", "").isascii()
+            and text.replace("-", "").isdigit()):
+        raise ValueError(text)
+    return dt.date.fromisoformat(text)
+
+
+@pytest.mark.parametrize("parse,reference,cells", [
+    (data._floats, float, NUMBER_CELLS),
+    (data._ints, _python_int, NUMBER_CELLS),
+    (data._iso_dates, _python_date, DATE_CELLS),
+], ids=["float", "int", "date"])
+def test_column_conversion_matches_python_cell_for_cell(parse, reference, cells):
+    """Whole-column conversion gives what the Python constructor gives on
+    every cell, and where the constructor refuses a cell the column fails
+    at that cell's row; on every cell alone and on 500 seeded columns."""
+    rng = np.random.default_rng(7)
+    columns = [[cell] for cell in cells]
+    columns += [[cells[i] for i in rng.integers(len(cells), size=rng.integers(1, 9))]
+                for _ in range(500)]
+    for column in columns:
+        expected = []
+        for text in column:
+            try:
+                expected.append(reference(text))
+            except ValueError:
+                message = f"row {len(expected) + 1}: {text!r}"
+                with pytest.raises(DataError, match=f"^{re.escape(message)}$"):
+                    data._convert(column, parse, "{!r}")
+                break
+        else:
+            got = data._convert(column, parse, "{!r}").tolist()
+            assert list(map(repr, got)) == list(map(repr, expected)), column
 
 
 def test_demo_observation_file_matches_table():

@@ -20,14 +20,15 @@ from pm25cast import (
 from pm25cast.forecast import (
     PROFILES,
     PRESETS,
-    ForecastRow,
+    ForecastTable,
+    PredictorTable,
     forecast_series,
     inclusion_report,
     read_forecast_csv,
     write_forecast_csv,
 )
 
-from conftest import DEC_2017, JAN_2014
+from conftest import DEC_2017, JAN_2014, obs_table
 
 MODEL = PRESETS["thesis-2018"]
 
@@ -286,23 +287,27 @@ def test_hazard_multiple_flags_ordered():
 # ---------------------------------------------------------------- series
 
 
-def _dated_predictors():
-    out = []
-    for day, pm, t, tmax, tmin, pc, w, ep in DEC_2017:
-        out.append((dt.date(2017, 12, day),
-                    Predictors(trg=tmax - tmin, w=w, t=t, pc=pc, ep=ep)))
-    return out
+def _predictors():
+    day, _, t, tmax, tmin, pc, w, ep = (np.array(col) for col in zip(*DEC_2017))
+    return PredictorTable(date=np.datetime64("2017-11-30") + day, trg=tmax - tmin,
+                          w=w, t=t, pc=pc, ep=ep)
 
 
-def _pm_by_date():
-    return {dt.date(2017, 12, day): float(pm) for day, pm, *_ in DEC_2017}
+def _observations(skip_day=None):
+    """The month's observed pm in an Observations table."""
+    return obs_table((dt.date(2017, 12, day), float(pm), 0.0, 0.0, 0.0, 0.0, 0.0, 0.0)
+                     for day, pm, *_ in DEC_2017 if day != skip_day)
+
+
+def _column_by_date(table, name):
+    return dict(zip(table.date.tolist(), getattr(table, name).tolist()))
 
 
 def test_forecast_series_skips_flat_range_days():
-    rows, skipped = forecast_series(MODEL, _dated_predictors(), PROFILES["ncep-i1"],
-                                    id_source="algo2")
-    dates = [r.date for r in rows]
-    assert len(rows) == 29
+    table, skipped = forecast_series(MODEL, _predictors(), PROFILES["ncep-i1"],
+                                     id_source="algo2")
+    dates = table.date.tolist()
+    assert len(table) == 29
     assert dt.date(2017, 12, 3) not in dates
     assert dt.date(2017, 12, 15) not in dates
     assert len(skipped) == 2
@@ -310,54 +315,101 @@ def test_forecast_series_skips_flat_range_days():
 
 
 def test_forecast_series_algo1_fallback():
-    rows, _ = forecast_series(MODEL, _dated_predictors(), PROFILES["ncep-i1"],
-                              id_source="algo1", prev_pm_by_date=_pm_by_date())
-    by_date = {r.date: r for r in rows}
+    table, _ = forecast_series(MODEL, _predictors(), PROFILES["ncep-i1"],
+                               id_source="algo1", observations=_observations())
+    by_date = _column_by_date(table, "id_source")
     # first day has no previous observation, falls back to algorithm 2
-    assert by_date[dt.date(2017, 12, 1)].id_source == "algo2"
-    assert by_date[dt.date(2017, 12, 2)].id_source == "algo1"
+    assert by_date[dt.date(2017, 12, 1)] == "algo2"
+    assert by_date[dt.date(2017, 12, 2)] == "algo1"
     # Dec 4 follows the skipped Dec 3, whose observation still exists
-    assert by_date[dt.date(2017, 12, 4)].id_source == "algo1"
+    assert by_date[dt.date(2017, 12, 4)] == "algo1"
 
 
 def test_forecast_series_observed_id():
-    rows, _ = forecast_series(MODEL, _dated_predictors(), PROFILES["ncep-i1"],
-                              id_source="observed", pm_by_date=_pm_by_date())
-    assert all(r.id_source == "observed" for r in rows)
+    table, _ = forecast_series(MODEL, _predictors(), PROFILES["ncep-i1"],
+                               id_source="observed", observations=_observations())
+    assert set(table.id_source.tolist()) == {"observed"}
 
 
 def test_forecast_series_negative_trg_flagged():
-    rows, _ = forecast_series(MODEL, _dated_predictors(), PROFILES["ncep-i1"],
-                              id_source="algo2")
-    by_date = {r.date: r for r in rows}
-    assert "NEGATIVE_TRG" in by_date[dt.date(2017, 12, 7)].interval.flags
-    assert "NEGATIVE_TRG" in by_date[dt.date(2017, 12, 10)].interval.flags
+    table, _ = forecast_series(MODEL, _predictors(), PROFILES["ncep-i1"],
+                               id_source="algo2")
+    by_date = _column_by_date(table, "flags")
+    assert "NEGATIVE_TRG" in by_date[dt.date(2017, 12, 7)].split(";")
+    assert "NEGATIVE_TRG" in by_date[dt.date(2017, 12, 10)].split(";")
+
+
+@pytest.mark.parametrize("id_source", ["algo1", "algo2", "observed"])
+def test_forecast_series_is_the_scalar_model_bit_for_bit(id_source):
+    """Every column equals the row-by-row formula: pm_hat from math.exp,
+    the indicator from 10*math.log(pm), the interval and flags of the
+    scalar functions. np.exp or np.log would differ in the last bit on a
+    few percent of these rows."""
+    rng = np.random.default_rng(3)
+    n = 400
+    predictors = PredictorTable(
+        date=np.datetime64("2017-01-01") + np.arange(n),
+        trg=rng.uniform(-20.0, 220.0, n), w=rng.uniform(10.0, 95.0, n),
+        t=rng.uniform(-40.0, 250.0, n), pc=rng.uniform(0.0, 700.0, n),
+        ep=rng.uniform(0.0, 70.0, n))
+    pm = np.exp(rng.uniform(2.0, 6.0, n))
+    pm[rng.random(n) < 0.2] = math.nan
+    observations = obs_table((d, p, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0)
+                             for d, p in zip(predictors.date.tolist(), pm.tolist()))
+    table, skipped = forecast_series(MODEL, predictors, PROFILES["ncep-i2"],
+                                     id_source=id_source, observations=observations)
+    assert len(table) + len(skipped) == n
+
+    def indicator(value):
+        lpm = 10.0 * math.log(value)
+        return -1 if lpm <= 35.0 else 0 if lpm <= 50.0 else 1
+
+    rows = zip(*(getattr(predictors, name).tolist() for name in ("date",) + Predictors._fields))
+    expected = []
+    for date, *values in rows:
+        p = Predictors(*values)
+        known = pm[(date - dt.date(2017, 1, 1)).days - (id_source == "algo1")]
+        if id_source == "algo1" and date == dt.date(2017, 1, 1):
+            known = math.nan
+        if id_source == "observed" and not known > 0:
+            continue
+        if id_source != "algo2" and known > 0:
+            source, id_value = id_source, indicator(known)
+        else:
+            source, id_value = "algo2", indicator(oracle_pm(MODEL, p, 0))
+        pm_hat = oracle_pm(MODEL, p, id_value)
+        fc = interval(pm_hat, PROFILES["ncep-i2"])
+        expected.append((date, pm_hat, source, fc.arm, fc.lo, fc.hi,
+                         ";".join(hazard_flags(p, pm_hat))))
+    got = list(zip(*(getattr(table, name).tolist() for name in
+                     ("date", "pm_hat", "id_source", "arm", "lo", "hi", "flags"))))
+    assert got == expected
 
 
 def test_forecast_csv_roundtrip(tmp_path):
-    rows, _ = forecast_series(MODEL, _dated_predictors(), PROFILES["ncep-i1"],
-                              id_source="algo2")
+    table, _ = forecast_series(MODEL, _predictors(), PROFILES["ncep-i1"],
+                               id_source="algo2")
     path = tmp_path / "fc.csv"
-    write_forecast_csv(rows, path)
+    write_forecast_csv(table, path)
     lines = path.read_text().strip().splitlines()
     assert lines[0] == "date,pm_hat,id_source,arm,lo,hi,flags"
     again = read_forecast_csv(path)
-    assert len(again) == len(rows)
-    for a, b in zip(again, rows):
-        assert a.date == b.date
-        assert a.pm_hat == pytest.approx(b.pm_hat, rel=1e-12)
-        assert a.interval.arm == b.interval.arm
-        assert a.interval.flags == b.interval.flags
+    assert len(again) == len(table)
+    for name in ("date", "pm_hat", "id_source", "arm", "lo", "hi", "flags"):
+        assert getattr(again, name).tolist() == getattr(table, name).tolist(), name
 
 
 def test_forecast_csv_high_arm_serializes_inf(tmp_path):
-    row = ForecastRow(date=dt.date(2017, 12, 1), pm_hat=400.0, id_source="algo2",
-                      interval=interval(400.0, PROFILES["ncep-i1"]))
+    fc = interval(400.0, PROFILES["ncep-i1"])
+    table = ForecastTable(date=np.array(["2017-12-01"], dtype="datetime64[D]"),
+                          pm_hat=np.array([400.0]), id_source=np.array(["algo2"]),
+                          arm=np.array([fc.arm]), lo=np.array([fc.lo]),
+                          hi=np.array([fc.hi]), flags=np.array([""]))
     path = tmp_path / "one.csv"
-    write_forecast_csv([row], path)
+    write_forecast_csv(table, path)
     assert ",inf," in path.read_text() or path.read_text().strip().endswith("inf,")
     again = read_forecast_csv(path)
-    assert math.isinf(again[0].interval.hi)
+    assert math.isinf(again.hi[0])
 
 
 @pytest.mark.parametrize("pm_hat", ["nan", "NaN"])
@@ -374,41 +426,35 @@ def test_forecast_csv_short_row_reads_blank_flags(tmp_path):
     path = tmp_path / "fc.csv"
     path.write_text("date,pm_hat,id_source,arm,lo,hi,flags\n"
                     "2017-12-01,80.0,algo2,band,50.0,100.0\n")
-    (row,) = read_forecast_csv(path)
-    assert row.interval.flags == () and row.interval.hi == 100.0
+    table = read_forecast_csv(path)
+    assert table.flags.tolist() == [""] and table.hi.tolist() == [100.0]
 
 
 def test_forecast_csv_keeps_infinite_pm_hat(tmp_path):
     path = tmp_path / "fc.csv"
     path.write_text("date,pm_hat,id_source,arm,lo,hi,flags\n"
                     "2017-12-01,inf,algo2,high,150.0,inf,\n")
-    (row,) = read_forecast_csv(path)
-    assert math.isinf(row.pm_hat) and row.interval.pm_hat == row.pm_hat
-    assert row.interval.arm == "high" and row.interval.covers(400.0)
+    table = read_forecast_csv(path)
+    assert math.isinf(table.pm_hat[0])
+    assert table.arm.tolist() == ["high"] and table.covers(np.array([400.0])).tolist() == [True]
 
 
 # ---------------------------------------------------------------- validation
 
 
 def test_inclusion_report_centres_cover_everything():
-    rows, _ = forecast_series(MODEL, _dated_predictors(), PROFILES["ncep-i1"],
-                              id_source="algo2")
-    fake_obs = {}
-    for r in rows:
-        if r.interval.arm == "band":
-            fake_obs[r.date] = 0.5 * (r.interval.lo + r.interval.hi)
-        elif r.interval.arm == "low":
-            fake_obs[r.date] = 20.0
-        else:
-            fake_obs[r.date] = 200.0
-    rep = inclusion_report(rows, fake_obs)
+    table, _ = forecast_series(MODEL, _predictors(), PROFILES["ncep-i1"],
+                               id_source="algo2")
+    fake_obs = np.where(table.arm == "band", 0.5 * (table.lo + table.hi),
+                        np.where(table.arm == "low", 20.0, 200.0))
+    rep = inclusion_report(table, fake_obs)
     assert rep["recorded"]["rate"] == 1.0
 
 
 def test_inclusion_report_real_month():
-    rows, _ = forecast_series(MODEL, _dated_predictors(), PROFILES["ncep-i1"],
-                              id_source="algo2")
-    rep = inclusion_report(rows, _pm_by_date())
+    table, _ = forecast_series(MODEL, _predictors(), PROFILES["ncep-i1"],
+                               id_source="algo2")
+    rep = inclusion_report(table, _observations().lookup("pm", table.date))
     assert rep["n"] == 29
     assert 0.0 <= rep["recorded"]["rate"] <= 1.0
     assert set(rep["profiles"]) == set(PROFILES)
@@ -418,10 +464,9 @@ def test_inclusion_report_real_month():
 
 
 def test_inclusion_report_rejects_unmatched_dates():
-    rows, _ = forecast_series(MODEL, _dated_predictors(), PROFILES["ncep-i1"],
-                              id_source="algo2")
-    partial = _pm_by_date()
-    del partial[dt.date(2017, 12, 20)]
+    table, _ = forecast_series(MODEL, _predictors(), PROFILES["ncep-i1"],
+                               id_source="algo2")
+    partial = _observations(skip_day=20).lookup("pm", table.date)
     with pytest.raises(DataError) as err:
-        inclusion_report(rows, partial)
+        inclusion_report(table, partial)
     assert "2017-12-20" in str(err.value)

@@ -55,6 +55,8 @@ CASES = [
                  "records out of order: 2014-01-01 follows 2014-01-01", id="obs-repeated-date"),
     pytest.param("fit", OBS + "\n" + DAY1 + "\n\n" + "2014-01-02,181,44,155,-25,0,21,x\n",
                  "row 2: bad ep value 'x'", id="obs-after-blank-line"),
+    pytest.param("fit", OBS + DAY1 + "\n" + "2014-01-02,181,44,155,-25,0,21," + "1" * 140_000 + "\n",
+                 "row 2: field larger than field limit (131072)", id="obs-oversized-cell"),
     # six-hourly forecasts, read by `aggregate-ncep`
     pytest.param("aggregate-ncep", "date,slot,t,tmax,tmin,pc\n2017-12-01,0,70,110,80,0\n",
                  "missing required column 'w'", id="ncep-missing-column"),
@@ -90,6 +92,23 @@ CASES = [
                  "row 2: malformed forecast row", id="forecast-bad-cell"),
     pytest.param("validate", FORECAST + "\n" + FC1 + "\n" + "2014-01-02,120.0,algo2,band,lo,150.0,\n",
                  "row 2: malformed forecast row", id="forecast-after-blank-line"),
+    pytest.param("validate", FORECAST + FC1 + "2014-01-02,80.0,algo2,band,nan,100.0,\n",
+                 "row 2: bad lo value 'nan'", id="forecast-nan-bound"),
+    *(pytest.param("validate", FORECAST + FC1 + f"2014-01-02,{pm_hat},algo2,low,0.0,35.0,\n",
+                   f"row 2: bad pm_hat value '{pm_hat}'", id=f"forecast-pm-hat-{pm_hat}")
+      for pm_hat in ("-inf", "0", "-5")),
+    pytest.param("validate", FORECAST + FC1 + "2014-01-02,80.0,algo2,middle,60.0,100.0,\n",
+                 "row 2: bad arm value 'middle'", id="forecast-unknown-arm"),
+]
+
+# Dates are exactly YYYY-MM-DD with a year from 1 to 9999, on every Python:
+# date.fromisoformat accepts the first two from Python 3.11 on and reads
+# the week date as 2013-12-30; numpy's datetime64 parser accepts the rest.
+CASES += [
+    pytest.param("fit", OBS + DAY1 + f"{date},181,44,155,-25,0,21,14\n",
+                 f"row 2: bad date value '{date}'", id=f"obs-date-{date}")
+    for date in ("20140102", "2014-W01-4", "2014-01", "2014", "2014-01-02T00", "+2014-01-02",
+                 "NaT", "today", "0000-01-02", "10000-01-02", "-001-01-02")
 ]
 
 
@@ -105,3 +124,12 @@ def test_parser_error_message(tmp_path, capsys, command, text, message):
     }[command]
     assert main([str(a) for a in argv]) == 1
     assert capsys.readouterr().err == f"error: {message}\n"
+
+
+def test_nul_byte_names_its_row(tmp_path, capsys):
+    """The csv module refuses a NUL byte before Python 3.11 and passes it
+    on from 3.11; either way the row is named."""
+    path = tmp_path / "input.csv"
+    path.write_text(OBS + DAY1 + "2014-01-02,181,44,155,-25,0,21,1\x004\n", encoding="utf-8")
+    assert main(["fit", "--out-dir", str(tmp_path / "out"), str(path)]) == 1
+    assert capsys.readouterr().err.startswith("error: row 2: ")
