@@ -1,15 +1,19 @@
-"""Golden outputs of the forecast path and of one fit on the bundled demo data.
+"""Golden outputs of the forecast path, one fit and one bootstrap run on the
+bundled demo data.
 
 The files under tests/data/golden/ are the outputs of `aggregate-ncep`,
 `forecast` and `validate` on the demo inputs, the model frame of the
-January 2014 month, and `fit_trace.csv` / `residuals.csv` of the with-id
-fit of that month. Nothing on the forecast path calls LAPACK, so its bytes
-must match on every platform and every supported Python.
+January 2014 month, `fit_trace.csv` / `residuals.csv` / `diagnostics.json`
+of the with-id fit of that month, and `replications.csv` /
+`simulation.json` of a with-id resampling run on it. Nothing on the
+forecast path calls LAPACK, so its bytes must match on every platform and
+every supported Python.
 
-The fit goes through LAPACK's QR, whose last bits depend on the build.
-Its files are compared as bytes on numpy 2 and later, the build they were
-made with, and separately at a relative tolerance of FIT_RTOL on every
-build (the numpy 1.x floor in CI links another LAPACK).
+The fit and the resampling run go through LAPACK's QR, whose last bits
+depend on the build. Their files are compared as bytes on numpy 2 and
+later, the build they were made with, and separately at a relative
+tolerance (FIT_RTOL, SIMULATE_RTOL) on every build (the numpy 1.x floor
+in CI links another LAPACK).
 
 JSON reports are compared without their `config` block, which echoes
 input and output paths; the golden JSON files are stored without it.
@@ -51,8 +55,14 @@ GOLDEN_FILES = (
     *(f"{name}/{leaf}" for name, _, _ in FORECASTS
       for leaf in ("forecast.csv", "forecast_meta.json", "validation.json")),
 )
-FIT_FILES = ("fit/fit_trace.csv", "fit/residuals.csv")
+FIT_FILES = ("fit/fit_trace.csv", "fit/residuals.csv", "fit/diagnostics.json")
 FIT_RTOL = 1e-8
+SIMULATE_FILES = ("simulate/replications.csv", "simulate/simulation.json")
+# A replication whose last step sits at the RSS rounding floor stops where
+# the last bits of the build put it; such replications have moved by about
+# 1e-8 of a column's largest magnitude between builds.
+SIMULATE_RTOL = 1e-6
+RTOL = {**dict.fromkeys(FIT_FILES, FIT_RTOL), **dict.fromkeys(SIMULATE_FILES, SIMULATE_RTOL)}
 NUMPY_2 = int(np.__version__.split(".")[0]) >= 2
 
 
@@ -70,6 +80,8 @@ def regenerate(out):
         _cli("validate", out / name / "forecast.csv", obs, "--out-dir", out / name)
     build_frame(parse_observations(DEMO_DATA / "obs_201401.csv")).write_csv(out / "frame.csv")
     _cli("fit", "--family", "with-id", "--out-dir", out / "fit", DEMO_DATA / "obs_201401.csv")
+    _cli("simulate", "--family", "with-id", "--size", 25, "--reps", 200, "--seed", 11,
+         "--out-dir", out / "simulate", DEMO_DATA / "obs_201401.csv")
 
 
 def _comparable(path):
@@ -93,9 +105,9 @@ def test_output_matches_golden_bytes(regenerated, name):
 
 
 @pytest.mark.skipif(not NUMPY_2, reason="golden fit bytes come from a numpy 2 LAPACK build")
-@pytest.mark.parametrize("name", FIT_FILES)
+@pytest.mark.parametrize("name", FIT_FILES + SIMULATE_FILES)
 def test_fit_output_matches_golden_bytes(regenerated, name):
-    assert (regenerated / name).read_bytes() == (GOLDEN / name).read_bytes()
+    assert _comparable(regenerated / name) == _comparable(GOLDEN / name)
 
 
 def _csv_table(path):
@@ -104,14 +116,38 @@ def _csv_table(path):
     return header, [row[0] for row in cells], np.array([row[1:] for row in cells], dtype=float)
 
 
-@pytest.mark.parametrize("name", FIT_FILES)
+def _json_within(value, golden, rtol, floor=0.0):
+    """Same JSON shape and equal non-float leaves; each float within rtol of
+    its golden value, with a list's largest float magnitude as the floor."""
+    if isinstance(golden, dict):
+        return (isinstance(value, dict) and value.keys() == golden.keys()
+                and all(_json_within(value[k], golden[k], rtol) for k in golden))
+    if isinstance(golden, list):
+        floor = max((abs(g) for g in golden if isinstance(g, float)), default=0.0)
+        return (isinstance(value, list) and len(value) == len(golden)
+                and all(_json_within(v, g, rtol, floor) for v, g in zip(value, golden)))
+    if isinstance(golden, float) and isinstance(value, float):
+        return value == golden or abs(value - golden) <= rtol * (abs(golden) + floor)
+    return type(value) is type(golden) and value == golden
+
+
+@pytest.mark.parametrize("name", FIT_FILES + SIMULATE_FILES)
 def test_fit_output_matches_golden_within_tolerance(regenerated, name):
+    rtol = RTOL[name]
+    if name.endswith(".json"):
+        value, golden = (json.loads(_comparable(root / name)) for root in (regenerated, GOLDEN))
+        assert _json_within(value, golden, rtol)
+        return
     header, keys, values = _csv_table(regenerated / name)
     golden_header, golden_keys, golden_values = _csv_table(GOLDEN / name)
     assert (header, keys) == (golden_header, golden_keys)
+    # nan (an unconverged replication's ks_p) where the golden file has it
+    missing = np.isnan(golden_values)
+    assert (np.isnan(values) == missing).all()
     # relative to each value, with the column's largest magnitude as the
     # floor, so a coefficient or residual near 0 is not held to its own size
-    bound = FIT_RTOL * (np.abs(golden_values) + np.abs(golden_values).max(axis=0))
+    golden_values, values = np.where(missing, 0.0, golden_values), np.where(missing, 0.0, values)
+    bound = rtol * (np.abs(golden_values) + np.abs(golden_values).max(axis=0))
     assert (np.abs(values - golden_values) <= bound).all()
 
 
