@@ -18,7 +18,6 @@ from pm25cast import (
     PRESETS,
     PROFILES,
     aggregate_ncep,
-    inclusion_rate,
     interval,
     parse_ncep,
     parse_observations,
@@ -84,8 +83,7 @@ def main():
     wide = interval(at, PROFILES["ncep-i2"])
     print(f"\nwidth at pm_hat={at:.1f}: ncep-i1 {narrow.hi - narrow.lo:.0f}, "
           f"ncep-i2 {wide.hi - wide.lo:.0f}")
-    covered = inclusion_rate([narrow], [float(observed[0])])
-    print(f"(first day covered under ncep-i1: {bool(covered)})")
+    print(f"(first day covered under ncep-i1: {narrow.covers(float(observed[0]))})")
 
 
 if __name__ == "__main__":

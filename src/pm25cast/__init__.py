@@ -39,7 +39,6 @@ from .forecast import (
     PRESETS,
     Predictors,
     hazard_flags,
-    inclusion_rate,
     interval,
     predict_id_algo1,
     predict_id_algo2,
@@ -91,7 +90,6 @@ __all__ = [
     "gauss_newton",
     "hazard_flags",
     "hessian_cube",
-    "inclusion_rate",
     "interval",
     "jacobian",
     "ks_normal",

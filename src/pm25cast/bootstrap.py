@@ -11,13 +11,12 @@ block size, and whatever `workers` says; repeated runs with one seed give
 identical output.
 """
 
-import csv
 from dataclasses import dataclass
-from typing import NamedTuple
 
 import numpy as np
 
 from . import model
+from .data import _write_columns
 from .diagnostics import bates_curvature, finite_or_none
 from .errors import DataError, StratificationError
 from .numerics import ks_two_sample
@@ -32,39 +31,39 @@ from .solver import FitResult, evaluate, fit_stack, gauss_newton  # noqa: F401
 BLOCK = 50
 
 
-class Replication(NamedTuple):
-    rep: int
-    converged: bool
-    curvature_pass: bool
-    ks_p: float
-    ks_pass: bool
-    ks_strong: bool
-    identical_residuals: bool
-    theta: np.ndarray
-
-
 @dataclass(frozen=True)
 class BootstrapSummary:
-    """Aggregate of a resampling run.
+    """Aggregate of a resampling run, with one entry per replication in the
+    arrays `converged`, `curvature_pass`, `ks_p` (nan where the replication
+    did not converge), `identical_residuals` and `theta` (reps x q, nan for
+    a replication whose fit failed).
 
     bias, std and mse are taken over converged replications only, with
     population (ddof=0) scaling, so mse_j = std_j^2 + bias_j^2 holds as an
     exact identity up to float rounding.
     """
 
-    replications: int
-    converged_count: int
-    curvature_pass_count: int
-    ks_pass_count: int
-    ks_strong_count: int
-    identical_residual_count: int
+    converged: np.ndarray
+    curvature_pass: np.ndarray
+    ks_p: np.ndarray
+    identical_residuals: np.ndarray
+    theta: np.ndarray
     bias: np.ndarray
     std: np.ndarray
     mse: np.ndarray
     theta_corrected: np.ndarray
     min_ks_pass: float
-    gate_ok: bool
-    detail: tuple
+
+    ks_pass = property(lambda self: self.ks_p > 0.05)
+    ks_strong = property(lambda self: self.ks_p > 0.5)
+    replications = property(lambda self: self.converged.size)
+    converged_count = property(lambda self: int(self.converged.sum()))
+    curvature_pass_count = property(lambda self: int(self.curvature_pass.sum()))
+    ks_pass_count = property(lambda self: int(self.ks_pass.sum()))
+    ks_strong_count = property(lambda self: int(self.ks_strong.sum()))
+    identical_residual_count = property(lambda self: int(self.identical_residuals.sum()))
+    # whether the KS pass fraction reached min_ks_pass
+    gate_ok = property(lambda self: self.ks_pass_count >= self.min_ks_pass * self.replications)
 
 
 @dataclass(frozen=True)
@@ -205,21 +204,6 @@ def run_simulation(
             same = resid == baseline.residuals[at]
             identical[block] = shared.any(axis=1) & (same | ~shared).all(axis=1)
 
-    ks_pass, ks_strong = ks_p > 0.05, ks_p > 0.5
-    detail = tuple(
-        Replication(
-            rep=r,
-            converged=bool(converged[r]),
-            curvature_pass=bool(curvature_pass[r]),
-            ks_p=float(ks_p[r]),
-            ks_pass=bool(ks_pass[r]),
-            ks_strong=bool(ks_strong[r]),
-            identical_residuals=bool(identical[r]),
-            theta=theta[r],
-        )
-        for r in range(reps)
-    )
-
     kept = theta[converged]
     if kept.size:
         bias = kept.mean(axis=0) - baseline.theta
@@ -228,19 +212,16 @@ def run_simulation(
     else:
         bias = std = mse = np.full(spec.q, np.nan)
     return BootstrapSummary(
-        replications=reps,
-        converged_count=int(converged.sum()),
-        curvature_pass_count=int(curvature_pass.sum()),
-        ks_pass_count=int(ks_pass.sum()),
-        ks_strong_count=int(ks_strong.sum()),
-        identical_residual_count=int(identical.sum()),
+        converged=converged,
+        curvature_pass=curvature_pass,
+        ks_p=ks_p,
+        identical_residuals=identical,
+        theta=theta,
         bias=bias,
         std=std,
         mse=mse,
         theta_corrected=baseline.theta - bias,
         min_ks_pass=min_ks_pass,
-        gate_ok=bool(ks_pass.sum() >= min_ks_pass * reps),
-        detail=detail,
     )
 
 
@@ -275,21 +256,16 @@ def apply_correction(fit, summary, spec, frame, alpha=0.05):
 
 def write_replications_csv(summary, path):
     """Per-replication record: `rep,converged,ks_p,theta1..thetaq`."""
-    q = summary.theta_corrected.size
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(
-            ["rep", "converged", "ks_p"] + [f"theta{j + 1}" for j in range(q)]
-        )
-        for rec in summary.detail:
-            writer.writerow(
-                [rec.rep, int(rec.converged), repr(float(rec.ks_p))]
-                + [repr(float(v)) for v in rec.theta]
-            )
+    reps, q = summary.theta.shape
+    _write_columns(
+        path,
+        ["rep", "converged", "ks_p"] + [f"theta{j + 1}" for j in range(q)],
+        [np.arange(reps), summary.converged.astype(int), summary.ks_p, *summary.theta.T],
+    )
 
 
 def summary_dict(summary):
-    """JSON-ready view of a BootstrapSummary (omits per-rep detail)."""
+    """JSON-ready view of a BootstrapSummary (omits the per-replication arrays)."""
 
     def listed(arr):
         return [finite_or_none(v) for v in arr]

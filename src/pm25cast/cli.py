@@ -7,7 +7,6 @@ SHA-256 digest of each input file.
 
 import argparse
 import hashlib
-import json
 import sys
 from pathlib import Path
 
@@ -47,27 +46,11 @@ def _config_echo(args, input_paths):
     }
 
 
-def _write_json(payload, path):
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(payload, fh, indent=2, ensure_ascii=False)
-        fh.write("\n")
-
-
 def _parse_start(text, q):
     values = [float(v) for v in text.split(",")]
     if len(values) != q:
         raise ValueError(f"--start needs {q} comma-separated values, got {len(values)}")
     return np.array(values)
-
-
-def _make_spec(args):
-    if args.family == "iterated":
-        if args.rho is None:
-            raise ValueError("--rho is required for the iterated family")
-        return model.ModelSpec("iterated", rho=args.rho)
-    if args.rho is not None:
-        raise ValueError("--rho only applies to the iterated family")
-    return model.ModelSpec(args.family)
 
 
 def _load_frame(path):
@@ -110,7 +93,7 @@ def _fit_summary(fit, frame):
 
 def cmd_fit(args):
     frame = _load_frame(args.obs)
-    spec = _make_spec(args)
+    spec = model.ModelSpec(args.family, args.rho)
     fit, curv, bias, resid = _fit_with_diagnostics(spec, frame, args)
 
     out = Path(args.out_dir)
@@ -126,7 +109,7 @@ def cmd_fit(args):
         "fit": _fit_summary(fit, frame),
     }
     report.update(diagnostics.diagnostics_report(curv, bias, resid))
-    _write_json(report, out / "diagnostics.json")
+    data._write_json(report, out / "diagnostics.json")
     if curv is None:
         print("fit did not converge: non-finite end point, diagnostics skipped", file=sys.stderr)
         return 2
@@ -138,7 +121,7 @@ def cmd_fit(args):
 
 def cmd_simulate(args):
     frame = _load_frame(args.obs)
-    spec = _make_spec(args)
+    spec = model.ModelSpec(args.family, args.rho)
     theta0 = _parse_start(args.start, spec.q) if args.start else None
     baseline = solver.gauss_newton(spec, frame, theta0=theta0)
     if not baseline.converged:
@@ -181,7 +164,7 @@ def cmd_simulate(args):
     payload["baseline"] = _fit_summary(baseline, frame)
     payload["corrected"] = corrected
     payload["config"] = _config_echo(args, [args.obs])
-    _write_json(payload, out / "simulation.json")
+    data._write_json(payload, out / "simulation.json")
     if corrected is None:
         print("no replication converged", file=sys.stderr)
         return 2
@@ -220,7 +203,7 @@ def cmd_forecast(args):
     out = Path(args.out_dir)
     out.mkdir(parents=True, exist_ok=True)
     forecast.write_forecast_csv(table, out / "forecast.csv")
-    _write_json(
+    data._write_json(
         {
             "config": _config_echo(args, inputs),
             "rows": len(table),
@@ -238,7 +221,7 @@ def cmd_validate(args):
     report["config"] = _config_echo(args, [args.forecast, args.obs])
     out = Path(args.out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    _write_json(report, out / "validation.json")
+    data._write_json(report, out / "validation.json")
     return 0
 
 

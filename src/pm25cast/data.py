@@ -8,6 +8,7 @@ lpm = 10*ln(pm), trg = tmax - tmin and the pollution-level indicator id.
 
 import csv
 import functools
+import json
 import math
 import os
 from dataclasses import dataclass
@@ -199,6 +200,12 @@ def _write_columns(path, header, columns):
         fh.write("\r\n".join([",".join(header), *map(",".join, zip(*cells)), ""]))
 
 
+def _write_json(payload, path):
+    with open(path, "w", encoding="utf-8") as fh:
+        json.dump(payload, fh, indent=2, ensure_ascii=False)
+        fh.write("\n")
+
+
 def _open_text(source):
     if hasattr(source, "read"):
         data = source.read()
@@ -212,15 +219,16 @@ def _open_text(source):
 def _read_columns(source, required, optional=()):
     """{name: stripped cells} of the named columns of a CSV with a header.
 
-    Like csv.DictReader, blank lines are skipped and not counted, and a
-    short row reads its missing trailing cells as blank. An optional
-    column the header lacks is left out. A row csv refuses (an oversized
-    cell, or a NUL byte before Python 3.11) raises a DataError naming it.
+    Blank lines, before the header too, are skipped and not counted, and a
+    short row reads its missing trailing cells as blank, as in
+    csv.DictReader. An optional column the header lacks is left out. A row
+    csv refuses (an oversized cell, or a NUL byte before Python 3.11)
+    raises a DataError naming it.
     """
     rows = csv.reader(_open_text(source))
     header, body = None, []
     try:
-        header = next(rows, [])
+        header = next(filter(None, rows), [])
         for row in rows:
             if row:
                 body.append(row)
@@ -400,7 +408,9 @@ def aggregate_ncep(table):
     and w by the first maximum, both folded in slot order, so every Python
     version gives the same bits (the builtin sum() of floats is compensated
     from Python 3.12 on). trg = mean(tmax) - mean(tmin), which may come out
-    negative. `table` is sorted as parse_ncep returns it.
+    negative. A mean whose slot sum overflows the float range raises an
+    AggregationError naming the day and field. `table` is sorted as
+    parse_ncep returns it.
     """
     days, first, counts = np.unique(table.date, return_index=True, return_counts=True)
     # a day is whole when its rows are exactly the four slots, in order
@@ -416,7 +426,12 @@ def aggregate_ncep(table):
 
     def mean(name):
         s0, s1, s2, s3 = getattr(table, name).reshape(-1, 4).T
-        return (0.0 + s0 + s1 + s2 + s3) / 4.0
+        with np.errstate(over="ignore"):
+            values = (0.0 + s0 + s1 + s2 + s3) / 4.0
+        bad = np.flatnonzero(np.isinf(values))
+        if bad.size:
+            raise AggregationError(f"{days[bad[0]]}: daily {name} overflows the float range")
+        return values
 
     slots = table.w.reshape(-1, 4).T
     wind = slots[0]

@@ -11,16 +11,20 @@ exponential and carries over unchanged.
 
 import json
 import math
+import sys
 from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
 
-from .data import _convert, _floats, _iso_dates, _read_columns, _write_columns, id_from_lpm
+from .data import (
+    _convert, _floats, _iso_dates, _read_columns, _write_columns, _write_json, id_from_lpm
+)
 from .errors import DataError
 
 FORECAST_COLUMNS = ("date", "pm_hat", "id_source", "arm", "lo", "hi", "flags")
 ARMS = ("low", "band", "high")
+ID_SOURCES = ("algo1", "algo2", "observed")
 
 # Predictor ranges seen while building the frozen model; leaving them marks
 # a forecast as extrapolation.
@@ -105,18 +109,27 @@ class FrozenModel:
         )
 
     def to_json(self, path):
-        with open(path, "w", encoding="utf-8") as fh:
-            json.dump(self.__dict__, fh, indent=2)
-            fh.write("\n")
+        _write_json(self.__dict__, path)
 
     @classmethod
     def from_json(cls, path):
+        """FrozenModel of a JSON object holding every coefficient as a
+        finite number."""
         with open(path, "r", encoding="utf-8") as fh:
             raw = json.load(fh)
-        try:
-            return cls(**{k: float(raw[k]) for k in ("a", "b", "c_w", "c_t", "c_pc", "c_ep", "c_id")})
-        except KeyError as exc:
-            raise DataError(f"coefficients file missing key {exc}") from None
+        if not isinstance(raw, dict):
+            raise DataError("coefficients file must hold a JSON object")
+        values = {}
+        for key in cls.__dataclass_fields__:
+            if key not in raw:
+                raise DataError(f"coefficients file missing key {key!r}")
+            value = raw[key]
+            # int and float compare exactly: nan, +-inf and integers beyond
+            # the float range all fail
+            if type(value) not in (int, float) or not abs(value) <= sys.float_info.max:
+                raise DataError(f"coefficients file: {key} must be a finite number, got {value!r}")
+            values[key] = float(value)
+        return cls(**values)
 
 
 # Bias-corrected estimate shipped as the default coefficient set.
@@ -270,24 +283,12 @@ def interval(pm_hat, profile):
     return IntervalForecast(str(arm[0]), float(lo[0]), float(hi[0]), pm_hat)
 
 
-def inclusion_rate(forecasts, observed):
-    """Fraction of observations falling inside their interval forecast."""
-    forecasts = list(forecasts)
-    observed = list(observed)
-    if len(forecasts) != len(observed):
-        raise ValueError("forecasts and observations must align")
-    if not forecasts:
-        raise ValueError("inclusion rate undefined on empty input")
-    covered = sum(fc.covers(pm) for fc, pm in zip(forecasts, observed))
-    return covered / len(forecasts)
-
-
-def _hazards(predictors, pm_hat, ranges):
+def _hazards(predictors, pm_hat):
     """Each forecast's hazard flags joined by ';', '' when it has none."""
     negative = predictors.trg < 0
     hits = {}
     for name in ("t", "trg", "w", "pc", "ep"):
-        lo, hi = ranges[name]
+        lo, hi = BUILD_RANGES[name]
         values = getattr(predictors, name)
         outside = ~((lo <= values) & (values <= hi))
         hits[f"EXTRAPOLATION({name})"] = outside & ~negative if name == "trg" else outside
@@ -301,15 +302,14 @@ def _hazards(predictors, pm_hat, ranges):
     return np.array(cells, dtype=str)
 
 
-def hazard_flags(predictors, pm_hat, build_ranges=None):
+def hazard_flags(predictors, pm_hat):
     """Extrapolation markers for a forecast row.
 
     EXTRAPOLATION(var) for any predictor outside its build range, except
     that a negative trg reports the dedicated NEGATIVE_TRG flag instead;
     UNRELIABLE joins it when a negative trg drives pm_hat above 300.
     """
-    ranges = BUILD_RANGES if build_ranges is None else build_ranges
-    (cell,) = _hazards(_columns(predictors), np.array([pm_hat], dtype=float), ranges)
+    (cell,) = _hazards(_columns(predictors), np.array([pm_hat], dtype=float))
     return tuple(filter(None, cell.split(";")))
 
 
@@ -324,7 +324,7 @@ def forecast_series(model, predictors, profile, id_source="algo1", observations=
     skipped): a ForecastTable, and (date, reason) for the days that could
     not be forecast.
     """
-    if id_source not in ("algo1", "algo2", "observed"):
+    if id_source not in ID_SOURCES:
         raise ValueError(f"unknown id source {id_source!r}")
     date = predictors.date
     if observations is None or id_source == "algo2":
@@ -344,7 +344,7 @@ def forecast_series(model, predictors, profile, id_source="algo1", observations=
     pm_hat = _pm_hat(model, predictors, id_value)
     arm, lo, hi = _intervals(pm_hat, profile)
     source = np.where(from_obs, id_source, "algo2")
-    flags = _hazards(predictors, pm_hat, BUILD_RANGES)
+    flags = _hazards(predictors, pm_hat)
     return ForecastTable(predictors.date, pm_hat, source, arm, lo, hi, flags), skipped
 
 
@@ -383,23 +383,24 @@ def read_forecast_csv(path):
 
     A cell that does not parse makes its row malformed. pm_hat must be
     positive; an infinite one is an overflowing forecast and is kept. lo
-    and hi must not be nan, and arm must be one of ARMS.
+    and hi must not be nan, lo must not exceed hi, arm must be one of ARMS
+    and id_source one of ID_SOURCES.
     """
     cells = _read_columns(path, FORECAST_COLUMNS)
     malformed = "malformed forecast row"
     date = _convert(cells["date"], _iso_dates, malformed)
     pm_hat, lo, hi = (_convert(cells[name], _floats, malformed) for name in ("pm_hat", "lo", "hi"))
-    arm = np.array(cells["arm"], dtype=str)
+    arm, id_source, flags = (np.array(cells[n], dtype=str) for n in ("arm", "id_source", "flags"))
     for name, bad in (
         ("pm_hat", ~(pm_hat > 0)),
+        ("id_source", ~np.isin(id_source, ID_SOURCES)),
         ("arm", ~np.isin(arm, ARMS)),
-        ("lo", np.isnan(lo)),
+        ("lo", np.isnan(lo) | (lo > hi)),
         ("hi", np.isnan(hi)),
     ):
         rows = np.flatnonzero(bad)
         if rows.size:
             raise DataError(f"row {rows[0] + 1}: bad {name} value {cells[name][rows[0]]!r}")
-    id_source, flags = (np.array(cells[name], dtype=str) for name in ("id_source", "flags"))
     return ForecastTable(date, pm_hat, id_source, arm, lo, hi, flags)
 
 

@@ -22,12 +22,17 @@ from scipy import special
 from .errors import RankDeficiencyError
 
 
+# Relative tolerance on the R1 diagonal: entries below RANK_TOL * max|diag|
+# flag rank deficiency.
+RANK_TOL = 1e-10
+
+
 class TestResult(NamedTuple):
     statistic: float
     pvalue: float
 
 
-def _sign_fixed_qr_stack(a, mode, rank_tol):
+def _sign_fixed_qr_stack(a, mode):
     a = np.asarray(a, dtype=float)
     n, ncols = a.shape[-2:]
     if n < ncols:
@@ -45,7 +50,7 @@ def _sign_fixed_qr_stack(a, mode, rank_tol):
     if ncols:
         low = diag.min(axis=-1)
         high = diag.max(axis=-1)
-        for k in np.flatnonzero((high == 0.0) | (low <= rank_tol * high)):
+        for k in np.flatnonzero((high == 0.0) | (low <= RANK_TOL * high)):
             fault[k] = RankDeficiencyError(
                 f"columns numerically dependent (min |R1 diag| = {low[k]:.3e})"
             )
@@ -54,7 +59,7 @@ def _sign_fixed_qr_stack(a, mode, rank_tol):
     return q_mat, r1, fault
 
 
-def qr_stack(a, rank_tol=1e-10):
+def qr_stack(a):
     """Reduced QR of every matrix in a (k, n, q) stack, in one numpy call.
 
     Each matrix gets the sign convention, rank check and non-finite check
@@ -74,7 +79,7 @@ def qr_stack(a, rank_tol=1e-10):
         would raise on it (its factors are then meaningless). A non-finite
         matrix is not factored.
     """
-    return _sign_fixed_qr_stack(a, "reduced", rank_tol)
+    return _sign_fixed_qr_stack(a, "reduced")
 
 
 def solve_upper(r, b):
@@ -95,7 +100,7 @@ def solve_upper(r, b):
     return x[..., 0] if vector else x
 
 
-def qr_full(a, rank_tol=1e-10):
+def qr_full(a):
     """Complete QR factorisation with a positive R1 diagonal.
 
     This is the reference route: it builds the whole n x n orthogonal
@@ -107,9 +112,6 @@ def qr_full(a, rank_tol=1e-10):
     ----------
     a : ndarray, shape (n, q)
         Finite matrix with n >= q and full column rank.
-    rank_tol : float
-        Relative tolerance on the R1 diagonal; entries below
-        ``rank_tol * max|diag|`` flag rank deficiency.
 
     Returns
     -------
@@ -123,7 +125,7 @@ def qr_full(a, rank_tol=1e-10):
     ValueError
         If n < q or `a` holds a non-finite entry.
     RankDeficiencyError
-        If any diagonal entry of R1 falls below tolerance.
+        If any diagonal entry of R1 falls below RANK_TOL times the largest.
 
     Notes
     -----
@@ -135,7 +137,7 @@ def qr_full(a, rank_tol=1e-10):
     a = np.asarray(a, dtype=float)
     if a.ndim != 2:
         raise ValueError(f"need a 2-d matrix, got shape {a.shape}")
-    q_mat, r1, fault = _sign_fixed_qr_stack(a[None], "complete", rank_tol)
+    q_mat, r1, fault = _sign_fixed_qr_stack(a[None], "complete")
     if fault[0] is not None:
         raise fault[0]
     return q_mat[0], r1[0]

@@ -1,15 +1,18 @@
 """Gauss-Newton least squares over the model families."""
 
-import csv
 from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
 
 from . import model
+from .data import _write_columns
 from .errors import DataError
 # qr_full stays bound here for bench/tests/test_bench.py::test_tracer_rebinds_every_namespace_and_restores
 from .numerics import qr_full, qr_stack, solve_upper, vecdot  # noqa: F401
+
+# A full step that fails to decrease the RSS is halved up to this many times.
+MAX_HALVINGS = 10
 
 
 class TraceStep(NamedTuple):
@@ -120,7 +123,7 @@ def _pick(frame, samples):
     return frame if samples.size == frame.dates.shape[0] else frame.subset(samples)
 
 
-def fit_stack(spec, frame, theta0, max_steps=50, rel_tol=1e-8, max_halvings=10):
+def fit_stack(spec, frame, theta0, max_steps=50, rel_tol=1e-8):
     """Gauss-Newton with step halving on every sample of a stacked frame at once.
 
     Every sample follows exactly the iteration `gauss_newton` documents, in
@@ -170,7 +173,7 @@ def fit_stack(spec, frame, theta0, max_steps=50, rel_tol=1e-8, max_halvings=10):
         scale = np.ones(live.size)
         accepted = np.zeros(live.size, dtype=bool)
         trying = np.arange(live.size)
-        for _ in range(max_halvings + 1):
+        for _ in range(MAX_HALVINGS + 1):
             theta_try = theta[live[trying]] + scale[trying, None] * delta[trying]
             finite = np.isfinite(theta_try).all(axis=1)
             for i in live[trying[~finite]]:
@@ -205,13 +208,13 @@ def fit_stack(spec, frame, theta0, max_steps=50, rel_tol=1e-8, max_halvings=10):
     return StackFit(theta, rss, fitted, resid, converged, fault, path)
 
 
-def gauss_newton(spec, frame, theta0=None, max_steps=50, rel_tol=1e-8, max_halvings=10):
+def gauss_newton(spec, frame, theta0=None, max_steps=50, rel_tol=1e-8):
     """Fit `spec` on `frame` by Gauss-Newton with step halving.
 
     Each iteration solves R1*delta = Q1'*r from a reduced QR factorisation
     of the Jacobian (neither the normal matrix nor an n x n orthogonal
     factor is formed). A full step that fails to decrease the RSS is
-    halved up to `max_halvings` times. Convergence is declared when an
+    halved up to MAX_HALVINGS times. Convergence is declared when an
     accepted step changes the RSS by less than `rel_tol` relative, or when
     the halving budget runs out at a point whose predicted decrease
     |Q1'r|^2 is at most `rel_tol` times the RSS (a minimum at the rounding
@@ -228,9 +231,7 @@ def gauss_newton(spec, frame, theta0=None, max_steps=50, rel_tol=1e-8, max_halvi
     theta = np.array(model.default_start(spec) if theta0 is None else theta0, dtype=float)
     if theta.shape != (spec.q,):
         raise ValueError(f"theta0 must have length {spec.q}")
-    run = fit_stack(
-        spec, frame.subset(np.arange(frame.n)[None]), theta, max_steps, rel_tol, max_halvings
-    )
+    run = fit_stack(spec, frame.subset(np.arange(frame.n)[None]), theta, max_steps, rel_tol)
     if run.fault[0] is not None:
         raise run.fault[0]
     return _fit_result(
@@ -253,9 +254,9 @@ def evaluate(spec, theta, frame):
 
 def write_trace_csv(fit, path):
     """Iteration trace as `step,theta1..thetaq,rss`."""
-    q = fit.spec.q
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["step"] + [f"theta{j + 1}" for j in range(q)] + ["rss"])
-        for step, (theta, rss) in enumerate(fit.trace):
-            writer.writerow([step] + [repr(float(v)) for v in theta] + [repr(float(rss))])
+    theta, rss = (np.array(column, dtype=float) for column in zip(*fit.trace))
+    _write_columns(
+        path,
+        ["step"] + [f"theta{j + 1}" for j in range(fit.spec.q)] + ["rss"],
+        [np.arange(rss.size), *theta.T, rss],
+    )

@@ -217,7 +217,7 @@ def test_11_bootstrap_determinism_and_identity():
     again = run_simulation(spec, frame, base, reps=200, size=25, seed=11, workers=1)
 
     def snap(s):
-        return np.array([r.theta for r in s.detail])
+        return s.theta
 
     same = (np.array_equal(snap(runs[1]), snap(runs[4]), equal_nan=True)
             and np.array_equal(snap(runs[1]), snap(runs[8]), equal_nan=True)

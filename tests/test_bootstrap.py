@@ -123,9 +123,7 @@ def test_simulation_deterministic_across_workers(month_frame, month_fit):
     spec = ModelSpec("with-id")
     runs = [run_simulation(spec, month_frame, month_fit, reps=60, size=25,
                            seed=11, workers=w) for w in (1, 4)]
-    t0 = np.array([r.theta for r in runs[0].detail])
-    t1 = np.array([r.theta for r in runs[1].detail])
-    assert np.array_equal(t0, t1, equal_nan=True)
+    assert np.array_equal(runs[0].theta, runs[1].theta, equal_nan=True)
     assert runs[0].converged_count == runs[1].converged_count
     assert runs[0].ks_pass_count == runs[1].ks_pass_count
 
@@ -134,9 +132,7 @@ def test_simulation_same_seed_bitwise(month_frame, month_fit):
     spec = ModelSpec("with-id")
     a = run_simulation(spec, month_frame, month_fit, reps=40, size=25, seed=5)
     b = run_simulation(spec, month_frame, month_fit, reps=40, size=25, seed=5)
-    assert np.array_equal(
-        np.array([r.theta for r in a.detail]),
-        np.array([r.theta for r in b.detail]), equal_nan=True)
+    assert np.array_equal(a.theta, b.theta, equal_nan=True)
     assert np.array_equal(a.bias, b.bias)
 
 
@@ -149,8 +145,10 @@ def test_simulation_moment_identity(month_frame, month_fit):
 def test_simulation_counts_and_correction(month_frame, month_fit):
     s = run_simulation(ModelSpec("with-id"), month_frame, month_fit,
                        reps=50, size=25, seed=9)
-    assert len(s.detail) == 50
-    assert [r.rep for r in s.detail] == list(range(50))
+    assert s.replications == 50
+    for column in (s.converged, s.curvature_pass, s.ks_p, s.identical_residuals):
+        assert column.shape == (50,)
+    assert s.theta.shape == (50, 7)
     assert 0 <= s.converged_count <= 50
     assert s.ks_pass_count >= s.ks_strong_count
     assert np.allclose(s.theta_corrected, month_fit.theta - s.bias, atol=1e-14)
@@ -166,8 +164,7 @@ def test_full_size_draws_reproduce_baseline(month_frame, month_fit):
     assert s.ks_pass_count == 10
     assert np.allclose(s.bias, 0.0, atol=1e-9)
     assert np.allclose(s.std, 0.0, atol=1e-9)
-    for r in s.detail:
-        assert r.ks_p == 1.0
+    assert (s.ks_p == 1.0).all()
 
 
 def test_noise_free_simulation_zero_bias():
@@ -209,9 +206,10 @@ def test_no_converged_replication_reported_not_raised(tmp_path):
 
 def _outcome(summary):
     return [
-        (r.rep, r.converged, r.curvature_pass, repr(r.ks_p), r.ks_pass, r.ks_strong,
-         r.identical_residuals, r.theta.tobytes())
-        for r in summary.detail
+        (r, summary.converged[r], summary.curvature_pass[r], repr(summary.ks_p[r]),
+         summary.ks_pass[r], summary.ks_strong[r], summary.identical_residuals[r],
+         summary.theta[r].tobytes())
+        for r in range(summary.replications)
     ]
 
 
@@ -249,21 +247,20 @@ def test_january_2014_replications_match_the_recorded_run(month_frame, month_fit
         "ks_strong_count": s.ks_strong_count,
         "identical_residual_count": s.identical_residual_count,
     } == pin["counts"]
-    assert [r.converged for r in s.detail] == pin["converged"]
+    assert s.converged.tolist() == pin["converged"]
 
     old = np.array(pin["theta"], dtype=float)
-    new = np.array([r.theta for r in s.detail])
+    new = s.theta
     assert np.array_equal(np.isnan(old), np.isnan(new))
     rest = [r for r in range(s.replications) if r not in pin["floor_reps"]]
     scale = np.nanmax(np.abs(old), axis=0)
     assert np.nanmax(np.abs(new[rest] - old[rest]) / scale) <= 1e-12
 
     children = np.random.SeedSequence(11).spawn(s.replications)
-    for r, rec in enumerate(s.detail):
-        if rec.converged:
-            sub = stratified_sample(month_frame, 25, children[r])
-            resid = sub.lpm - model.eval_f(spec, rec.theta, sub)
-            assert resid @ resid == pytest.approx(pin["rss"][r], rel=1e-12, abs=0.0)
+    for r in np.flatnonzero(s.converged):
+        sub = stratified_sample(month_frame, 25, children[r])
+        resid = sub.lpm - model.eval_f(spec, s.theta[r], sub)
+        assert resid @ resid == pytest.approx(pin["rss"][r], rel=1e-12, abs=0.0)
 
 
 def test_simulation_memory_stays_small():
@@ -293,9 +290,8 @@ def test_simulation_runs_without_numpy_2_vecdot(monkeypatch, month_frame, month_
     assert fit.converged and np.array_equal(fit.theta, month_fit.theta)
     without = run_simulation(spec, month_frame, fit, reps=30, size=25, seed=4)
     assert without.converged_count == with_it.converged_count > 0
-    for a, b in zip(with_it.detail, without.detail):
-        assert np.array_equal(a.theta, b.theta, equal_nan=True)
-        assert a.ks_p == b.ks_p or (np.isnan(a.ks_p) and np.isnan(b.ks_p))
+    assert np.array_equal(with_it.theta, without.theta, equal_nan=True)
+    assert np.array_equal(with_it.ks_p, without.ks_p, equal_nan=True)
     corrected = apply_correction(fit, without, spec, month_frame)
     assert np.isfinite([corrected.curvature.rho_k_n, corrected.curvature.rho_k_p]).all()
 

@@ -157,6 +157,26 @@ def test_fit_iterated_requires_rho(tmp_path):
     assert code == 0
 
 
+@pytest.mark.parametrize("argv,message", [
+    (["--family", "iterated"], "iterated family needs a finite rho"),
+    (["--family", "iterated", "--rho", "nan"], "iterated family needs a finite rho"),
+    (["--family", "with-id", "--rho", "0.3"], "family 'with-id' takes no rho"),
+])
+def test_rho_usage_errors_name_the_family(tmp_path, capsys, argv, message):
+    for command in (["fit"], ["simulate", "--size", "25"]):
+        assert run(*command, *argv, "--out-dir", str(tmp_path), OBS_2014) == 1
+        assert capsys.readouterr().err == f"error: {message}\n"
+
+
+def test_fit_skips_blank_lines_before_the_header(tmp_path):
+    padded = tmp_path / "padded.csv"
+    padded.write_text("\n\n" + Path(OBS_2014).read_text(encoding="utf-8"), encoding="utf-8")
+    for name, obs in (("plain", OBS_2014), ("padded", str(padded))):
+        assert run("fit", "--out-dir", str(tmp_path / name), obs) == 0
+    for leaf in ("fit_trace.csv", "residuals.csv"):
+        assert (tmp_path / "padded" / leaf).read_bytes() == (tmp_path / "plain" / leaf).read_bytes()
+
+
 def test_fit_bad_start_length(tmp_path):
     assert run_quiet("fit", "--family", "with-id", "--start", "1,2,3",
                      "--out-dir", str(tmp_path), OBS_2014) == 1

@@ -4,6 +4,7 @@ import io
 import math
 import re
 import types
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -373,6 +374,18 @@ def test_aggregate_requires_exact_slot_set(slots):
     with pytest.raises(AggregationError) as err:
         aggregate_ncep(day)
     assert "2017-12-05" in str(err.value)
+
+
+@pytest.mark.parametrize("field", ["t", "tmax", "tmin", "pc"])
+def test_aggregate_refuses_an_overflowing_day_without_a_warning(field):
+    """Four slots of 1e308 sum past the float range: the day and field are
+    named, and numpy's overflow warning does not reach the user."""
+    row = {"t": 70.0, "tmax": 110.0, "tmin": 80.0, "pc": 0.0, "w": 24.0, field: 1e308}
+    table = _ncep_day(dt.date(2017, 12, 2), [(s, *row.values()) for s in (0, 6, 12, 18)])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(AggregationError, match=rf"^2017-12-02: daily {field} overflows"):
+            aggregate_ncep(table)
 
 
 def test_parse_ncep_groups_and_sorts():

@@ -11,7 +11,6 @@ from pm25cast import (
     IntervalProfile,
     Predictors,
     hazard_flags,
-    inclusion_rate,
     interval,
     predict_id_algo1,
     predict_id_algo2,
@@ -251,10 +250,19 @@ def test_covers_and_inclusion_rate():
     assert fc[0].covers(30.0) and not fc[0].covers(35.0)
     assert fc[1].covers(70.0) and fc[1].covers(120.0) and not fc[1].covers(121.0)
     assert fc[2].covers(151.0) and not fc[2].covers(150.0)
-    rate = inclusion_rate(fc, [30.0, 121.0, 151.0])
+
+    def table(n):
+        return ForecastTable(
+            date=np.datetime64("2017-12-01") + np.arange(n),
+            pm_hat=np.array([f.pm_hat for f in fc[:n]]), id_source=np.full(n, "algo2"),
+            arm=np.array([f.arm for f in fc[:n]], dtype=str),
+            lo=np.array([f.lo for f in fc[:n]]), hi=np.array([f.hi for f in fc[:n]]),
+            flags=np.full(n, ""))
+
+    rate = inclusion_report(table(3), np.array([30.0, 121.0, 151.0]))["recorded"]["rate"]
     assert rate == pytest.approx(2.0 / 3.0)
     with pytest.raises(ValueError):
-        inclusion_rate([], [])
+        inclusion_report(table(0), np.array([]))
 
 
 # ---------------------------------------------------------------- hazards

@@ -1,4 +1,4 @@
-"""Every DataError a CSV parser raises, pinned to its exact message.
+"""Every DataError an input parser raises, pinned to its exact message.
 
 Each input holds one fault. The inputs go through the command line, so
 each message is checked as a user sees it: `error: <message>` on stderr
@@ -85,6 +85,10 @@ CASES = [
     pytest.param("aggregate-ncep", NCEP + "\n" + _slots("2017-12-01", (0,)) + "\n"
                  + "2017-12-01,6,70,110,80,0,nan\n",
                  "row 2: non-finite w value 'nan'", id="ncep-after-blank-line"),
+    pytest.param("aggregate-ncep",
+                 NCEP + _slots("2017-12-01", (0, 6, 12, 18))
+                 + "".join(f"2017-12-02,{slot},1e308,110,80,0,24\n" for slot in (0, 6, 12, 18)),
+                 "2017-12-02: daily t overflows the float range", id="ncep-overflowing-mean"),
     # forecast tables, read by `validate`
     pytest.param("validate", FORECAST + FC1 + "x\n",
                  "row 2: malformed forecast row", id="forecast-bad-date"),
@@ -99,6 +103,10 @@ CASES = [
       for pm_hat in ("-inf", "0", "-5")),
     pytest.param("validate", FORECAST + FC1 + "2014-01-02,80.0,algo2,middle,60.0,100.0,\n",
                  "row 2: bad arm value 'middle'", id="forecast-unknown-arm"),
+    pytest.param("validate", FORECAST + FC1 + "2014-01-03,inf,x,high,150,inf,\n",
+                 "row 2: bad id_source value 'x'", id="forecast-unknown-id-source"),
+    pytest.param("validate", FORECAST + FC1 + "2014-01-02,80.0,algo2,band,100.0,60.0,\n",
+                 "row 2: bad lo value '100.0'", id="forecast-lo-above-hi"),
 ]
 
 # Dates are exactly YYYY-MM-DD with a year from 1 to 9999, on every Python:
@@ -122,6 +130,29 @@ def test_parser_error_message(tmp_path, capsys, command, text, message):
         "aggregate-ncep": ["aggregate-ncep", "--out-dir", out, path],
         "validate": ["validate", "--out-dir", out, path, OBS_2014],
     }[command]
+    assert main([str(a) for a in argv]) == 1
+    assert capsys.readouterr().err == f"error: {message}\n"
+
+
+COEFFICIENTS = '"b": 0.3, "c_w": 0, "c_t": 0, "c_pc": 0, "c_ep": 0, "c_id": 0.7'
+
+
+@pytest.mark.parametrize("text,message", [
+    pytest.param("[4.5, 0.3]", "coefficients file must hold a JSON object", id="list"),
+    pytest.param('"a"', "coefficients file must hold a JSON object", id="string"),
+    pytest.param('{"b": 0.3}', "coefficients file missing key 'a'", id="missing-key"),
+    *(pytest.param(f'{{"a": {value}, {COEFFICIENTS}}}',
+                   f"coefficients file: a must be a finite number, got {shown}", id=f"a-{name}")
+      for name, value, shown in (
+          ("null", "null", "None"), ("string", '"4.5"', "'4.5'"), ("bool", "true", "True"),
+          ("nan", "NaN", "nan"), ("-inf", "-Infinity", "-inf"), ("1e999", "1e999", "inf"),
+          ("huge-int", "1" + "0" * 400, "1" + "0" * 400))),
+])
+def test_coefficients_file_error_message(tmp_path, capsys, text, message):
+    model = tmp_path / "model.json"
+    model.write_text(text, encoding="utf-8")
+    argv = ["forecast", "--predictors", "observed", "--model", model, "--obs", OBS_2014,
+            "--out-dir", tmp_path / "out"]
     assert main([str(a) for a in argv]) == 1
     assert capsys.readouterr().err == f"error: {message}\n"
 
