@@ -1,10 +1,11 @@
 """Stratified case-resampling study and parameter bias correction.
 
 All sample indices are drawn up front from per-replication substreams of
-one seed (strata and allocation are computed once per run). The
-replications are then fitted and screened in lockstep, a block of
-replications at a time, as stacked arrays (`solver.fit_stack`, and the
-stacked forms of `bates_curvature` and `ks_two_sample`). Every stacked
+one seed (strata and allocation are computed once per run), as one
+(reps, size) array of sorted frame rows. The replications are then fitted
+and screened in lockstep, a block of replications at a time: the block's
+rows go to `solver.fit_stack` and the model functions, and the results
+to the stacked forms of `bates_curvature` and `ks_two_sample`. Every stacked
 operation works replication by replication, so each replication's
 result is bit-for-bit the same whatever block it shares, whatever the
 block size, and whatever `workers` says; repeated runs with one seed give
@@ -20,8 +21,7 @@ from .data import _write_columns
 from .diagnostics import bates_curvature, finite_or_none
 from .errors import DataError, StratificationError
 from .numerics import ks_two_sample
-# gauss_newton stays bound here for bench/tests/test_bench.py::test_tracer_rebinds_every_namespace_and_restores
-from .solver import FitResult, evaluate, fit_stack, gauss_newton  # noqa: F401
+from .solver import FitResult, fit_stack, gauss_newton
 
 # Replications fitted and screened together. A block holds stacked
 # second-derivative arrays of block x size x q x q floats (0.5 MB at
@@ -168,15 +168,11 @@ def run_simulation(
     baseline_at[model.rows_used(spec, frame)] = np.arange(baseline.residuals.size)
 
     # stacks must be rectangular: group the replications by observation count
-    counts = np.concatenate([
-        model.observation_counts(spec, frame.subset(rows[block]))
-        for block in _blocks(np.arange(reps))
-    ])
+    counts = model.observation_counts(spec, frame, rows)
     for count in np.unique(counts):
         for block in _blocks(np.flatnonzero(counts == count)):
-            stack = frame.subset(rows[block])
             try:
-                run = fit_stack(spec, stack, start)
+                run = fit_stack(spec, frame, rows[block], start)
             except (DataError, ValueError):
                 continue  # too few observations (or no lag pair) in every sample
             ok = np.array([f is None for f in run.fault], dtype=bool)
@@ -184,22 +180,22 @@ def run_simulation(
             done = np.flatnonzero(ok & run.converged)
             if not done.size:
                 continue
-            block, stack, resid = block[done], stack.subset(done), run.residuals[done]
+            block, resid = block[done], run.residuals[done]
+            sample = rows[block]
             converged[block] = True
 
             th = run.theta[done]
             sigma_hat = np.sqrt(run.rss[done] / (resid.shape[1] - spec.q))
             curv = bates_curvature(
-                model.jacobian(spec, th, stack),
-                model.hessian_cube(spec, th, stack),
+                model.jacobian(spec, th, frame, sample),
+                model.hessian_cube(spec, th, frame, sample),
                 sigma_hat,
                 alpha=alpha,
             )
             curvature_pass[block] = curv.planar_ok & curv.uniform_ok
             ks_p[block] = ks_two_sample(resid, baseline.residuals).pvalue
 
-            used = np.broadcast_to(model.rows_used(spec, stack), resid.shape)
-            at = baseline_at[np.take_along_axis(rows[block], used, axis=1)]
+            at = baseline_at[model.rows_used(spec, frame, sample)]
             shared = at >= 0
             same = resid == baseline.residuals[at]
             identical[block] = shared.any(axis=1) & (same | ~shared).all(axis=1)
@@ -233,7 +229,7 @@ def apply_correction(fit, summary, spec, frame, alpha=0.05):
     of squares of the structural equation on the observation scale (None
     for the linear test family, which has no structural form).
     """
-    corrected = evaluate(spec, summary.theta_corrected, frame)
+    corrected = gauss_newton(spec, frame, theta0=summary.theta_corrected, max_steps=0)
     theta_c = corrected.theta
     curvature = bates_curvature(
         model.jacobian(spec, theta_c, frame),

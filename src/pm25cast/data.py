@@ -40,6 +40,13 @@ def id_from_lpm(lpm):
     return out
 
 
+def lpm_from_pm(pm):
+    """lpm = 10*ln(pm) per entry, -inf where pm <= 0: math.log, not np.log,
+    which differs from it in the last bit on some inputs."""
+    return np.array([-math.inf if v <= 0 else 10.0 * math.log(v)
+                     for v in np.atleast_1d(pm).tolist()], dtype=float)
+
+
 @dataclass(frozen=True)
 class Observations:
     """Daily observations as columns, one entry per data row in file order.
@@ -98,14 +105,13 @@ class Observations:
 class ModelFrame:
     """Regression-ready rows in date order with no missing values.
 
-    Arrays share one length; `id` stores the indicator as a float so it can
-    enter design matrices directly. `drop_log` records (date, reason) for
-    every input row excluded during construction.
+    Columns are 1-d arrays of one length; `id` stores the indicator as a
+    float so it can enter design matrices directly. `drop_log` records
+    (date, reason) for every input row excluded during construction.
 
-    A stacked frame holds one sample per leading index: every column is
-    (samples, rows), each row of `dates` in order. `subset` with a 2-D
-    index array builds one; the model functions evaluate all its samples
-    at once.
+    A stack of samples is not a frame of its own but a (samples, m) array
+    `rows` of row indices into this one, each row of it sorted; the model
+    functions take such an array and evaluate every sample at once.
     """
 
     dates: np.ndarray
@@ -119,55 +125,42 @@ class ModelFrame:
     drop_log: tuple = ()
 
     def __post_init__(self):
-        shape = self.dates.shape
-        if len(shape) not in (1, 2):
-            raise DataError("frame columns must be 1-d, or 2-d for a stack of samples")
+        if self.dates.ndim != 1:
+            raise DataError("frame columns must be 1-d")
         for name in ("lpm", "trg", "t", "w", "pc", "ep", "id"):
             values = getattr(self, name)
-            if values.shape != shape:
+            if values.shape != self.dates.shape:
                 raise DataError(f"frame column {name} has mismatched length")
             finite = np.isfinite(values)
             if not finite.all():
                 raise DataError(f"frame column {name} is non-finite on {self.dates[~finite][0]}")
-        if shape[-1] > 1 and np.any(np.diff(self.dates, axis=-1) < np.timedelta64(0, "D")):
+        if np.any(np.diff(self.dates) < np.timedelta64(0, "D")):
             raise DataError("frame dates must be non-decreasing")
 
     @property
     def n(self):
-        """Rows per sample."""
-        return int(self.dates.shape[-1])
+        return len(self.dates)
 
-    def lag_steps(self):
-        """True where a row is exactly one day after the row before it."""
-        return np.diff(self.dates, axis=-1) == np.timedelta64(1, "D")
+    def lag_pairs(self, rows=None):
+        """Frame rows (prev, curr) of consecutive sample rows one day apart.
 
-    def lag_pairs(self):
-        """Index pairs (prev, curr) of rows exactly one day apart.
-
-        Gaps longer than a day (season boundaries) and repeated dates
-        (possible in resampled frames) yield no pair. On a stacked frame
-        both are (samples, pairs) arrays, so every sample must hold the
+        `rows` is one sample (m,) or a stack (samples, m) of row indices,
+        None for the whole frame. Gaps longer than a day (season
+        boundaries) and repeated dates (possible in resampled samples)
+        yield no pair. Both results have the shape of `rows` with the last
+        axis cut to the pairs, so every sample of a stack must hold the
         same number of pairs.
         """
-        if self.n < 2:
-            empty = np.empty(self.dates.shape[:-1] + (0,), dtype=int)
-            return empty, empty
-        steps = self.lag_steps()
-        if steps.ndim == 1:
-            curr = np.nonzero(steps)[0] + 1
-            return curr - 1, curr
-        counts = steps.sum(axis=1)
-        if np.any(counts != counts[0]):
-            raise ValueError("the samples of a stacked frame differ in lag-pair count")
-        curr = np.nonzero(steps)[1].reshape(steps.shape[0], -1) + 1
-        return curr - 1, curr
+        idx = np.arange(self.n) if rows is None else np.asarray(rows)
+        step = np.diff(self.dates[idx], axis=-1) == np.timedelta64(1, "D")
+        counts = step.sum(axis=-1)
+        if np.any(counts != counts.flat[0]):
+            raise ValueError("the samples of a stack differ in lag-pair count")
+        shape = idx.shape[:-1] + (counts.flat[0],)
+        return idx[..., :-1][step].reshape(shape), idx[..., 1:][step].reshape(shape)
 
     def subset(self, indices):
-        """Row subset in the given order; indices must keep dates sorted.
-
-        A 2-D index array gives a stacked frame, one sample per index row.
-        On a stacked frame, a 1-D index array picks whole samples.
-        """
+        """Row subset in the given order; indices must keep dates sorted."""
         idx = np.asarray(indices, dtype=int)
         return ModelFrame(
             dates=self.dates[idx],
@@ -331,8 +324,7 @@ def build_frame(table):
     complete = table.complete
     keep = complete & (table.pm > 0)
     reasons = np.where(complete[~keep], "nonpositive concentration", "missing field")
-    # math.log, not np.log: the two differ in the last bit on some inputs
-    lpm = np.array([10.0 * math.log(pm) for pm in table.pm[keep].tolist()], dtype=float)
+    lpm = lpm_from_pm(table.pm[keep])
     return ModelFrame(
         dates=date[keep],
         lpm=lpm,

@@ -18,13 +18,19 @@ from typing import NamedTuple
 import numpy as np
 
 from .data import (
-    _convert, _floats, _iso_dates, _read_columns, _write_columns, _write_json, id_from_lpm
+    _convert, _floats, _iso_dates, _read_columns, _write_columns, _write_json, id_from_lpm,
+    lpm_from_pm,
 )
 from .errors import DataError
 
 FORECAST_COLUMNS = ("date", "pm_hat", "id_source", "arm", "lo", "hi", "flags")
 ARMS = ("low", "band", "high")
 ID_SOURCES = ("algo1", "algo2", "observed")
+
+# pm_hat below LOW_ARM_CUT forecasts the fixed band (0, LOW_ARM_CUT), above
+# HIGH_ARM_CUT the open band (HIGH_ARM_CUT, inf)
+LOW_ARM_CUT = 35.0
+HIGH_ARM_CUT = 150.0
 
 # Predictor ranges seen while building the frozen model; leaving them marks
 # a forecast as extrapolation.
@@ -186,9 +192,10 @@ class IntervalForecast:
 
 
 def _covers(arm, lo, hi, pm):
-    """True where pm falls inside its interval: below 35 in the low arm,
-    above 150 in the high arm, within [lo, hi] in a band."""
-    return np.where(arm == "low", pm < 35.0, np.where(arm == "high", pm > 150.0, (lo <= pm) & (pm <= hi)))
+    """True where pm falls inside its interval: below LOW_ARM_CUT in the low
+    arm, above HIGH_ARM_CUT in the high arm, within [lo, hi] in a band."""
+    inside = (lo <= pm) & (pm <= hi)
+    return np.where(arm == "low", pm < LOW_ARM_CUT, np.where(arm == "high", pm > HIGH_ARM_CUT, inside))
 
 
 def _safe_exp(x):
@@ -238,10 +245,8 @@ def predict_pm(model, predictors, id_value):
 
 
 def _id_from_pm(pm):
-    # the frame's indicator on lpm = 10*ln(pm), math.log per element; an
-    # id-free forecast can underflow to pm = 0, whose lpm is -inf
-    return id_from_lpm([-math.inf if v <= 0 else 10.0 * math.log(v)
-                        for v in np.atleast_1d(pm).tolist()])
+    # an id-free forecast can underflow to pm = 0, whose lpm is -inf
+    return id_from_lpm(lpm_from_pm(pm))
 
 
 def predict_id_algo1(prev_pm):
@@ -262,11 +267,11 @@ def _intervals(pm_hat, profile):
     if bad.any():
         raise ValueError(f"pm_hat must be positive, got {pm_hat[bad][0]}")
     d_lo, d_hi = profile.offsets
-    low = pm_hat < 35.0
-    high = pm_hat > 150.0
+    low = pm_hat < LOW_ARM_CUT
+    high = pm_hat > HIGH_ARM_CUT
     arm = np.where(low, "low", np.where(high, "high", "band"))
-    lo = np.where(low, 0.0, np.where(high, 150.0, np.maximum(pm_hat - d_lo, 0.0)))
-    hi = np.where(low, 35.0, np.where(high, math.inf, pm_hat + d_hi))
+    lo = np.where(low, 0.0, np.where(high, HIGH_ARM_CUT, np.maximum(pm_hat - d_lo, 0.0)))
+    hi = np.where(low, LOW_ARM_CUT, np.where(high, math.inf, pm_hat + d_hi))
     return arm, lo, hi
 
 
@@ -383,20 +388,22 @@ def read_forecast_csv(path):
 
     A cell that does not parse makes its row malformed. pm_hat must be
     positive; an infinite one is an overflowing forecast and is kept. lo
-    and hi must not be nan, lo must not exceed hi, arm must be one of ARMS
-    and id_source one of ID_SOURCES.
+    and hi must not be nan, lo must not exceed hi, a low row must record
+    (0, LOW_ARM_CUT) and a high row (HIGH_ARM_CUT, inf), arm must be one of
+    ARMS and id_source one of ID_SOURCES.
     """
     cells = _read_columns(path, FORECAST_COLUMNS)
     malformed = "malformed forecast row"
     date = _convert(cells["date"], _iso_dates, malformed)
     pm_hat, lo, hi = (_convert(cells[name], _floats, malformed) for name in ("pm_hat", "lo", "hi"))
     arm, id_source, flags = (np.array(cells[n], dtype=str) for n in ("arm", "id_source", "flags"))
+    low, high = arm == "low", arm == "high"
     for name, bad in (
         ("pm_hat", ~(pm_hat > 0)),
         ("id_source", ~np.isin(id_source, ID_SOURCES)),
         ("arm", ~np.isin(arm, ARMS)),
-        ("lo", np.isnan(lo) | (lo > hi)),
-        ("hi", np.isnan(hi)),
+        ("lo", np.isnan(lo) | (lo > hi) | low & (lo != 0.0) | high & (lo != HIGH_ARM_CUT)),
+        ("hi", np.isnan(hi) | low & (hi != LOW_ARM_CUT) | high & (hi != math.inf)),
     ):
         rows = np.flatnonzero(bad)
         if rows.size:

@@ -19,6 +19,11 @@ on every row. The iterated families are a differencing step over lag pairs
 g(curr) - rho*g(prev) at the same derivative order. For the free-rho family
 f also gains rho*lpm_prev, so the rho column of the Jacobian is
 lpm_prev - g(prev) and the rho row and column of each face is -dg(prev).
+
+The functions below take `rows`, the frame rows of one sample (m,) or of a
+stack of samples (samples, m), each sample sorted; None is the whole
+frame. A stack is evaluated at a (samples, q) theta, each sample at its
+own, and every result gains a leading samples axis.
 """
 
 from dataclasses import dataclass
@@ -78,46 +83,34 @@ def _check_theta(spec, theta):
     return theta
 
 
-def _pairs(frame):
-    prev, curr = frame.lag_pairs()
+def _pairs(frame, rows):
+    prev, curr = frame.lag_pairs(rows)
     if prev.shape[-1] == 0:
         raise DataError("no valid lag pairs (need consecutive-day rows)")
     return prev, curr
 
 
-def _take(col, idx):
-    """Column entries at row positions `idx`, sample by sample on a stack."""
-    if col.ndim == 1:
-        return col[idx]
-    return np.take_along_axis(col, idx, axis=-1)
-
-
-def observation_counts(spec, frame):
-    """Observations per sample of a stacked frame (lag pairs when iterated)."""
+def observation_counts(spec, frame, rows):
+    """Observations in each sample of a stack (lag pairs when iterated)."""
     if spec.family in _ITERATED:
-        return frame.lag_steps().sum(axis=-1)
-    return np.full(frame.dates.shape[:-1], frame.n)
+        return (np.diff(frame.dates[rows], axis=-1) == np.timedelta64(1, "D")).sum(axis=-1)
+    return np.full(rows.shape[:-1], rows.shape[-1])
 
 
-def rows_used(spec, frame):
-    """Frame row indices the model's observations correspond to.
-
-    On a stacked frame the iterated families give one row of positions
-    per sample; the other families use every row of every sample.
-    """
+def rows_used(spec, frame, rows=None):
+    """Frame rows the model's observations correspond to, shaped like `rows`
+    with the last axis cut to the observations."""
     if spec.family in _ITERATED:
-        return _pairs(frame)[1]
-    return np.arange(frame.n)
+        return _pairs(frame, rows)[1]
+    return np.arange(frame.n) if rows is None else rows
 
 
-def response(spec, frame):
+def response(spec, frame, rows=None):
     """Observation vector the residuals are taken against."""
     if spec.family == "iterated":
-        prev, curr = _pairs(frame)
-        return _take(frame.lpm, curr) - spec.rho * _take(frame.lpm, prev)
-    if spec.family == "iterated-free-rho":
-        return _take(frame.lpm, _pairs(frame)[1])
-    return frame.lpm.copy()
+        prev, curr = _pairs(frame, rows)
+        return frame.lpm[curr] - spec.rho * frame.lpm[prev]
+    return frame.lpm[rows_used(spec, frame, rows)]
 
 
 def regressor_columns(spec, frame):
@@ -143,14 +136,13 @@ def _structural(beta, frame, idx, order):
     exponential-plus-linear equation without or with the id term. Returns
     f for order 0, the (m, q) Jacobian for order 1 and the (m, q, q)
     second-derivative faces for order 2, q = beta.shape[-1], m = len(idx);
-    `idx` None means every row. On a stacked frame `beta` is (samples, q),
-    `idx` holds one row of positions per sample, and every result gains a
-    leading samples axis.
+    `idx` None means every row. For a stack `beta` is (samples, q), `idx`
+    (samples, m), and every result gains a leading samples axis.
     """
 
     def col(name):
         values = getattr(frame, name)
-        return values if idx is None else _take(values, idx)
+        return values if idx is None else values[idx]
 
     q = beta.shape[-1]
     if q == 2:
@@ -183,19 +175,19 @@ def _structural(beta, frame, idx, order):
     )
 
 
-def _evaluate(spec, theta, frame, order):
+def _evaluate(spec, theta, frame, rows, order):
     theta = _check_theta(spec, theta)
     if spec.family not in _ITERATED:
-        return _structural(theta, frame, None, order)
+        return _structural(theta, frame, rows, order)
 
-    prev, curr = _pairs(frame)
+    prev, curr = _pairs(frame, rows)
     free = spec.family == "iterated-free-rho"
     beta, rho = (theta[..., :7], theta[..., 7]) if free else (theta, spec.rho)
     g_prev = _structural(beta, frame, prev, order)
     out = _structural(beta, frame, curr, order) - _lift(rho, order) * g_prev
     if not free:
         return out
-    lpm_prev = _take(frame.lpm, prev)
+    lpm_prev = frame.lpm[prev]
     if order == 0:
         return out + _lift(rho, 0) * lpm_prev
     lower = _structural(beta, frame, prev, order - 1)
@@ -208,27 +200,23 @@ def _evaluate(spec, theta, frame, order):
     return cube
 
 
-def eval_f(spec, theta, frame):
-    """Expectation function at theta, one value per used observation.
-
-    With a stacked frame and a (samples, q) theta, `eval_f`, `jacobian`
-    and `hessian_cube` evaluate every sample at its own theta in one call.
-    """
-    return _evaluate(spec, theta, frame, 0)
+def eval_f(spec, theta, frame, rows=None):
+    """Expectation function at theta, one value per used observation."""
+    return _evaluate(spec, theta, frame, rows, 0)
 
 
-def jacobian(spec, theta, frame):
+def jacobian(spec, theta, frame, rows=None):
     """Analytic first-derivative matrix, one row per used observation."""
-    return _evaluate(spec, theta, frame, 1)
+    return _evaluate(spec, theta, frame, rows, 1)
 
 
-def hessian_cube(spec, theta, frame):
+def hessian_cube(spec, theta, frame, rows=None):
     """Per-observation symmetric second-derivative faces, shape (n, q, q).
 
     Only the (th1, th2), (th2, th2) and, for the free-rho family, the rho
     row/column entries are ever nonzero.
     """
-    return _evaluate(spec, theta, frame, 2)
+    return _evaluate(spec, theta, frame, rows, 2)
 
 
 def structural_rss(theta, frame):

@@ -93,7 +93,7 @@ class StackFit(NamedTuple):
         return steps
 
 
-def _first_eval(spec, theta, frame, fault):
+def _first_eval(spec, theta, frame, rows, y, fault):
     """First evaluation of f on a stack; a sample the model rejects is faulted.
 
     The model raises DataError for the whole stack when one sample holds a
@@ -101,12 +101,12 @@ def _first_eval(spec, theta, frame, fault):
     alone to find the ones that raise.
     """
     try:
-        return model.eval_f(spec, theta, frame)
+        return model.eval_f(spec, theta, frame, rows)
     except DataError:
-        fitted = np.full(frame.dates.shape, np.nan)
+        fitted = np.full(y.shape, np.nan)
         for i in range(theta.shape[0]):
             try:
-                fitted[i] = model.eval_f(spec, theta[i : i + 1], frame.subset([i]))[0]
+                fitted[i] = model.eval_f(spec, theta[i : i + 1], frame, rows[i : i + 1])[0]
             except DataError as exc:
                 fault[i] = exc
         return fitted
@@ -118,13 +118,8 @@ def _rss(resid):
         return vecdot(resid, resid)
 
 
-def _pick(frame, samples):
-    """Samples of a stacked frame, given as sorted distinct indices."""
-    return frame if samples.size == frame.dates.shape[0] else frame.subset(samples)
-
-
-def fit_stack(spec, frame, theta0, max_steps=50, rel_tol=1e-8):
-    """Gauss-Newton with step halving on every sample of a stacked frame at once.
+def fit_stack(spec, frame, rows, theta0, max_steps=50, rel_tol=1e-8):
+    """Gauss-Newton with step halving on every sample of a stack at once.
 
     Every sample follows exactly the iteration `gauss_newton` documents, in
     lockstep with the others: one stacked Jacobian, one stacked QR and one
@@ -134,19 +129,24 @@ def fit_stack(spec, frame, theta0, max_steps=50, rel_tol=1e-8):
     Every operation works sample by sample, so a sample's result does not
     depend on which other samples share the stack.
 
-    `theta0` is a q-vector (shared start) or a (samples, q) array. Raises
-    ValueError when the samples have no more observations than parameters
-    and DataError when the iterated families find no lag pair; failures
-    of single samples are reported in `fault`.
+    `rows` is the (samples, m) stack of frame row indices, and the dates
+    of each sample must be non-decreasing. `theta0` is a q-vector (shared
+    start) or a (samples, q) array. Raises ValueError on unsorted samples
+    and when the samples have no more observations than parameters, and
+    DataError when the iterated families find no lag pair; failures of
+    single samples are reported in `fault`.
     """
-    y = model.response(spec, frame)
+    rows = np.asarray(rows)
+    if np.any(np.diff(frame.dates[rows], axis=-1) < np.timedelta64(0, "D")):
+        raise ValueError("the dates of each sample must be non-decreasing")
+    y = model.response(spec, frame, rows)
     k, n = y.shape
     q = spec.q
     if n <= q:
         raise ValueError(f"need more observations than parameters (n={n}, q={q})")
     theta = np.array(np.broadcast_to(np.asarray(theta0, dtype=float), (k, q)))
     fault = [None] * k
-    fitted = _first_eval(spec, theta, frame, fault)
+    fitted = _first_eval(spec, theta, frame, rows, y, fault)
     resid = y - fitted
     rss = _rss(resid)
     converged = np.zeros(k, dtype=bool)
@@ -156,7 +156,7 @@ def fit_stack(spec, frame, theta0, max_steps=50, rel_tol=1e-8):
     for _ in range(max_steps):
         if not live.size:
             break
-        v1 = model.jacobian(spec, theta[live], _pick(frame, live))
+        v1 = model.jacobian(spec, theta[live], frame, rows[live])
         finite = np.isfinite(v1).all(axis=(1, 2))
         live, v1 = live[finite], v1[finite]
         q1, r1, qr_fault = qr_stack(v1)
@@ -166,7 +166,7 @@ def fit_stack(spec, frame, theta0, max_steps=50, rel_tol=1e-8):
         live, q1, r1 = live[factored], q1[factored], r1[factored]
         if not live.size:
             break
-        sub = _pick(frame, live)
+        sub = rows[live]
         gain = (np.swapaxes(q1, -1, -2) @ resid[live][..., None])[..., 0]
         delta = solve_upper(r1, gain)
 
@@ -181,7 +181,7 @@ def fit_stack(spec, frame, theta0, max_steps=50, rel_tol=1e-8):
             trying, theta_try = trying[finite], theta_try[finite]
             if not trying.size:
                 break
-            fitted_try = model.eval_f(spec, theta_try, _pick(sub, trying))
+            fitted_try = model.eval_f(spec, theta_try, frame, sub[trying])
             resid_try = y[live[trying]] - fitted_try
             rss_try = _rss(resid_try)
             down = np.isfinite(rss_try) & (rss_try <= rss[live[trying]])
@@ -231,25 +231,12 @@ def gauss_newton(spec, frame, theta0=None, max_steps=50, rel_tol=1e-8):
     theta = np.array(model.default_start(spec) if theta0 is None else theta0, dtype=float)
     if theta.shape != (spec.q,):
         raise ValueError(f"theta0 must have length {spec.q}")
-    run = fit_stack(spec, frame.subset(np.arange(frame.n)[None]), theta, max_steps, rel_tol)
+    run = fit_stack(spec, frame, np.arange(frame.n)[None], theta, max_steps, rel_tol)
     if run.fault[0] is not None:
         raise run.fault[0]
     return _fit_result(
         spec, run.theta[0], run.fitted[0], run.residuals[0], run.trace(0), bool(run.converged[0])
     )
-
-
-def evaluate(spec, theta, frame):
-    """Fit state at a given theta, without iterating.
-
-    The trace holds the single point theta, `steps` is 0 and `converged`
-    is False, since no Gauss-Newton step ran.
-    """
-    theta = np.array(theta, dtype=float)
-    fitted = model.eval_f(spec, theta, frame)
-    resid = model.response(spec, frame) - fitted
-    trace = [TraceStep(theta.copy(), float(resid @ resid))]
-    return _fit_result(spec, theta, fitted, resid, trace, False)
 
 
 def write_trace_csv(fit, path):

@@ -1,9 +1,11 @@
 import json
 import tracemalloc
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from pm25cast import (
     ModelSpec,
@@ -222,15 +224,27 @@ def _outcome(summary):
     ],
     ids=["with-id", "iterated-0.3"],
 )
-def test_replications_do_not_depend_on_their_block(monkeypatch, spec, records, size):
+def test_replications_do_not_depend_on_their_block(spec, records, size):
+    """run_simulation's output is bit-identical at any BLOCK size."""
     frame = build_frame(records())
     base = gauss_newton(spec, frame)
-    outcomes = []
-    for block in (1, 7, bootstrap.BLOCK):
-        monkeypatch.setattr(bootstrap, "BLOCK", block)
-        outcomes.append(_outcome(run_simulation(spec, frame, base, reps=40, size=size, seed=17)))
-    assert outcomes[0] == outcomes[1] == outcomes[2]
-    assert any(rec[1] for rec in outcomes[0])
+
+    def run():
+        s = run_simulation(spec, frame, base, reps=40, size=size, seed=17)
+        return _outcome(s), [a.tobytes() for a in (s.bias, s.std, s.mse, s.theta_corrected)]
+
+    reference = run()
+    assert any(rec[1] for rec in reference[0])
+
+    @settings(max_examples=10, deadline=None)
+    @given(block=st.integers(min_value=1, max_value=45))
+    @example(block=1)
+    @example(block=7)
+    def same_at(block):
+        with mock.patch.object(bootstrap, "BLOCK", block):
+            assert run() == reference
+
+    same_at()
 
 
 def test_january_2014_replications_match_the_recorded_run(month_frame, month_fit):

@@ -275,17 +275,27 @@ def test_lag_pairs_dense(jan2014_frame):
 
 
 def test_stacked_subset_and_its_lag_pairs(jan2014_frame):
+    """A stack of samples is a (samples, m) array of frame rows; its lag
+    pairs are frame rows too, one row of pairs per sample."""
     rows = np.array([[0, 1, 2, 5, 6], [3, 4, 8, 9, 10]])
-    stack = jan2014_frame.subset(rows)
-    assert stack.dates.shape == (2, 5) and stack.n == 5
-    assert np.array_equal(stack.lpm[1], jan2014_frame.lpm[rows[1]])
-    assert np.array_equal(stack.lag_steps().sum(axis=1), [3, 3])
-    prev, curr = stack.lag_pairs()
-    assert np.array_equal(curr, [[1, 2, 4], [1, 3, 4]])
-    assert np.array_equal(prev, curr - 1)
-    assert np.array_equal(stack.subset([1]).lpm, stack.lpm[1:])
+    prev, curr = jan2014_frame.lag_pairs(rows)
+    assert np.array_equal(prev, [[0, 1, 5], [3, 8, 9]])
+    assert np.array_equal(curr, [[1, 2, 6], [4, 9, 10]])
     with pytest.raises(ValueError, match="lag-pair count"):
-        jan2014_frame.subset(np.array([[0, 1, 2], [0, 2, 4]])).lag_pairs()
+        jan2014_frame.lag_pairs(np.array([[0, 1, 2], [0, 2, 4]]))
+
+
+def test_lag_pairs_of_one_sample_are_frame_rows(jan2014_frame):
+    prev, curr = jan2014_frame.lag_pairs([2, 3, 7, 8, 8, 9])
+    assert prev.tolist() == [2, 7, 8] and curr.tolist() == [3, 8, 9]
+    every_row = jan2014_frame.lag_pairs(np.arange(jan2014_frame.n))
+    assert all(map(np.array_equal, every_row, jan2014_frame.lag_pairs()))
+
+
+def test_lag_pairs_of_samples_shorter_than_two_rows_are_empty(jan2014_frame):
+    for rows, shape in (([4], (0,)), ([], (0,)), ([[4], [9], [20]], (3, 0))):
+        prev, curr = jan2014_frame.lag_pairs(np.array(rows, dtype=int))
+        assert prev.shape == curr.shape == shape
 
 
 def test_subset_and_order_checks(jan2014_frame):
@@ -303,11 +313,11 @@ def test_frame_rejects_non_finite_columns(jan2014_frame, column, bad):
     values[4] = bad
     with pytest.raises(DataError, match=f"column {column} .*{jan2014_frame.dates[4]}"):
         dataclasses.replace(jan2014_frame, **{column: values})
-    stack = jan2014_frame.subset([[0, 1, 2], [3, 5, 6]])
-    values = getattr(stack, column).copy()
-    values[1, 1] = bad
-    with pytest.raises(DataError, match=f"column {column} .*{stack.dates[1, 1]}"):
-        dataclasses.replace(stack, **{column: values})
+    # a stack of samples is an index array, never a frame of 2-d columns
+    with pytest.raises(DataError, match=f"column {column} has mismatched length"):
+        dataclasses.replace(jan2014_frame, **{column: values.reshape(1, -1)})
+    with pytest.raises(DataError, match="frame columns must be 1-d"):
+        jan2014_frame.subset([[0, 1, 2], [3, 5, 6]])
 
 
 def test_frame_csv_roundtrip(tmp_path, jan2014_frame):

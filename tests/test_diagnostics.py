@@ -214,10 +214,9 @@ def test_stacked_curvature_is_each_fit_alone():
     frame = build_frame(synthetic_records(n=60, seed=9))
     theta = gauss_newton(spec, frame).theta
     rows = np.array([np.arange(k, k + 30) for k in (0, 7, 13, 30)])
-    stack = frame.subset(rows)
     thetas = np.array([theta * (1.0 + 0.01 * k) for k in range(4)])
-    v1 = jacobian(spec, thetas, stack)
-    v2 = hessian_cube(spec, thetas, stack)
+    v1 = jacobian(spec, thetas, frame, rows)
+    v2 = hessian_cube(spec, thetas, frame, rows)
     sigma = np.array([0.5, 1.0, 2.0, 3.0])
     v1[3, :, 6] = v1[3, :, 5]
     rep = bates_curvature(v1, v2, sigma)

@@ -108,6 +108,10 @@ def test_rows_used(frame):
     prev, curr = frame.lag_pairs()
     assert np.array_equal(rows_used(ModelSpec("iterated", rho=0.2), frame), curr)
     assert np.array_equal(rows_used(ModelSpec("iterated-free-rho"), frame), curr)
+    rows = np.array([[0, 1, 2, 5, 6], [3, 4, 8, 9, 10]])
+    assert np.array_equal(rows_used(ModelSpec("with-id"), frame, rows), rows)
+    assert np.array_equal(rows_used(ModelSpec("iterated", rho=0.2), frame, rows),
+                          frame.lag_pairs(rows)[1])
 
 
 def test_regressor_columns(frame):
@@ -230,11 +234,11 @@ def test_stacked_frame_evaluates_each_sample_at_its_theta(family, frame):
     rng = np.random.default_rng(23)
     rows = np.array([np.arange(0, 20), np.arange(10, 30), np.arange(15, 35)])
     thetas = np.array([random_theta(spec, rng) for _ in rows])
-    stack = frame.subset(rows)
     for fn in (eval_f, jacobian, hessian_cube):
-        got = fn(spec, thetas, stack)
+        got = fn(spec, thetas, frame, rows)
         for k, idx in enumerate(rows):
             alone = fn(spec, thetas[k], frame.subset(idx))
+            assert np.array_equal(fn(spec, thetas[k], frame, idx), alone)
             assert np.allclose(got[k], alone, rtol=1e-15, atol=1e-15 * np.abs(alone).max())
 
 

@@ -107,6 +107,10 @@ CASES = [
                  "row 2: bad id_source value 'x'", id="forecast-unknown-id-source"),
     pytest.param("validate", FORECAST + FC1 + "2014-01-02,80.0,algo2,band,100.0,60.0,\n",
                  "row 2: bad lo value '100.0'", id="forecast-lo-above-hi"),
+    pytest.param("validate", FORECAST + "2014-01-01,200.0,algo2,high,0.0,10.0,\n",
+                 "row 1: bad lo value '0.0'", id="forecast-high-arm-bounds"),
+    pytest.param("validate", FORECAST + FC1 + "2014-01-02,20.0,algo2,low,0.0,40.0,\n",
+                 "row 2: bad hi value '40.0'", id="forecast-low-arm-bounds"),
 ]
 
 # Dates are exactly YYYY-MM-DD with a year from 1 to 9999, on every Python:

@@ -93,9 +93,9 @@ def test_non_finite_jacobian_ends_unconverged(synth_frame, monkeypatch):
     real_jacobian = model.jacobian
     calls = []
 
-    def jacobian_nan_after_first_step(spec, theta, frame):
+    def jacobian_nan_after_first_step(spec, theta, frame, rows=None):
         calls.append(1)
-        v1 = real_jacobian(spec, theta, frame)
+        v1 = real_jacobian(spec, theta, frame, rows)
         if len(calls) > 1:
             v1[0, 0] = np.nan
         return v1
@@ -130,8 +130,8 @@ def test_halving_exhausted_away_from_a_minimum_is_unconverged(synth_frame, monke
     real_eval_f = model.eval_f
     start = model.default_start(ModelSpec("with-id"))
 
-    def eval_f_inf_off_start(spec, theta, frame):
-        f = real_eval_f(spec, theta, frame)
+    def eval_f_inf_off_start(spec, theta, frame, rows=None):
+        f = real_eval_f(spec, theta, frame, rows)
         moved = ~np.all(np.asarray(theta) == start, axis=-1)
         f[moved] = np.inf
         return f
@@ -162,7 +162,7 @@ def test_fit_stack_matches_single_fits():
     spec = ModelSpec("with-id")
     frame = build_frame(synthetic_records(n=60, seed=9))
     rows = np.array([np.arange(k, k + 30) for k in (0, 5, 11, 30)])
-    run = fit_stack(spec, frame.subset(rows), model.default_start(spec))
+    run = fit_stack(spec, frame, rows, model.default_start(spec))
     for i, idx in enumerate(rows):
         alone = gauss_newton(spec, frame.subset(idx))
         assert run.fault[i] is None
@@ -173,10 +173,22 @@ def test_fit_stack_matches_single_fits():
 
     trg = frame.trg.copy()
     trg[40] = 0.0  # only the samples holding row 40 are rejected
-    run = fit_stack(spec, dataclasses.replace(frame, trg=trg).subset(rows),
-                    model.default_start(spec))
-    assert [type(f).__name__ if f else None for f in run.fault] == [None, None, "DataError", "DataError"]
-    assert run.converged[:2].all()
+    for spec in (spec, ModelSpec("iterated", rho=0.3)):
+        run = fit_stack(spec, dataclasses.replace(frame, trg=trg), rows, model.default_start(spec))
+        assert [type(f).__name__ if f else None for f in run.fault] == [None, None, "DataError", "DataError"]
+        assert run.converged[:2].all()
+
+
+def test_fit_stack_refuses_a_sample_out_of_date_order():
+    spec = ModelSpec("with-id")
+    frame = build_frame(synthetic_records(n=60, seed=9))
+    rows = np.array([np.arange(0, 30), np.arange(30, 60)])
+    rows[1, [4, 5]] = rows[1, [5, 4]]
+    with pytest.raises(ValueError, match="non-decreasing"):
+        fit_stack(spec, frame, rows, model.default_start(spec))
+    # repeated rows keep the dates non-decreasing
+    rows[1] = np.sort(rows[1]).clip(max=50)
+    assert fit_stack(spec, frame, rows, model.default_start(spec)).fault == [None, None]
 
 
 def test_too_few_rows():
