@@ -25,6 +25,26 @@ class _Parser(argparse.ArgumentParser):
         self.exit(1, f"{self.prog}: error: {message}\n")
 
 
+def _checked(convert, holds, requirement):
+    """argparse type: convert(text), refused unless holds(value) does."""
+
+    def parse(text):
+        value = convert(text)
+        if not holds(value):
+            raise argparse.ArgumentTypeError(f"must be {requirement}, got {text!r}")
+        return value
+
+    parse.__name__ = convert.__name__  # argparse names it in "invalid float value"
+    return parse
+
+
+_PROBABILITY = _checked(float, lambda v: 0.0 < v < 1.0, "strictly between 0 and 1")
+_SHARE = _checked(float, lambda v: 0.0 <= v <= 1.0, "between 0 and 1")
+_TOLERANCE = _checked(float, lambda v: v >= 0.0, "at least 0")
+_COUNT = _checked(int, lambda v: v >= 0, "at least 0")
+_POSITIVE_COUNT = _checked(int, lambda v: v >= 1, "at least 1")
+
+
 def _sha256(path):
     digest = hashlib.sha256()
     with open(path, "rb") as fh:
@@ -92,6 +112,7 @@ def _fit_summary(fit, frame):
 
 
 def cmd_fit(args):
+    numerics._special()  # import scipy before the data are read, not at peak memory
     frame = _load_frame(args.obs)
     spec = model.ModelSpec(args.family, args.rho)
     fit, curv, bias, resid = _fit_with_diagnostics(spec, frame, args)
@@ -120,6 +141,7 @@ def cmd_fit(args):
 
 
 def cmd_simulate(args):
+    numerics._special()  # import scipy before the data are read, not at peak memory
     frame = _load_frame(args.obs)
     spec = model.ModelSpec(args.family, args.rho)
     theta0 = _parse_start(args.start, spec.q) if args.start else None
@@ -237,9 +259,9 @@ def _add_fit_options(parser):
     parser.add_argument("--family", choices=CLI_FAMILIES, default="with-id")
     parser.add_argument("--rho", type=float, default=None)
     parser.add_argument("--start", default=None, help="comma-separated starting theta")
-    parser.add_argument("--rel-tol", type=float, default=1e-8)
-    parser.add_argument("--max-steps", type=int, default=50)
-    parser.add_argument("--alpha", type=float, default=0.05)
+    parser.add_argument("--rel-tol", type=_TOLERANCE, default=1e-8)
+    parser.add_argument("--max-steps", type=_COUNT, default=50)
+    parser.add_argument("--alpha", type=_PROBABILITY, default=0.05)
 
 
 def build_parser():
@@ -255,12 +277,12 @@ def build_parser():
     p_sim = sub.add_parser("simulate", help="resampling study and bias correction")
     p_sim.add_argument("obs", help="observation CSV")
     _add_fit_options(p_sim)
-    p_sim.add_argument("--reps", type=int, default=1000)
-    p_sim.add_argument("--size", type=int, required=True)
-    p_sim.add_argument("--seed", type=int, default=0)
+    p_sim.add_argument("--reps", type=_POSITIVE_COUNT, default=1000)
+    p_sim.add_argument("--size", type=_POSITIVE_COUNT, required=True)
+    p_sim.add_argument("--seed", type=_COUNT, default=0)
     p_sim.add_argument("--workers", type=int, default=1)
     p_sim.add_argument("--with-replacement", action="store_true")
-    p_sim.add_argument("--min-ks-pass", type=float, default=0.95)
+    p_sim.add_argument("--min-ks-pass", type=_SHARE, default=0.95)
     p_sim.add_argument("--out-dir", default=".")
     p_sim.set_defaults(func=cmd_simulate)
 

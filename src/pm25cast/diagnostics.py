@@ -57,10 +57,10 @@ class BiasReport:
 @dataclass(frozen=True)
 class ResidualDiagnostics:
     spearman: dict
-    lag1: tuple
+    lag1: tuple | None  # None when fewer than 3 consecutive-day pairs exist
     ks_normality: tuple
     heteroscedastic: bool
-    autocorrelated: bool
+    autocorrelated: bool | None
     alpha: float
 
 
@@ -223,7 +223,8 @@ def residual_screen(fit, frame, alpha=0.05):
     Spearman tests relate |standardized residual| to the fitted values and
     to each raw regressor on the used rows (constant columns are skipped);
     the lag test is a Pearson correlation over consecutive-day residual
-    pairs; normality is a KS test on the raw residuals. Flags compare
+    pairs, left out (`lag1` and `autocorrelated` None) when fewer than 3
+    pairs exist; normality is a KS test on the raw residuals. Flags compare
     p-values against `alpha`.
     """
     if fit.residuals.size < 3:
@@ -239,14 +240,16 @@ def residual_screen(fit, frame, alpha=0.05):
 
     dates = frame.dates[idx]
     step = np.diff(dates) == np.timedelta64(1, "D")
-    lag1 = pearson_test(fit.std_residuals[:-1][step], fit.std_residuals[1:][step])
+    lag1 = None
+    if step.sum() >= 3:
+        lag1 = pearson_test(fit.std_residuals[:-1][step], fit.std_residuals[1:][step])
     ks = ks_normal(fit.residuals)
     return ResidualDiagnostics(
         spearman=spearman,
         lag1=lag1,
         ks_normality=ks,
         heteroscedastic=any(res.pvalue < alpha for res in spearman.values()),
-        autocorrelated=lag1.pvalue < alpha,
+        autocorrelated=None if lag1 is None else lag1.pvalue < alpha,
         alpha=alpha,
     )
 
@@ -289,7 +292,10 @@ def diagnostics_report(curvature, bias, residuals):
                 name: {"rho": res.statistic, "p": res.pvalue}
                 for name, res in residuals.spearman.items()
             },
-            "lag1": {"r": residuals.lag1.statistic, "p": residuals.lag1.pvalue},
+            "lag1": (
+                None if residuals.lag1 is None
+                else {"r": residuals.lag1.statistic, "p": residuals.lag1.pvalue}
+            ),
             "ks_normality": {
                 "D": residuals.ks_normality.statistic,
                 "p": residuals.ks_normality.pvalue,

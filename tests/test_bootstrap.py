@@ -144,6 +144,31 @@ def test_simulation_moment_identity(month_frame, month_fit):
     assert np.max(np.abs(s.mse - (s.std ** 2 + s.bias ** 2))) < 1e-10
 
 
+@pytest.mark.parametrize(
+    "spec,records,sizes",
+    [
+        (ModelSpec("with-id"), jan2014_records, (12, 26)),
+        (ModelSpec("iterated", rho=0.3), lambda: synthetic_records(n=365, seed=3), (150, 250)),
+    ],
+    ids=["with-id", "iterated-0.3"],
+)
+def test_mse_is_std_squared_plus_bias_squared(spec, records, sizes):
+    """mse_j = std_j^2 + bias_j^2 on every summary (population scaling)."""
+    frame = build_frame(records())
+    base = gauss_newton(spec, frame)
+
+    @settings(max_examples=12, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), size=st.integers(*sizes),
+           with_replacement=st.booleans())
+    def identity_holds(seed, size, with_replacement):
+        s = run_simulation(spec, frame, base, reps=30, size=size, seed=seed,
+                           with_replacement=with_replacement)
+        assert s.converged_count >= 2
+        np.testing.assert_allclose(s.mse, s.std ** 2 + s.bias ** 2, rtol=1e-12, atol=0.0)
+
+    identity_holds()
+
+
 def test_simulation_counts_and_correction(month_frame, month_fit):
     s = run_simulation(ModelSpec("with-id"), month_frame, month_fit,
                        reps=50, size=25, seed=9)

