@@ -3,13 +3,15 @@
 All sample indices are drawn up front from per-replication substreams of
 one seed (strata and allocation are computed once per run), as one
 (reps, size) array of sorted frame rows. The replications are then fitted
-and screened in lockstep, a block of replications at a time: the block's
-rows go to `solver.fit_stack` and the model functions, and the results
-to the stacked forms of `bates_curvature` and `ks_two_sample`. Every stacked
-operation works replication by replication, so each replication's
-result is bit-for-bit the same whatever block it shares, whatever the
-block size, and whatever `workers` says; repeated runs with one seed give
-identical output.
+in lockstep, a stack of up to `FIT_STACK` replications at a time: the
+stack's rows go to `solver.fit_stack`. The converged replications of a
+stack are screened a block of up to `BLOCK` at a time: their rows go to
+the model functions, and the results to the stacked forms of
+`bates_curvature` and `ks_two_sample`. Every stacked operation works
+replication by replication, so each replication's result is bit-for-bit
+the same whatever stack or block it shares, whatever their sizes, and
+whatever `workers` says; repeated runs with one seed give identical
+output.
 """
 
 from dataclasses import dataclass
@@ -23,11 +25,18 @@ from .errors import DataError, StratificationError
 from .numerics import ks_two_sample
 from .solver import FitResult, fit_stack, gauss_newton
 
-# Replications fitted and screened together. A block holds stacked
-# second-derivative arrays of block x size x q x q floats (0.5 MB at
-# 50 x 25 x 7 x 7). For 1000 replications of size 25, blocks of 50 leave
-# the process's peak RSS within 0.7 MB of fitting one replication at a
-# time; blocks of 100 added 2.7 MB and of 200 6.1 MB, for little time.
+# Replications fitted together. A fit stack holds stacked Jacobians and
+# their QR factors, stack x size x q floats each, and nothing q x q per
+# observation, so it can be larger than a screening block. For 1000
+# replications of size 25 (one BLAS thread), stacks of 50 took ~100 ms per
+# run, 100 ~89 ms, and 200 to 1000 ~82 ms; the run's traced peak was
+# 1.7 MiB at 50, 1.9 at 200, 2.2 at 250 and 7.0 at 1000.
+FIT_STACK = 200
+# Replications screened together. A block holds stacked second-derivative
+# arrays of block x size x q x q floats (0.5 MB at 50 x 25 x 7 x 7). For
+# 1000 replications of size 25, blocks of 50 leave the process's peak RSS
+# within 0.7 MB of screening one replication at a time; blocks of 100
+# added 2.7 MB and of 200 6.1 MB, for little time.
 BLOCK = 50
 
 
@@ -97,11 +106,11 @@ def _strata(frame, size):
 
 
 def _draw(strata, allocs, rng, with_replacement):
-    picks = [
-        rng.choice(stratum, size=alloc, replace=with_replacement)
+    """Rows of one stratified sample, stratum by stratum, unsorted."""
+    return np.concatenate([
+        stratum[rng.choice(stratum.size, size=int(alloc), replace=with_replacement)]
         for stratum, alloc in zip(strata, allocs)
-    ]
-    return np.sort(np.concatenate(picks))
+    ])
 
 
 def stratified_sample(frame, size, seed, with_replacement=False):
@@ -112,11 +121,11 @@ def stratified_sample(frame, size, seed, with_replacement=False):
     (unless `with_replacement`) and returned in date order.
     """
     rng = np.random.default_rng(seed)
-    return frame.subset(_draw(*_strata(frame, size), rng, with_replacement))
+    return frame.subset(np.sort(_draw(*_strata(frame, size), rng, with_replacement)))
 
 
-def _blocks(members):
-    return np.split(members, range(BLOCK, members.size, BLOCK))
+def _chunks(members, size):
+    return [members[i : i + size] for i in range(0, members.size, size)]
 
 
 def run_simulation(
@@ -146,8 +155,11 @@ def run_simulation(
     theta_corrected = theta_hat - bias. `gate_ok` reports whether the KS
     pass fraction reached `min_ks_pass`.
 
-    `workers` is accepted for compatibility and changes neither speed nor
-    output: replications run in lockstep blocks of `BLOCK` on one thread.
+    Replications with the same observation count are fitted in lockstep
+    stacks of up to `FIT_STACK`; the converged ones of each stack are
+    screened in blocks of up to `BLOCK`. `workers` is accepted for
+    compatibility and changes neither speed nor output: everything runs
+    on one thread.
     """
     if reps < 1:
         raise ValueError("reps must be positive")
@@ -157,6 +169,7 @@ def run_simulation(
         _draw(strata, allocs, np.random.default_rng(child), with_replacement)
         for child in np.random.SeedSequence(seed).spawn(reps)
     ])
+    rows.sort(axis=1)
     start = model.default_start(spec) if theta0 is None else theta0
 
     theta = np.full((reps, spec.q), np.nan)
@@ -170,35 +183,33 @@ def run_simulation(
     # stacks must be rectangular: group the replications by observation count
     counts = model.observation_counts(spec, frame, rows)
     for count in np.unique(counts):
-        for block in _blocks(np.flatnonzero(counts == count)):
+        for stack in _chunks(np.flatnonzero(counts == count), FIT_STACK):
             try:
-                run = fit_stack(spec, frame, rows[block], start)
+                run = fit_stack(spec, frame, rows[stack], start)
             except (DataError, ValueError):
                 continue  # too few observations (or no lag pair) in every sample
             ok = np.array([f is None for f in run.fault], dtype=bool)
-            theta[block[ok]] = run.theta[ok]
-            done = np.flatnonzero(ok & run.converged)
-            if not done.size:
-                continue
-            block, resid = block[done], run.residuals[done]
-            sample = rows[block]
-            converged[block] = True
+            theta[stack[ok]] = run.theta[ok]
+            for done in _chunks(np.flatnonzero(ok & run.converged), BLOCK):
+                block, resid = stack[done], run.residuals[done]
+                sample = rows[block]
+                converged[block] = True
 
-            th = run.theta[done]
-            sigma_hat = np.sqrt(run.rss[done] / (resid.shape[1] - spec.q))
-            curv = bates_curvature(
-                model.jacobian(spec, th, frame, sample),
-                model.hessian_cube(spec, th, frame, sample),
-                sigma_hat,
-                alpha=alpha,
-            )
-            curvature_pass[block] = curv.planar_ok & curv.uniform_ok
-            ks_p[block] = ks_two_sample(resid, baseline.residuals).pvalue
+                th = run.theta[done]
+                sigma_hat = np.sqrt(run.rss[done] / (resid.shape[1] - spec.q))
+                curv = bates_curvature(
+                    model.jacobian(spec, th, frame, sample),
+                    model.hessian_cube(spec, th, frame, sample),
+                    sigma_hat,
+                    alpha=alpha,
+                )
+                curvature_pass[block] = curv.planar_ok & curv.uniform_ok
+                ks_p[block] = ks_two_sample(resid, baseline.residuals).pvalue
 
-            at = baseline_at[model.rows_used(spec, frame, sample)]
-            shared = at >= 0
-            same = resid == baseline.residuals[at]
-            identical[block] = shared.any(axis=1) & (same | ~shared).all(axis=1)
+                at = baseline_at[model.rows_used(spec, frame, sample)]
+                shared = at >= 0
+                same = resid == baseline.residuals[at]
+                identical[block] = shared.any(axis=1) & (same | ~shared).all(axis=1)
 
     kept = theta[converged]
     if kept.size:

@@ -280,7 +280,7 @@ def build_parser():
     p_sim.add_argument("--reps", type=_POSITIVE_COUNT, default=1000)
     p_sim.add_argument("--size", type=_POSITIVE_COUNT, required=True)
     p_sim.add_argument("--seed", type=_COUNT, default=0)
-    p_sim.add_argument("--workers", type=int, default=1)
+    p_sim.add_argument("--workers", type=_POSITIVE_COUNT, default=1)
     p_sim.add_argument("--with-replacement", action="store_true")
     p_sim.add_argument("--min-ks-pass", type=_SHARE, default=0.95)
     p_sim.add_argument("--out-dir", default=".")

@@ -158,29 +158,38 @@ def fit_stack(spec, frame, rows, theta0, max_steps=50, rel_tol=1e-8):
             break
         v1 = model.jacobian(spec, theta[live], frame, rows[live])
         finite = np.isfinite(v1).all(axis=(1, 2))
-        live, v1 = live[finite], v1[finite]
+        if not finite.all():
+            live, v1 = live[finite], v1[finite]
+        # v1 and q1 are dropped as soon as they are used, so they are not
+        # held through the step trials
         q1, r1, qr_fault = qr_stack(v1)
-        for i, exc in zip(live, qr_fault):
-            fault[i] = exc
+        del v1
         factored = np.array([exc is None for exc in qr_fault], dtype=bool)
-        live, q1, r1 = live[factored], q1[factored], r1[factored]
+        if not factored.all():
+            for i in np.flatnonzero(~factored):
+                fault[live[i]] = qr_fault[i]
+            live, q1, r1 = live[factored], q1[factored], r1[factored]
         if not live.size:
             break
         sub = rows[live]
         gain = (np.swapaxes(q1, -1, -2) @ resid[live][..., None])[..., 0]
+        del q1
         delta = solve_upper(r1, gain)
 
         scale = np.ones(live.size)
         accepted = np.zeros(live.size, dtype=bool)
+        diverged = np.zeros(live.size, dtype=bool)
         trying = np.arange(live.size)
         for _ in range(MAX_HALVINGS + 1):
             theta_try = theta[live[trying]] + scale[trying, None] * delta[trying]
             finite = np.isfinite(theta_try).all(axis=1)
-            for i in live[trying[~finite]]:
-                fault[i] = ValueError("theta must be finite")
-            trying, theta_try = trying[finite], theta_try[finite]
-            if not trying.size:
-                break
+            if not finite.all():
+                diverged[trying[~finite]] = True
+                for i in live[trying[~finite]]:
+                    fault[i] = ValueError("theta must be finite")
+                trying, theta_try = trying[finite], theta_try[finite]
+                if not trying.size:
+                    break
             fitted_try = model.eval_f(spec, theta_try, frame, sub[trying])
             resid_try = y[live[trying]] - fitted_try
             rss_try = _rss(resid_try)
@@ -200,7 +209,7 @@ def fit_stack(spec, frame, rows, theta0, max_steps=50, rel_tol=1e-8):
         # Halving exhausted: a point where the predicted decrease |Q1'r|^2
         # is already below rel_tol*RSS is a minimum at the rounding floor
         # (every trial step came out a few ulps above the current RSS).
-        stuck = ~accepted & np.array([fault[i] is None for i in live], dtype=bool)
+        stuck = ~accepted & ~diverged
         floor = stuck & (vecdot(gain, gain) <= rel_tol * rss[live])
         converged[live[floor]] = True
         live = live[accepted & ~converged[live]]

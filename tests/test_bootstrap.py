@@ -14,6 +14,7 @@ from pm25cast import (
     build_frame,
     gauss_newton,
     model,
+    numerics,
     run_simulation,
     stratified_sample,
 )
@@ -241,32 +242,35 @@ def _outcome(summary):
 
 
 @pytest.mark.parametrize(
-    "spec,records,size",
+    "spec,records,size,with_replacement",
     [
-        (ModelSpec("with-id"), jan2014_records, 25),
+        (ModelSpec("with-id"), jan2014_records, 25, False),
+        (ModelSpec("with-id"), jan2014_records, 25, True),
         # 60 of 365 days: lag-pair counts vary, some too small to fit
-        (ModelSpec("iterated", rho=0.3), lambda: synthetic_records(n=365, seed=3), 60),
+        (ModelSpec("iterated", rho=0.3), lambda: synthetic_records(n=365, seed=3), 60, False),
     ],
-    ids=["with-id", "iterated-0.3"],
+    ids=["with-id", "with-id-replacement", "iterated-0.3"],
 )
-def test_replications_do_not_depend_on_their_block(spec, records, size):
-    """run_simulation's output is bit-identical at any BLOCK size."""
+def test_replications_do_not_depend_on_their_block(spec, records, size, with_replacement):
+    """run_simulation's output is bit-identical at any FIT_STACK and BLOCK size."""
     frame = build_frame(records())
     base = gauss_newton(spec, frame)
 
     def run():
-        s = run_simulation(spec, frame, base, reps=40, size=size, seed=17)
+        s = run_simulation(spec, frame, base, reps=40, size=size, seed=17,
+                           with_replacement=with_replacement)
         return _outcome(s), [a.tobytes() for a in (s.bias, s.std, s.mse, s.theta_corrected)]
 
     reference = run()
     assert any(rec[1] for rec in reference[0])
 
     @settings(max_examples=10, deadline=None)
-    @given(block=st.integers(min_value=1, max_value=45))
-    @example(block=1)
-    @example(block=7)
-    def same_at(block):
-        with mock.patch.object(bootstrap, "BLOCK", block):
+    @given(stack=st.integers(min_value=1, max_value=45), block=st.integers(min_value=1, max_value=45))
+    @example(stack=1, block=1)
+    @example(stack=7, block=50)
+    @example(stack=40, block=7)
+    def same_at(stack, block):
+        with mock.patch.multiple(bootstrap, FIT_STACK=stack, BLOCK=block):
             assert run() == reference
 
     same_at()
@@ -304,11 +308,16 @@ def test_january_2014_replications_match_the_recorded_run(month_frame, month_fit
 
 def test_simulation_memory_stays_small():
     """Fitting one replication at a time peaked at ~1.2 MiB; the lockstep
-    blocks add their stacked Jacobians and second-derivative arrays, which
-    must stay per block: one block of all 1000 replications takes ~30 MiB."""
+    engine adds its stacked Jacobians and QR factors per fit stack and its
+    second-derivative arrays per screening block, which must stay bounded
+    by FIT_STACK and BLOCK: one stack of all 1000 replications takes ~7 MiB,
+    and one block of 1000 ~28 MiB. scipy.special is imported before
+    tracing starts, as `simulate` does, so the first KS test's import is
+    not counted and the bound holds whichever test runs first."""
     spec = ModelSpec("with-id")
     frame = build_frame(synthetic_records(n=365, seed=3))
     base = gauss_newton(spec, frame)
+    numerics._special()
     tracemalloc.start()
     try:
         s = run_simulation(spec, frame, base, reps=1000, size=25, seed=0)

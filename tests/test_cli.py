@@ -211,6 +211,7 @@ def test_fit_with_fewer_than_3_lag_pairs_leaves_out_the_lag_test(tmp_path):
     (["simulate", "--size", "0"], "--size: must be at least 1, got '0'"),
     (["simulate", "--size", "25", "--reps", "-1"], "--reps: must be at least 1, got '-1'"),
     (["simulate", "--size", "25", "--seed", "-1"], "--seed: must be at least 0, got '-1'"),
+    (["simulate", "--size", "25", "--workers", "0"], "--workers: must be at least 1, got '0'"),
     (["simulate", "--size", "25", "--min-ks-pass", "7"],
      "--min-ks-pass: must be between 0 and 1, got '7'"),
     (["simulate", "--size", "25", "--min-ks-pass", "-0.1"],

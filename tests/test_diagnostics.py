@@ -7,7 +7,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 from scipy.linalg import solve_triangular
 
 from pm25cast import (
@@ -123,6 +123,41 @@ def test_with_id_curvature_is_unchanged_by_rescaling_lpm(jan2014_frame):
         frame = dataclasses.replace(jan2014_frame, lpm=c * jan2014_frame.lpm)
         theta_c, curv = fitted_curvature(frame, mapped * theta0)
         # about 1e-14 apart on 41 scales from 1e-2 to 1e2
+        np.testing.assert_allclose(theta_c, mapped * theta, rtol=1e-9)
+        assert curv.rho_k_n == pytest.approx(base.rho_k_n, rel=1e-9)
+        assert curv.rho_k_p == pytest.approx(base.rho_k_p, rel=1e-9)
+
+    invariant()
+
+
+def test_with_id_curvature_is_unchanged_by_rescaling_a_regressor(jan2014_frame):
+    """Multiplying one regressor column by c > 0 maps the with-id fit to the
+    same fitted values with that column's coefficient divided by c, a linear
+    reparametrisation, so the fitted rho*K^N and rho*K^P stay the same
+    (Bates & Watts 1980)."""
+    spec = ModelSpec("with-id")
+    columns = {"w": 2, "t": 3, "ep": 5}  # index of the column's coefficient
+
+    def fitted_curvature(frame, theta0):
+        fit = gauss_newton(spec, frame, theta0=theta0)
+        assert fit.converged
+        curv = bates_curvature(jacobian(spec, fit.theta, frame),
+                               hessian_cube(spec, fit.theta, frame), fit.sigma_hat)
+        return fit.theta, curv
+
+    theta0 = default_start(spec)
+    theta, base = fitted_curvature(jan2014_frame, theta0)
+
+    @settings(max_examples=15, deadline=None)
+    @given(name=st.sampled_from(sorted(columns)), c=st.floats(min_value=1e-2, max_value=1e2))
+    @example(name="w", c=1e-2)
+    @example(name="t", c=3.7)
+    @example(name="ep", c=1e2)
+    def invariant(name, c):
+        mapped = np.ones(spec.q)
+        mapped[columns[name]] = 1.0 / c
+        frame = dataclasses.replace(jan2014_frame, **{name: c * getattr(jan2014_frame, name)})
+        theta_c, curv = fitted_curvature(frame, mapped * theta0)
         np.testing.assert_allclose(theta_c, mapped * theta, rtol=1e-9)
         assert curv.rho_k_n == pytest.approx(base.rho_k_n, rel=1e-9)
         assert curv.rho_k_p == pytest.approx(base.rho_k_p, rel=1e-9)

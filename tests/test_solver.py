@@ -178,6 +178,16 @@ def test_fit_stack_matches_single_fits():
         assert [type(f).__name__ if f else None for f in run.fault] == [None, None, "DataError", "DataError"]
         assert run.converged[:2].all()
 
+    pc = frame.pc.copy()
+    pc[:30] = 0.0  # the pc column of rows[0] is zero: its Jacobian has rank 6
+    spec = ModelSpec("with-id")
+    bad = dataclasses.replace(frame, trg=trg, pc=pc)
+    run = fit_stack(spec, bad, rows[[3, 0, 1]], model.default_start(spec))
+    assert [type(f).__name__ if f else None for f in run.fault] == [
+        "DataError", "RankDeficiencyError", None
+    ]
+    assert run.converged[2]
+
 
 def test_fit_stack_refuses_a_sample_out_of_date_order():
     spec = ModelSpec("with-id")
