@@ -8,6 +8,7 @@ lpm = 10*ln(pm), trg = tmax - tmin and the pollution-level indicator id.
 
 import csv
 import functools
+import io
 import json
 import math
 import os
@@ -22,6 +23,7 @@ TRACE_TOKENS = frozenset({"微量", "T", "trace"})
 
 OBS_REQUIRED = ("pm", "t", "tmax", "tmin", "pc", "w", "ep")
 NCEP_FIELDS = ("t", "tmax", "tmin", "pc", "w")
+NCEP_COLUMNS = ("date", "slot") + NCEP_FIELDS
 NCEP_SLOTS = (0, 6, 12, 18)
 
 ID_LOW_CUT = 35.0   # lpm scale; pm scale e^3.5
@@ -200,25 +202,44 @@ def _write_json(payload, path):
 
 
 def _open_text(source):
+    """The whole text of a path or file object. Paths and byte streams are
+    decoded as UTF-8, and a byte-order mark (as Excel's "CSV UTF-8" writes)
+    is dropped; a path's line ends are read as newlines."""
     if hasattr(source, "read"):
         data = source.read()
-        if isinstance(data, bytes):
-            data = data.decode("utf-8")
-        return data.splitlines()
-    with open(os.fspath(source), "r", encoding="utf-8") as fh:
-        return fh.read().splitlines()
+        return data.decode("utf-8-sig") if isinstance(data, bytes) else data
+    with open(os.fspath(source), "r", encoding="utf-8-sig") as fh:
+        return fh.read()
 
 
-def _read_columns(source, required, optional=()):
-    """{name: stripped cells} of the named columns of a CSV with a header.
+def _column_index(header, required, optional=()):
+    """{name: position} of the required and optional names in a header row.
+
+    A missing required name raises a DataError, and so does one of these
+    names given twice, which would otherwise be read from one of its
+    columns without a word.
+    """
+    index, read = {}, {*required, *optional}
+    for i, name in enumerate(header):
+        if name in index and name in read:
+            raise DataError(f"duplicate column {name!r}")
+        index.setdefault(name, i)
+    for name in required:
+        if name not in index:
+            raise DataError(f"missing required column {name!r}")
+    return index
+
+
+def _read_columns(text, required, optional=()):
+    """{name: stripped cells} of the named columns of a CSV text with a header.
 
     Blank lines, before the header too, are skipped and not counted, and a
     short row reads its missing trailing cells as blank, as in
     csv.DictReader. An optional column the header lacks is left out. A row
-    csv refuses (an oversized cell, or a NUL byte before Python 3.11)
-    raises a DataError naming it.
+    csv refuses (an oversized cell) or that holds a NUL raises a DataError
+    naming it.
     """
-    rows = csv.reader(_open_text(source))
+    rows = csv.reader(text.splitlines())
     header, body = None, []
     try:
         header = next(filter(None, rows), [])
@@ -228,10 +249,12 @@ def _read_columns(source, required, optional=()):
     except csv.Error as exc:
         where = "header" if header is None else f"row {len(body) + 1}"
         raise DataError(f"{where}: {exc}") from None
-    index = {name: i for i, name in enumerate(header)}
-    for name in required:
-        if name not in index:
-            raise DataError(f"missing required column {name!r}")
+    if "\x00" in text:
+        # csv passes a NUL on from Python 3.11 and refuses it before; a numpy
+        # string cell cannot show a trailing one, so refuse it everywhere
+        i = next(i for i, row in enumerate([header, *body]) if "\x00" in "".join(row))
+        raise DataError(f"{f'row {i}' if i else 'header'}: line contains NUL")
+    index = _column_index(header, required, optional)
     if body and min(map(len, body)) < len(header):
         body = [row + [""] * (len(header) - len(row)) for row in body]
     columns = list(zip(*body)) or [()] * len(header)
@@ -262,14 +285,27 @@ _floats = functools.partial(np.array, dtype=float)
 _ints = functools.partial(np.array, dtype=int)
 
 
+def _is_digit(points):
+    return (points >= ord("0")) & (points <= ord("9"))
+
+
 def _iso_dates(cells):
-    """datetime64[D] of `YYYY-MM-DD` cells. numpy also reads `2014-01`,
-    `20140101` (as a year), `NaT` and `today`, so each date must lie in
-    years 1-9999 and print back as its own cell."""
-    dates = np.array(cells, dtype="datetime64[D]")
-    in_range = (dates >= np.datetime64("0001-01-01")) & (dates <= np.datetime64("9999-12-31"))
-    if not in_range.all() or np.datetime_as_string(dates).tolist() != cells:
+    """datetime64[D] of `YYYY-MM-DD` cells, a list of str or an S11 array.
+
+    Each cell must hold ASCII digits at positions 0-3, 5-6 and 8-9, `-` at
+    4 and 7 and nothing at 10; numpy then checks month and day, and the
+    year must be at least 0001. The cells are held as bytes: numpy casts
+    bytes to dates several times faster than str, and a longer cell keeps
+    its eleventh character, so it is refused.
+    """
+    text = np.ascontiguousarray(cells, dtype="S11")
+    points = text.view(np.uint8).reshape(len(text), 11)
+    if not (_is_digit(points[:, [0, 1, 2, 3, 5, 6, 8, 9]]).all()
+            and (points[:, [4, 7]] == ord("-")).all() and not points[:, 10].any()):
         raise ValueError("not a YYYY-MM-DD date")
+    dates = text.astype("datetime64[D]")
+    if (dates < np.datetime64("0001-01-01")).any():
+        raise ValueError("year 0000")
     return dates
 
 
@@ -302,7 +338,7 @@ def parse_observations(source):
         On a missing required column, a malformed cell or an impossible
         value (the message names the 1-based data row and the field).
     """
-    cells = _read_columns(source, ("date",) + OBS_REQUIRED, optional=("hm",))
+    cells = _read_columns(_open_text(source), ("date",) + OBS_REQUIRED, optional=("hm",))
     date = _convert(cells.pop("date"), _iso_dates, "bad date value {!r}")
     cells["pc"] = ["0" if text in TRACE_TOKENS else text for text in cells["pc"]]
     return Observations(date=date, **{name: _float_column(cells[name], name) for name in cells})
@@ -373,17 +409,17 @@ def parse_ncep(source):
 
     Rows are stably sorted by date, then slot. Slot must be one of 0, 6,
     12, 18; every other field must be numeric (the forecast product has no
-    missing cells).
+    missing cells). numpy's C reader reads the text; text it refuses, or
+    might read otherwise, goes cell by cell through the csv module, which
+    names the bad row. Both give the same columns, and the checks below
+    run on them whichever built them.
     """
-    cells = _read_columns(source, ("date", "slot") + NCEP_FIELDS)
-    date = _convert(cells["date"], _iso_dates, "bad date value {!r}")
-    slot = _convert(cells["slot"], _ints, "bad slot value {!r}")
+    text = _open_text(source)
+    date, slot, values = _ncep_by_loadtxt(text) or _ncep_by_cells(text)
     outside = np.flatnonzero(~np.isin(slot, NCEP_SLOTS))
     if outside.size:
         raise DataError(f"row {outside[0] + 1}: slot must be one of {NCEP_SLOTS}")
-    values = {}
     for name in NCEP_FIELDS:
-        values[name] = _float_column(cells[name], name)
         blank = np.flatnonzero(np.isnan(values[name]))
         if blank.size:
             raise DataError(f"row {blank[0] + 1}: missing {name}")
@@ -391,6 +427,60 @@ def parse_ncep(source):
     return SixHourly(
         date=date[order], slot=slot[order], **{name: v[order] for name, v in values.items()}
     )
+
+
+# Dates and slots are bytes one character wider than they may be, so a
+# longer cell shows; numpy keeps padding in a string cell where csv strips it.
+_NCEP_ROW = np.dtype([("date", "S11"), ("slot", "S3")] + [(name, float) for name in NCEP_FIELDS])
+# Quotes, NUL, and the line ends str.splitlines knows besides \n, all of
+# which numpy's reader takes otherwise than csv and splitlines do
+_LOADTXT_REFUSES = '"\x00\r\x0b\x0c\x1c\x1d\x1e'
+
+
+def _ncep_by_loadtxt(text):
+    """(date, slot, {field: values}) of a six-hourly table by numpy's C
+    reader, or None for text that reader refuses or might read otherwise
+    than _ncep_by_cells: a character outside ASCII or in _LOADTXT_REFUSES,
+    a line long enough to reach csv's field limit, a short row, and a cell
+    that is blank, padded, grouped, not finite, or a slot of other than one
+    or two digits."""
+    if not text.isascii() or any(c in text for c in _LOADTXT_REFUSES):
+        return None
+    half = max(csv.field_size_limit() // 2, 1)
+    # a line longer than csv's field limit spans a whole stretch [i, i + half) with no \n
+    if any(text.find("\n", i, i + half) < 0 for i in range(0, len(text), half)):
+        return None
+    head, _, body = text.lstrip("\n").partition("\n")
+    if not body.strip("\n"):
+        return None
+    # with no quote in the text, csv splits the header line at every comma
+    index = _column_index(head.split(","), NCEP_COLUMNS)
+    try:
+        table = np.loadtxt(io.StringIO(body), dtype=_NCEP_ROW, delimiter=",", comments=None,
+                           quotechar=None, usecols=[index[name] for name in NCEP_COLUMNS], ndmin=1)
+        date = _iso_dates(table["date"])
+    except ValueError:
+        return None
+    values = {name: table[name] for name in NCEP_FIELDS}
+    if not all(np.isfinite(v).all() for v in values.values()):
+        return None  # the cell path names a non-finite cell by its text
+    points = np.ascontiguousarray(table["slot"]).view(np.uint8).reshape(len(table), 3)
+    one_digit = points[:, 1] == 0
+    if not (_is_digit(points[:, 0]) & (one_digit | _is_digit(points[:, 1]))
+            & (points[:, 2] == 0)).all():
+        return None
+    tens, units = points[:, :2].T.astype(int) - ord("0")
+    return date, np.where(one_digit, tens, 10 * tens + units), values
+
+
+def _ncep_by_cells(text):
+    """(date, slot, {field: values}) of a six-hourly table read cell by cell;
+    a bad or non-finite cell raises a DataError naming its row, a blank one
+    reads as NaN."""
+    cells = _read_columns(text, NCEP_COLUMNS)
+    date = _convert(cells["date"], _iso_dates, "bad date value {!r}")
+    slot = _convert(cells["slot"], _ints, "bad slot value {!r}")
+    return date, slot, {name: _float_column(cells[name], name) for name in NCEP_FIELDS}
 
 
 def aggregate_ncep(table):

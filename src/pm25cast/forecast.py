@@ -18,8 +18,8 @@ from typing import NamedTuple
 import numpy as np
 
 from .data import (
-    _convert, _floats, _iso_dates, _read_columns, _write_columns, _write_json, id_from_lpm,
-    lpm_from_pm,
+    _convert, _floats, _iso_dates, _open_text, _read_columns, _write_columns, _write_json,
+    id_from_lpm, lpm_from_pm,
 )
 from .errors import DataError
 
@@ -392,7 +392,7 @@ def read_forecast_csv(path):
     (0, LOW_ARM_CUT) and a high row (HIGH_ARM_CUT, inf), arm must be one of
     ARMS and id_source one of ID_SOURCES.
     """
-    cells = _read_columns(path, FORECAST_COLUMNS)
+    cells = _read_columns(_open_text(path), FORECAST_COLUMNS)
     malformed = "malformed forecast row"
     date = _convert(cells["date"], _iso_dates, malformed)
     pm_hat, lo, hi = (_convert(cells[name], _floats, malformed) for name in ("pm_hat", "lo", "hi"))

@@ -20,10 +20,12 @@ from pm25cast import (
 )
 from pm25cast import data
 from pm25cast.data import SixHourly, id_from_lpm, write_aggregated_csv
+from pm25cast.forecast import read_forecast_csv
 
 from conftest import JAN_2014, jan2014_records, obs_rows, obs_table, synthetic_records
 
 DEMO_DATA = Path(__file__).resolve().parent.parent / "demos" / "data"
+GOLDEN_FORECAST = Path(__file__).resolve().parent / "data" / "golden" / "ncep" / "forecast.csv"
 
 
 # ------------------------------------------------------------ Observations
@@ -126,6 +128,37 @@ def test_parse_missing_column():
 
 def test_parse_header_only():
     assert obs_rows(parse_observations(_csv("date,pm,t,tmax,tmin,pc,w,ep\n"))) == []
+
+
+def _columns(table):
+    """(name, dtype, bytes) of each column; None for an absent one."""
+    columns = [(f.name, getattr(table, f.name)) for f in dataclasses.fields(table)]
+    return [(name, None if a is None else (a.dtype.str, a.tobytes())) for name, a in columns]
+
+
+@pytest.mark.parametrize("parse,path", [
+    (parse_observations, DEMO_DATA / "obs_201401.csv"),
+    (parse_ncep, DEMO_DATA / "ncep_201712_6h.csv"),
+    (read_forecast_csv, GOLDEN_FORECAST),
+], ids=["observations", "six-hourly", "forecast"])
+def test_byte_order_mark_and_crlf_read_as_the_plain_file(tmp_path, parse, path):
+    """Excel's "CSV UTF-8" starts a file with a byte-order mark; a path or a
+    byte stream with one, and with \n or \r\n line ends, reads as the plain
+    file does."""
+    plain = path.read_bytes().replace(b"\r\n", b"\n")
+    copy = tmp_path / "copy.csv"
+    for text in (plain, plain.replace(b"\n", b"\r\n")):
+        copy.write_bytes(b"\xef\xbb\xbf" + text)
+        for source in (copy, io.BytesIO(copy.read_bytes())):
+            assert _columns(parse(source)) == _columns(parse(io.BytesIO(plain)))
+
+
+def test_a_repeated_column_no_parser_reads_is_allowed():
+    table = parse_observations(_csv(
+        "date,pm,t,tmax,tmin,pc,w,ep,note,note,,\n"
+        "2014-01-01,153,44,179,-26,0,27,17,a,b,,\n"
+    ))
+    assert obs_rows(table)[0].pm == 153.0
 
 
 def test_lookup_takes_the_last_non_blank_row_of_a_date():

@@ -5,15 +5,24 @@ each message is checked as a user sees it: `error: <message>` on stderr
 and exit code 1.
 """
 
+import dataclasses
 import io
+import itertools
+import warnings
 from pathlib import Path
+from unittest import mock
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
-from pm25cast import Pm25CastError, aggregate_ncep, build_frame, parse_ncep, parse_observations
+from pm25cast import (
+    DataError, Pm25CastError, aggregate_ncep, build_frame, parse_ncep, parse_observations,
+)
+from pm25cast import data
 from pm25cast.cli import main
 from pm25cast.forecast import read_forecast_csv
+
+from test_data import DATE_CELLS, NUMBER_CELLS
 
 OBS_2014 = Path(__file__).resolve().parent.parent / "demos" / "data" / "obs_201401.csv"
 
@@ -33,6 +42,8 @@ CASES = [
     # observations, read by `fit`
     pytest.param("fit", "date,pm,t,tmax,tmin,pc,w\n2014-01-01,153,44,179,-26,0,27\n",
                  "missing required column 'ep'", id="obs-missing-column"),
+    pytest.param("fit", "date,pm,t,tmax,tmin,pc,w,ep,pm\n2014-01-01,153,44,179,-26,0,27,17,5\n",
+                 "duplicate column 'pm'", id="obs-duplicate-column"),
     pytest.param("fit", OBS + DAY1 + "2014-02-30,181,44,155,-25,0,21,14\n",
                  "row 2: bad date value '2014-02-30'", id="obs-bad-date"),
     pytest.param("fit", OBS + DAY1 + "2014-01-02,oops,44,155,-25,0,21,14\n",
@@ -64,6 +75,8 @@ CASES = [
     # six-hourly forecasts, read by `aggregate-ncep`
     pytest.param("aggregate-ncep", "date,slot,t,tmax,tmin,pc\n2017-12-01,0,70,110,80,0\n",
                  "missing required column 'w'", id="ncep-missing-column"),
+    pytest.param("aggregate-ncep", "date,slot,t,tmax,tmin,pc,w,t\n2017-12-01,0,70,110,80,0,24,5\n",
+                 "duplicate column 't'", id="ncep-duplicate-column"),
     pytest.param("aggregate-ncep", NCEP + "2017-12-32,0,70,110,80,0,24\n",
                  "row 1: bad date value '2017-12-32'", id="ncep-bad-date"),
     pytest.param("aggregate-ncep", NCEP + "2017-12-01,six,70,110,80,0,24\n",
@@ -94,6 +107,8 @@ CASES = [
                  + "".join(f"2017-12-02,{slot},1e308,110,80,0,24\n" for slot in (0, 6, 12, 18)),
                  "2017-12-02: daily t overflows the float range", id="ncep-overflowing-mean"),
     # forecast tables, read by `validate`
+    pytest.param("validate", FORECAST.replace("flags", "flags,arm") + FC1.replace("\n", ",low\n"),
+                 "duplicate column 'arm'", id="forecast-duplicate-column"),
     pytest.param("validate", FORECAST + FC1 + "x\n",
                  "row 2: malformed forecast row", id="forecast-bad-date"),
     pytest.param("validate", FORECAST + FC1 + "2014-01-02,high,algo2,band,90.0,150.0,\n",
@@ -167,11 +182,14 @@ def test_coefficients_file_error_message(tmp_path, capsys, text, message):
 
 def test_nul_byte_names_its_row(tmp_path, capsys):
     """The csv module refuses a NUL byte before Python 3.11 and passes it
-    on from 3.11; either way the row is named."""
+    on from 3.11; on every version the row is named, in a number cell and
+    after a date alike."""
     path = tmp_path / "input.csv"
-    path.write_text(OBS + DAY1 + "2014-01-02,181,44,155,-25,0,21,1\x004\n", encoding="utf-8")
-    assert main(["fit", "--out-dir", str(tmp_path / "out"), str(path)]) == 1
-    assert capsys.readouterr().err.startswith("error: row 2: ")
+    for row in ("2014-01-02,181,44,155,-25,0,21,1\x004\n",
+                "2014-01-02\x00,181,44,155,-25,0,21,14\n"):
+        path.write_text(OBS + DAY1 + row, encoding="utf-8")
+        assert main(["fit", "--out-dir", str(tmp_path / "out"), str(path)]) == 1
+        assert capsys.readouterr().err == "error: row 2: line contains NUL\n"
 
 
 # Cells that have broken parsers before, or come close: blanks, non-finite
@@ -184,12 +202,12 @@ ANY_CELL = st.one_of(st.sampled_from(EDGE_CELLS), st.text(max_size=6),
 NUMBER = st.sampled_from(["0", "1", "24", "35.0", "80.5", "110", "1e308"])
 
 
-def _csv(header, body):
+def _csv(header, body, cell=ANY_CELL):
     """Strategy for a CSV text: `header`, then the rows `body` draws (lists
-    of cells) with up to three cells replaced by arbitrary text. Cells are
+    of cells) with up to three cells replaced by a draw of `cell`. Cells are
     joined with no quoting, so a comma or quote in one shifts the rest of
     its row."""
-    edits = st.lists(st.tuples(st.integers(0, 99), st.integers(0, 99), ANY_CELL), max_size=3)
+    edits = st.lists(st.tuples(st.integers(0, 99), st.integers(0, 99), cell), max_size=3)
 
     def text(body, edits):
         for i, j, cell in edits:
@@ -207,9 +225,11 @@ def _dated(row, max_days):
 
 
 OBS_TEXT = _csv("date,pm,t,tmax,tmin,pc,w,ep,hm", _dated(st.tuples(*[NUMBER] * 8), 6))
-NCEP_TEXT = _csv("date,slot,t,tmax,tmin,pc,w", _dated(st.tuples(*[NUMBER] * 20), 3).map(
+NCEP_HEADER = "date,slot,t,tmax,tmin,pc,w"
+NCEP_ROWS = _dated(st.tuples(*[NUMBER] * 20), 3).map(
     lambda days: [[date, str(slot), *cells[5 * k:5 * k + 5]]
-                  for date, *cells in days for k, slot in enumerate((0, 6, 12, 18))]))
+                  for date, *cells in days for k, slot in enumerate((0, 6, 12, 18))])
+NCEP_TEXT = _csv(NCEP_HEADER, NCEP_ROWS)
 FORECAST_TEXT = _csv("date,pm_hat,id_source,arm,lo,hi,flags", _dated(st.one_of(
     st.tuples(NUMBER, st.just("algo1"), st.just("low"), st.just("0.0"), st.just("35.0"),
               st.just("")),
@@ -240,3 +260,107 @@ def test_parsers_raise_only_their_own_errors_on_any_cell_text(text, parse):
             pass
 
     check()
+
+
+# Six-hourly text for the two routes of parse_ncep: NCEP_TEXT's rows with
+# edge cells in any column, lines ending in \r\n, \r, \x0c or \u2028,
+# blank and whitespace-only lines, and rows with cells added or cut off
+SLOT_CELLS = ["06", "012", "+6", "6.0", " 6", "6 ", "3", "99", "٦"]
+ROUTE_CELL = st.one_of(st.sampled_from(EDGE_CELLS + list(NUMBER_CELLS) + list(DATE_CELLS)
+                                       + SLOT_CELLS), ANY_CELL)
+LINE_EDITS = st.lists(st.tuples(st.integers(0, 99),
+                                st.sampled_from(["", " ", "\t", ",", ",9", ",x,", ',"', "cut"])),
+                      max_size=3)
+LINE_ENDS = st.lists(st.sampled_from(["\n"] * 6 + ["\r\n", "\r", "\x0c", "\u2028"]),
+                     min_size=1, max_size=4)
+
+
+def _edit_lines(text, edits, ends, final_end):
+    """`text` with each (line, edit) applied: a cell cut off the line's end,
+    cells added to it, or a blank line put after it; line ends then cycle
+    through `ends`, and the last line keeps its end only if `final_end`."""
+    lines = text.split("\n")[:-1]
+    for i, edit in edits:
+        i %= len(lines)
+        if edit == "cut":
+            lines[i] = lines[i].rpartition(",")[0]
+        elif edit.startswith(","):
+            lines[i] += edit
+        else:
+            lines.insert(i + 1, edit)
+    ends = [end for end, _ in zip(itertools.cycle(ends), lines)]
+    return "".join(map(str.__add__, lines, ends[:-1] + [ends[-1] if final_end else ""]))
+
+
+NCEP_ROUTE_TEXT = st.builds(_edit_lines, _csv(NCEP_HEADER, NCEP_ROWS, ROUTE_CELL), LINE_EDITS,
+                            LINE_ENDS, st.booleans())
+
+
+_DAY = "".join(f"2017-12-01,{slot},70,110,80,0,24\n" for slot in (0, 6, 12, 18))
+# Texts each refusal of the C reader exists for: cells it would cut short
+# or read otherwise, line ends it does not split at, a quote that joins
+# lines in csv, a cell over csv's field limit, and text with no rows
+ROUTE_EXAMPLES = [
+    NCEP_HEADER + "\n" + _DAY.replace(",6,", old, 1)
+    for old in (",012,", ",0006,", ",3,", ",6.0,", ",06,")
+] + [
+    NCEP_HEADER + "\n" + _DAY.replace("2017-12-01", day, 1)
+    for day in ("2017-12-01T0", "2017-12-01Z", "0000-01-01", "2017-12-01\x00", " 2017-12-01")
+] + [
+    NCEP_HEADER + "\n" + _DAY.replace(",24\n", f",24,x{end}", 1)
+    for end in ("\r", "\x0b", "\x0c", "\x1c", "\x1d", "\x1e", "\x85", "\u2028", "\u2029", ',"\n')
+] + [
+    NCEP_HEADER + "\n" + _DAY.replace(",70,", f",{cell},", 1)
+    for cell in ("nan", "1e999", "1_0", "０", " 7 ", "0." + "0" * 140_000)
+] + [NCEP_HEADER + ",x" + "y" * 140_000 + "\n" + _DAY, NCEP_HEADER + "\n", NCEP_HEADER + "\n\n",
+     "\ufeff" + NCEP_HEADER + "\n" + _DAY, NCEP_HEADER + "\r\n" + _DAY.replace("\n", "\r\n"),
+     NCEP_HEADER + ",t\n" + _DAY]
+
+
+def _outcome(call):
+    """A list of (dtype, bytes) of the arrays a call returns, or the
+    message of the DataError it raises."""
+    try:
+        result = call()
+    except DataError as exc:
+        return str(exc)
+    if result is None:
+        return None
+    if isinstance(result, tuple):
+        date, slot, values = result
+        arrays = [date, slot, *values.values()]
+    else:
+        arrays = [getattr(result, f.name) for f in dataclasses.fields(result)]
+    return [(a.dtype.str, a.tobytes()) for a in arrays]
+
+
+def test_c_reader_reads_what_the_cell_path_reads():
+    """Where numpy's C reader takes a six-hourly text, it gives the cell
+    path's columns, dtype and bytes alike; and parse_ncep returns or raises
+    on every text what it does with the cell path alone."""
+    read = []
+
+    @settings(max_examples=500, deadline=None)
+    @given(NCEP_ROUTE_TEXT)
+    def check(text):
+        by_loadtxt = _outcome(lambda: data._ncep_by_loadtxt(text))
+        if by_loadtxt is not None:
+            assert by_loadtxt == _outcome(lambda: data._ncep_by_cells(text))
+            read.append(isinstance(by_loadtxt, list))
+        with mock.patch.object(data, "_ncep_by_loadtxt", return_value=None):
+            expected = _outcome(lambda: parse_ncep(io.StringIO(text)))
+        assert _outcome(lambda: parse_ncep(io.StringIO(text))) == expected
+
+    for text in ROUTE_EXAMPLES:
+        check = example(text)(check)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        check()
+    assert any(read)
+
+
+def test_c_reader_reads_the_demo_six_hourly_table():
+    text = data._open_text(OBS_2014.parent / "ncep_201712_6h.csv")
+    assert data._ncep_by_loadtxt(text) is not None
+    assert _outcome(lambda: data._ncep_by_loadtxt(text)) == _outcome(
+        lambda: data._ncep_by_cells(text))
