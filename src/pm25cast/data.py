@@ -25,6 +25,7 @@ OBS_REQUIRED = ("pm", "t", "tmax", "tmin", "pc", "w", "ep")
 NCEP_FIELDS = ("t", "tmax", "tmin", "pc", "w")
 NCEP_COLUMNS = ("date", "slot") + NCEP_FIELDS
 NCEP_SLOTS = (0, 6, 12, 18)
+ONE_DAY = np.timedelta64(1, "D")
 
 ID_LOW_CUT = 35.0   # lpm scale; pm scale e^3.5
 ID_HIGH_CUT = 50.0  # lpm scale; pm scale e^5
@@ -107,9 +108,11 @@ class Observations:
 class ModelFrame:
     """Regression-ready rows in date order with no missing values.
 
-    Columns are 1-d arrays of one length; `id` stores the indicator as a
-    float so it can enter design matrices directly. `drop_log` records
-    (date, reason) for every input row excluded during construction.
+    Columns are 1-d arrays of one length with finite values, and trg is
+    never 0, where the model is undefined; a DataError names the date of a
+    row that breaks this. `id` stores the indicator as a float so it can
+    enter design matrices directly. `drop_log` records (date, reason) for
+    every input row excluded during construction.
 
     A stack of samples is not a frame of its own but a (samples, m) array
     `rows` of row indices into this one, each row of it sorted; the model
@@ -136,6 +139,9 @@ class ModelFrame:
             finite = np.isfinite(values)
             if not finite.all():
                 raise DataError(f"frame column {name} is non-finite on {self.dates[~finite][0]}")
+        flat = self.trg == 0.0
+        if flat.any():
+            raise DataError(f"frame column trg is zero on {self.dates[flat][0]}")
         if np.any(np.diff(self.dates) < np.timedelta64(0, "D")):
             raise DataError("frame dates must be non-decreasing")
 
@@ -143,18 +149,26 @@ class ModelFrame:
     def n(self):
         return len(self.dates)
 
+    def day_steps(self, rows=None):
+        """True between consecutive sample rows exactly one day apart.
+
+        `rows` is one sample (m,) or a stack (samples, m) of row indices,
+        None for the whole frame; the last axis of the result is one
+        shorter. Longer gaps (season boundaries, dropped days) and repeated
+        dates (possible in resampled samples) are False.
+        """
+        idx = np.arange(self.n) if rows is None else np.asarray(rows)
+        return np.diff(self.dates[idx], axis=-1) == ONE_DAY
+
     def lag_pairs(self, rows=None):
         """Frame rows (prev, curr) of consecutive sample rows one day apart.
 
-        `rows` is one sample (m,) or a stack (samples, m) of row indices,
-        None for the whole frame. Gaps longer than a day (season
-        boundaries) and repeated dates (possible in resampled samples)
-        yield no pair. Both results have the shape of `rows` with the last
-        axis cut to the pairs, so every sample of a stack must hold the
-        same number of pairs.
+        `rows` is as in `day_steps`, whose steps are the pairs. Both
+        results have the shape of `rows` with the last axis cut to the
+        pairs, so every sample of a stack must hold as many pairs.
         """
         idx = np.arange(self.n) if rows is None else np.asarray(rows)
-        step = np.diff(self.dates[idx], axis=-1) == np.timedelta64(1, "D")
+        step = self.day_steps(idx)
         counts = step.sum(axis=-1)
         if np.any(counts != counts.flat[0]):
             raise ValueError("the samples of a stack differ in lag-pair count")
@@ -202,12 +216,12 @@ def _write_json(payload, path):
 
 
 def _open_text(source):
-    """The whole text of a path or file object. Paths and byte streams are
-    decoded as UTF-8, and a byte-order mark (as Excel's "CSV UTF-8" writes)
-    is dropped; a path's line ends are read as newlines."""
+    """The whole text of a path or file object without a leading byte-order
+    mark (as Excel's "CSV UTF-8" writes). Paths and byte streams are decoded
+    as UTF-8; a path's line ends are read as newlines."""
     if hasattr(source, "read"):
         data = source.read()
-        return data.decode("utf-8-sig") if isinstance(data, bytes) else data
+        return data.decode("utf-8-sig") if isinstance(data, bytes) else data.removeprefix("\ufeff")
     with open(os.fspath(source), "r", encoding="utf-8-sig") as fh:
         return fh.read()
 
@@ -215,12 +229,12 @@ def _open_text(source):
 def _column_index(header, required, optional=()):
     """{name: position} of the required and optional names in a header row.
 
-    A missing required name raises a DataError, and so does one of these
-    names given twice, which would otherwise be read from one of its
-    columns without a word.
+    Names are stripped, as every cell is. A missing required name raises a
+    DataError, and so does one of these names given twice, which would
+    otherwise be read from one of its columns without a word.
     """
     index, read = {}, {*required, *optional}
-    for i, name in enumerate(header):
+    for i, name in enumerate(map(str.strip, header)):
         if name in index and name in read:
             raise DataError(f"duplicate column {name!r}")
         index.setdefault(name, i)
@@ -347,9 +361,10 @@ def parse_observations(source):
 def build_frame(table):
     """Assemble a ModelFrame from an Observations table.
 
-    Rows that miss a field or have pm <= 0 are dropped and listed in the
-    frame's drop_log; emitted + dropped row counts always equal the input
-    count. Dates must be strictly increasing.
+    Rows are dropped and listed in the frame's drop_log with the first
+    reason that holds: "missing field", "nonpositive concentration" (pm <=
+    0) or "zero temperature range" (tmax == tmin). Emitted + dropped row
+    counts always equal the input count. Dates must be strictly increasing.
     """
     date = table.date
     out_of_order = np.flatnonzero(date[1:] <= date[:-1])
@@ -357,20 +372,22 @@ def build_frame(table):
         i = out_of_order[0]
         raise DataError(f"records out of order: {date[i + 1]} follows {date[i]}")
 
-    complete = table.complete
-    keep = complete & (table.pm > 0)
-    reasons = np.where(complete[~keep], "nonpositive concentration", "missing field")
+    trg = table.tmax - table.tmin
+    reason = np.select([~table.complete, ~(table.pm > 0), trg == 0.0],
+                       ["missing field", "nonpositive concentration", "zero temperature range"],
+                       "")
+    keep = reason == ""
     lpm = lpm_from_pm(table.pm[keep])
     return ModelFrame(
         dates=date[keep],
         lpm=lpm,
-        trg=table.tmax[keep] - table.tmin[keep],
+        trg=trg[keep],
         t=table.t[keep],
         w=table.w[keep],
         pc=table.pc[keep],
         ep=table.ep[keep],
         id=id_from_lpm(lpm),
-        drop_log=tuple(zip(date[~keep].tolist(), reasons.tolist())),
+        drop_log=tuple(zip(date[~keep].tolist(), reason[~keep].tolist())),
     )
 
 

@@ -238,8 +238,7 @@ def residual_screen(fit, frame, alpha=0.05):
             continue
         spearman[name] = spearman_test(abs_sr, col)
 
-    dates = frame.dates[idx]
-    step = np.diff(dates) == np.timedelta64(1, "D")
+    step = frame.day_steps(idx)
     lag1 = None
     if step.sum() >= 3:
         lag1 = pearson_test(fit.std_residuals[:-1][step], fit.std_residuals[1:][step])

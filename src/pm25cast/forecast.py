@@ -18,8 +18,8 @@ from typing import NamedTuple
 import numpy as np
 
 from .data import (
-    _convert, _floats, _iso_dates, _open_text, _read_columns, _write_columns, _write_json,
-    id_from_lpm, lpm_from_pm,
+    ONE_DAY, _convert, _floats, _iso_dates, _open_text, _read_columns, _write_columns,
+    _write_json, id_from_lpm, lpm_from_pm,
 )
 from .errors import DataError
 
@@ -335,7 +335,7 @@ def forecast_series(model, predictors, profile, id_source="algo1", observations=
     if observations is None or id_source == "algo2":
         pm = np.full(len(date), math.nan)
     else:
-        pm = observations.lookup("pm", date - np.timedelta64(1, "D") if id_source == "algo1" else date)
+        pm = observations.lookup("pm", date - ONE_DAY if id_source == "algo1" else date)
     flat = predictors.trg == 0.0
     skip = flat | ~(pm > 0) if id_source == "observed" else flat
     skipped = [

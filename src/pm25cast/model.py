@@ -93,7 +93,7 @@ def _pairs(frame, rows):
 def observation_counts(spec, frame, rows):
     """Observations in each sample of a stack (lag pairs when iterated)."""
     if spec.family in _ITERATED:
-        return (np.diff(frame.dates[rows], axis=-1) == np.timedelta64(1, "D")).sum(axis=-1)
+        return frame.day_steps(rows).sum(axis=-1)
     return np.full(rows.shape[:-1], rows.shape[-1])
 
 
@@ -153,10 +153,7 @@ def _structural(beta, frame, idx, order):
             return np.stack([np.ones_like(t), t], axis=-1)
         return np.zeros(t.shape + (q, q))
 
-    trg = col("trg")
-    bad = trg == 0.0
-    if bad.any():
-        raise DataError(f"trg = 0 on {col('dates')[bad][0]}")
+    trg = col("trg")  # never 0: a ModelFrame refuses such a row
     # an exponential that overflows to inf is handled as a non-finite fit
     with np.errstate(over="ignore"):
         expo = np.exp(-beta[..., 1, None] / trg)

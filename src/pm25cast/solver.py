@@ -7,7 +7,6 @@ import numpy as np
 
 from . import model
 from .data import _write_columns
-from .errors import DataError
 # qr_full stays bound here for bench/tests/test_bench.py::test_tracer_rebinds_every_namespace_and_restores
 from .numerics import qr_full, qr_stack, solve_upper, vecdot  # noqa: F401
 
@@ -69,8 +68,8 @@ class StackFit(NamedTuple):
     """End state of `fit_stack`, one entry (or row) per sample.
 
     `fault[i]` is None, or the exception a single fit of sample i raises
-    (rank deficiency, a model input error, a non-finite trial theta); the
-    other fields of a faulted sample are meaningless. `path` starts with
+    (rank deficiency of its Jacobian, a non-finite trial theta); the other
+    fields of a faulted sample are meaningless. `path` starts with
     (all samples, start theta, start RSS) and then lists the accepted steps
     of each round of trials as (samples, theta, rss), in order.
     """
@@ -91,25 +90,6 @@ class StackFit(NamedTuple):
             if hit.size:
                 steps.append(TraceStep(theta[hit[0]].copy(), float(rss[hit[0]])))
         return steps
-
-
-def _first_eval(spec, theta, frame, rows, y, fault):
-    """First evaluation of f on a stack; a sample the model rejects is faulted.
-
-    The model raises DataError for the whole stack when one sample holds a
-    row it cannot use (trg = 0), so on an error each sample is evaluated
-    alone to find the ones that raise.
-    """
-    try:
-        return model.eval_f(spec, theta, frame, rows)
-    except DataError:
-        fitted = np.full(y.shape, np.nan)
-        for i in range(theta.shape[0]):
-            try:
-                fitted[i] = model.eval_f(spec, theta[i : i + 1], frame, rows[i : i + 1])[0]
-            except DataError as exc:
-                fault[i] = exc
-        return fitted
 
 
 def _rss(resid):
@@ -133,8 +113,10 @@ def fit_stack(spec, frame, rows, theta0, max_steps=50, rel_tol=1e-8):
     of each sample must be non-decreasing. `theta0` is a q-vector (shared
     start) or a (samples, q) array. Raises ValueError on unsorted samples
     and when the samples have no more observations than parameters, and
-    DataError when the iterated families find no lag pair; failures of
-    single samples are reported in `fault`.
+    DataError when the iterated families find no lag pair. A frame holds
+    no row the model cannot evaluate, so the start is one evaluation of
+    the whole stack; a sample whose Jacobian loses rank or whose trial
+    theta turns non-finite is reported in `fault`.
     """
     rows = np.asarray(rows)
     if np.any(np.diff(frame.dates[rows], axis=-1) < np.timedelta64(0, "D")):
@@ -146,12 +128,12 @@ def fit_stack(spec, frame, rows, theta0, max_steps=50, rel_tol=1e-8):
         raise ValueError(f"need more observations than parameters (n={n}, q={q})")
     theta = np.array(np.broadcast_to(np.asarray(theta0, dtype=float), (k, q)))
     fault = [None] * k
-    fitted = _first_eval(spec, theta, frame, rows, y, fault)
+    fitted = model.eval_f(spec, theta, frame, rows)
     resid = y - fitted
     rss = _rss(resid)
     converged = np.zeros(k, dtype=bool)
     path = [(np.arange(k), theta.copy(), rss.copy())]
-    live = np.flatnonzero(np.isfinite(rss) & np.array([f is None for f in fault]))
+    live = np.flatnonzero(np.isfinite(rss))
 
     for _ in range(max_steps):
         if not live.size:

@@ -25,7 +25,7 @@ from pm25cast.bootstrap import (
     write_replications_csv,
 )
 
-from conftest import jan2014_records, noise_free_frame, synthetic_records
+from conftest import jan2014_records, noise_free_frame, obs_rows, obs_table, synthetic_records
 
 PIN = Path(__file__).resolve().parent / "data" / "bootstrap_jan2014_pin.json"
 
@@ -383,3 +383,50 @@ def test_replication_csv_and_summary_json(tmp_path, month_frame, month_fit):
     assert payload["converged"] == s.converged_count
     assert len(payload["bias"]) == 7
     assert payload == summary_dict(s)
+
+
+# ---------------------------------------------------------------- dropped days
+
+FLAT_DAYS = [4, 11, 12, 30]  # 11 and 12 adjacent: one gap of two days
+
+
+@pytest.mark.parametrize("spec", [ModelSpec("with-id"), ModelSpec("iterated", rho=0.3)],
+                         ids=["with-id", "iterated"])
+def test_flat_days_fit_and_resample_as_if_deleted(spec):
+    """A day with tmax == tmin is dropped from the frame, and whatever is
+    fitted on that frame has the bits of the same records with the day
+    deleted: the fit, its trace and residuals, the lag pairs, and seeded
+    replications. A day that also has pm <= 0 keeps that reason."""
+    rows = obs_rows(synthetic_records(n=60, seed=21))
+    for i in FLAT_DAYS:
+        rows[i] = rows[i]._replace(tmax=rows[i].tmin)
+    rows[40] = rows[40]._replace(pm=0.0, tmax=rows[40].tmin)
+    flat = build_frame(obs_table(rows))
+    deleted = build_frame(obs_table([r for i, r in enumerate(rows) if i not in FLAT_DAYS]))
+
+    nonpositive = (rows[40].date, "nonpositive concentration")
+    assert deleted.drop_log == (nonpositive,)
+    assert flat.drop_log == tuple(sorted(
+        [(rows[i].date, "zero temperature range") for i in FLAT_DAYS] + [nonpositive]
+    ))
+    for name in ("dates", "lpm", "trg", "t", "w", "pc", "ep", "id"):
+        assert getattr(flat, name).tobytes() == getattr(deleted, name).tobytes()
+    for a, b in zip(flat.lag_pairs(), deleted.lag_pairs()):
+        assert np.array_equal(a, b)
+    prev, curr = flat.lag_pairs()
+    assert (rows[10].date, rows[13].date) not in zip(flat.dates[prev].tolist(),
+                                                     flat.dates[curr].tolist())
+
+    fits = [gauss_newton(spec, frame) for frame in (flat, deleted)]
+    assert fits[0].converged
+    a, b = fits
+    assert a.theta.tobytes() == b.theta.tobytes()
+    assert a.rss == b.rss
+    assert a.residuals.tobytes() == b.residuals.tobytes()
+    assert [(t.tobytes(), r) for t, r in a.trace] == [(t.tobytes(), r) for t, r in b.trace]
+
+    sims = [run_simulation(spec, frame, fit, reps=30, size=25, seed=3)
+            for frame, fit in zip((flat, deleted), fits)]
+    assert sims[0].converged.any()
+    for name in ("theta", "converged", "curvature_pass", "ks_p", "identical_residuals"):
+        assert getattr(sims[0], name).tobytes() == getattr(sims[1], name).tobytes()

@@ -260,6 +260,28 @@ def test_fit_skips_blank_lines_before_the_header(tmp_path):
         assert (tmp_path / "padded" / leaf).read_bytes() == (tmp_path / "plain" / leaf).read_bytes()
 
 
+def test_fit_and_simulate_drop_a_flat_day_as_if_deleted(tmp_path):
+    """A day with tmax == tmin cannot enter the model: fit and simulate drop
+    it, list it under rows_dropped and write the bytes of the same file
+    without that row."""
+    lines = Path(OBS_2014).read_text(encoding="utf-8").splitlines(keepends=True)
+    (i,) = [i for i, line in enumerate(lines) if line.startswith("2014-01-10,")]
+    cells = lines[i].rstrip("\r\n").split(",")
+    cells[3] = cells[4]  # tmax = tmin
+    copies = {"flat": lines[:i] + [",".join(cells) + "\r\n"] + lines[i + 1:],
+              "deleted": lines[:i] + lines[i + 1:]}
+    for name, text in copies.items():
+        obs = tmp_path / f"{name}.csv"
+        obs.write_text("".join(text), encoding="utf-8")
+        assert run("fit", "--out-dir", str(tmp_path / name / "fit"), str(obs)) == 0
+        assert run("simulate", "--reps", "12", "--size", "25", "--seed", "3",
+                   "--out-dir", str(tmp_path / name / "sim"), str(obs)) == 0
+    for leaf in ("fit/fit_trace.csv", "fit/residuals.csv", "sim/replications.csv"):
+        assert (tmp_path / "flat" / leaf).read_bytes() == (tmp_path / "deleted" / leaf).read_bytes()
+    diag = json.loads((tmp_path / "flat" / "fit" / "diagnostics.json").read_text())
+    assert diag["fit"]["rows_dropped"] == [["2014-01-10", "zero temperature range"]]
+
+
 def test_fit_bad_start_length(tmp_path):
     assert run_quiet("fit", "--family", "with-id", "--start", "1,2,3",
                      "--out-dir", str(tmp_path), OBS_2014) == 1

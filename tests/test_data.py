@@ -6,6 +6,7 @@ import re
 import types
 import warnings
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -142,15 +143,43 @@ def _columns(table):
     (read_forecast_csv, GOLDEN_FORECAST),
 ], ids=["observations", "six-hourly", "forecast"])
 def test_byte_order_mark_and_crlf_read_as_the_plain_file(tmp_path, parse, path):
-    """Excel's "CSV UTF-8" starts a file with a byte-order mark; a path or a
-    byte stream with one, and with \n or \r\n line ends, reads as the plain
-    file does."""
+    """Excel's "CSV UTF-8" starts a file with a byte-order mark; a path, a
+    byte stream or a text stream with one, and with \n or \r\n line ends,
+    reads as the plain file does."""
     plain = path.read_bytes().replace(b"\r\n", b"\n")
     copy = tmp_path / "copy.csv"
     for text in (plain, plain.replace(b"\n", b"\r\n")):
         copy.write_bytes(b"\xef\xbb\xbf" + text)
-        for source in (copy, io.BytesIO(copy.read_bytes())):
+        sources = (copy, io.BytesIO(copy.read_bytes()), io.StringIO(copy.read_text("utf-8")))
+        for source in sources:
             assert _columns(parse(source)) == _columns(parse(io.BytesIO(plain)))
+
+
+def _parse_ncep_cell_by_cell(source):
+    """parse_ncep by its csv route, the one taken by text numpy's reader refuses."""
+    with mock.patch.object(data, "_ncep_by_loadtxt", return_value=None):
+        return parse_ncep(source)
+
+
+@pytest.mark.parametrize("parse,path", [
+    (parse_observations, DEMO_DATA / "obs_201401.csv"),
+    (parse_ncep, DEMO_DATA / "ncep_201712_6h.csv"),
+    (_parse_ncep_cell_by_cell, DEMO_DATA / "ncep_201712_6h.csv"),
+    (read_forecast_csv, GOLDEN_FORECAST),
+], ids=["observations", "six-hourly", "six-hourly-cells", "forecast"])
+def test_padded_header_names_read_as_the_plain_file(parse, path):
+    """Header names are stripped as every cell is, so `date, pm, t` reads as
+    `date,pm,t`; a name that repeats once stripped is still refused."""
+    plain = path.read_text(encoding="utf-8").replace("\r\n", "\n")
+    head, body = plain.split("\n", 1)
+    names = head.split(",")
+    padded = ",".join(f" {name}\t" for name in names) + "\n" + body
+    if parse is parse_ncep:
+        assert data._ncep_by_loadtxt(padded) is not None
+    assert _columns(parse(io.StringIO(padded))) == _columns(parse(io.StringIO(plain)))
+    repeated = ",".join([*names, f" {names[1]} "]) + "\n" + body
+    with pytest.raises(DataError, match=f"^duplicate column '{names[1]}'$"):
+        parse(io.StringIO(repeated))
 
 
 def test_a_repeated_column_no_parser_reads_is_allowed():

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -176,15 +177,22 @@ def test_iterated_response_is_differenced(frame):
 
 
 def test_zero_trg_row_raises_with_date():
+    """exp(-th2/trg) is undefined at trg = 0: a ModelFrame refuses such a row
+    and names its date, and build_frame drops the day instead."""
     from conftest import obs_rows, obs_table
 
     recs = obs_rows(synthetic_records(n=5, seed=7))
     flat = recs[2]._replace(tmax=10.0, tmin=10.0)
     recs[2] = flat
     frame = build_frame(obs_table(recs))
-    with pytest.raises(DataError) as err:
-        eval_f(ModelSpec("initial"), np.array([40.0, 1.0, 0, 0, 0, 0]), frame)
-    assert flat.date.isoformat() in str(err.value)
+    assert frame.drop_log == ((flat.date, "zero temperature range"),)
+    assert flat.date not in frame.dates.tolist()
+
+    whole = build_frame(synthetic_records(n=5, seed=7))
+    trg = whole.trg.copy()
+    trg[2] = 0.0
+    with pytest.raises(DataError, match=f"^frame column trg is zero on {flat.date.isoformat()}$"):
+        dataclasses.replace(whole, trg=trg)
 
 
 def test_theta_length_checked(frame):

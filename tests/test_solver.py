@@ -157,8 +157,8 @@ def test_infinite_rss_gives_nan_standardized_residuals_without_warning():
 
 def test_fit_stack_matches_single_fits():
     """A stack of samples fits each sample exactly as gauss_newton fits it
-    alone, and a sample the model rejects is faulted without stopping the
-    others."""
+    alone, and a sample whose Jacobian loses rank is faulted without
+    stopping the others."""
     spec = ModelSpec("with-id")
     frame = build_frame(synthetic_records(n=60, seed=9))
     rows = np.array([np.arange(k, k + 30) for k in (0, 5, 11, 30)])
@@ -171,22 +171,14 @@ def test_fit_stack_matches_single_fits():
         assert bool(run.converged[i]) == alone.converged
         assert [(list(t), r) for t, r in run.trace(i)] == [(list(t), r) for t, r in alone.trace]
 
-    trg = frame.trg.copy()
-    trg[40] = 0.0  # only the samples holding row 40 are rejected
-    for spec in (spec, ModelSpec("iterated", rho=0.3)):
-        run = fit_stack(spec, dataclasses.replace(frame, trg=trg), rows, model.default_start(spec))
-        assert [type(f).__name__ if f else None for f in run.fault] == [None, None, "DataError", "DataError"]
-        assert run.converged[:2].all()
-
     pc = frame.pc.copy()
     pc[:30] = 0.0  # the pc column of rows[0] is zero: its Jacobian has rank 6
-    spec = ModelSpec("with-id")
-    bad = dataclasses.replace(frame, trg=trg, pc=pc)
+    bad = dataclasses.replace(frame, pc=pc)
     run = fit_stack(spec, bad, rows[[3, 0, 1]], model.default_start(spec))
     assert [type(f).__name__ if f else None for f in run.fault] == [
-        "DataError", "RankDeficiencyError", None
+        None, "RankDeficiencyError", None
     ]
-    assert run.converged[2]
+    assert run.converged[[0, 2]].all()
 
 
 def test_fit_stack_refuses_a_sample_out_of_date_order():
