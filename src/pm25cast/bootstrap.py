@@ -21,7 +21,7 @@ import numpy as np
 from . import model
 from .data import _write_columns
 from .diagnostics import bates_curvature, finite_or_none
-from .errors import DataError, StratificationError
+from .errors import StratificationError
 from .numerics import ks_two_sample
 from .solver import FitResult, fit_stack, gauss_newton
 
@@ -148,8 +148,10 @@ def run_simulation(
     convergence, (b) both curvature measures under the critical value, (c)
     a KS two-sample test of the replication residuals against the baseline
     fit's residuals, and (d) the replication residual vector not being an
-    exact copy of the baseline's on shared rows. Failed fits are counted
-    as unconverged, never fatal.
+    exact copy of the baseline's on shared rows. Failed fits, and samples
+    with no more observations than parameters, which are not fitted, are
+    counted as unconverged, never fatal. A `theta0` that is not a q-vector
+    raises ValueError before any draw.
 
     bias_j = mean(theta*_j) - theta_hat_j over converged replications;
     theta_corrected = theta_hat - bias. `gate_ok` reports whether the KS
@@ -163,6 +165,9 @@ def run_simulation(
     """
     if reps < 1:
         raise ValueError("reps must be positive")
+    start = model.default_start(spec) if theta0 is None else np.asarray(theta0, dtype=float)
+    if start.shape != (spec.q,):
+        raise ValueError(f"theta0 must have length {spec.q}, got shape {start.shape}")
 
     strata, allocs = _strata(frame, size)
     rows = np.array([
@@ -170,7 +175,6 @@ def run_simulation(
         for child in np.random.SeedSequence(seed).spawn(reps)
     ])
     rows.sort(axis=1)
-    start = model.default_start(spec) if theta0 is None else theta0
 
     theta = np.full((reps, spec.q), np.nan)
     converged = np.zeros(reps, dtype=bool)
@@ -180,14 +184,12 @@ def run_simulation(
     baseline_at = np.full(frame.n, -1)
     baseline_at[model.rows_used(spec, frame)] = np.arange(baseline.residuals.size)
 
-    # stacks must be rectangular: group the replications by observation count
+    # stacks must be rectangular: group the replications by observation count;
+    # a sample with no more observations than parameters cannot be fitted
     counts = model.observation_counts(spec, frame, rows)
-    for count in np.unique(counts):
+    for count in np.unique(counts[counts > spec.q]):
         for stack in _chunks(np.flatnonzero(counts == count), FIT_STACK):
-            try:
-                run = fit_stack(spec, frame, rows[stack], start)
-            except (DataError, ValueError):
-                continue  # too few observations (or no lag pair) in every sample
+            run = fit_stack(spec, frame, rows[stack], start)
             ok = np.array([f is None for f in run.fault], dtype=bool)
             theta[stack[ok]] = run.theta[ok]
             for done in _chunks(np.flatnonzero(ok & run.converged), BLOCK):

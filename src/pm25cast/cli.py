@@ -205,14 +205,12 @@ def cmd_forecast(args):
     observations = data.parse_observations(args.obs)
     inputs = [args.obs]
 
-    if args.predictors == "ncep":
-        if args.ncep is None:
-            raise ValueError("--ncep is required unless --predictors observed")
+    if args.ncep is None:
+        predictors, skipped = forecast.predictors_from_records(observations)
+    else:
         daily = data.aggregate_ncep(data.parse_ncep(args.ncep))
         predictors, skipped = forecast.predictors_from_aggregated(daily, observations)
         inputs.append(args.ncep)
-    else:
-        predictors, skipped = forecast.predictors_from_records(observations)
 
     id_source = {"1": "algo1", "2": "algo2", "observed": "observed"}[args.id_algo]
     table, skipped_fc = forecast.forecast_series(
@@ -259,8 +257,6 @@ def _add_fit_options(parser):
     parser.add_argument("--family", choices=CLI_FAMILIES, default="with-id")
     parser.add_argument("--rho", type=float, default=None)
     parser.add_argument("--start", default=None, help="comma-separated starting theta")
-    parser.add_argument("--rel-tol", type=_TOLERANCE, default=1e-8)
-    parser.add_argument("--max-steps", type=_COUNT, default=50)
     parser.add_argument("--alpha", type=_PROBABILITY, default=0.05)
 
 
@@ -271,6 +267,8 @@ def build_parser():
     p_fit = sub.add_parser("fit", help="fit a family and write diagnostics")
     p_fit.add_argument("obs", help="observation CSV")
     _add_fit_options(p_fit)
+    p_fit.add_argument("--rel-tol", type=_TOLERANCE, default=1e-8)
+    p_fit.add_argument("--max-steps", type=_COUNT, default=50)
     p_fit.add_argument("--out-dir", default=".")
     p_fit.set_defaults(func=cmd_fit)
 
@@ -287,12 +285,12 @@ def build_parser():
     p_sim.set_defaults(func=cmd_simulate)
 
     p_fc = sub.add_parser("forecast", help="daily interval forecasts")
-    p_fc.add_argument("--ncep", default=None, help="six-hourly forecast CSV")
+    p_fc.add_argument("--ncep", default=None,
+                      help="six-hourly forecast CSV; without it the --obs rows are the predictors")
     p_fc.add_argument("--obs", required=True, help="observation CSV (ep and pm)")
     p_fc.add_argument("--model", default="thesis-2018", help="preset name or coefficients JSON")
     p_fc.add_argument("--id-algo", choices=("1", "2", "observed"), default="1")
     p_fc.add_argument("--profile", choices=sorted(forecast.PROFILES), default="ncep-i1")
-    p_fc.add_argument("--predictors", choices=("ncep", "observed"), default="ncep")
     p_fc.add_argument("--out-dir", default=".")
     p_fc.set_defaults(func=cmd_forecast)
 

@@ -1,7 +1,8 @@
 """Ingestion of daily observations and six-hourly forecast tables.
 
-Observation CSVs carry `date,pm,t,tmax,tmin,pc,w,ep[,hm]` with temperatures
-in 0.1 degC, precipitation and evaporation in 0.1 mm, wind in 0.1 m/s.
+Observation CSVs carry `date,pm,t,tmax,tmin,pc,w,ep` with temperatures
+in 0.1 degC, precipitation and evaporation in 0.1 mm, wind in 0.1 m/s; any
+other column is left unread.
 Values stay in that raw scale end to end; the only derived quantities are
 lpm = 10*ln(pm), trg = tmax - tmin and the pollution-level indicator id.
 """
@@ -55,9 +56,7 @@ class Observations:
     """Daily observations as columns, one entry per data row in file order.
 
     `date` is datetime64[D]; every other column is float, with NaN for a
-    blank cell. `hm` is None when the file has no hm column; it is parsed
-    when present but never used as a regressor. Row N of a message is
-    entry N - 1.
+    blank cell. Row N of a message is entry N - 1.
     """
 
     date: np.ndarray
@@ -68,7 +67,6 @@ class Observations:
     pc: np.ndarray
     w: np.ndarray
     ep: np.ndarray
-    hm: np.ndarray | None = None
 
     def __post_init__(self):
         for name in ("pm", "pc", "w", "ep"):
@@ -226,16 +224,16 @@ def _open_text(source):
         return fh.read()
 
 
-def _column_index(header, required, optional=()):
-    """{name: position} of the required and optional names in a header row.
+def _column_index(header, required):
+    """{name: position} of the names in a header row.
 
     Names are stripped, as every cell is. A missing required name raises a
-    DataError, and so does one of these names given twice, which would
-    otherwise be read from one of its columns without a word.
+    DataError, and so does one of them given twice, which would otherwise
+    be read from one of its columns without a word.
     """
-    index, read = {}, {*required, *optional}
+    index = {}
     for i, name in enumerate(map(str.strip, header)):
-        if name in index and name in read:
+        if name in index and name in required:
             raise DataError(f"duplicate column {name!r}")
         index.setdefault(name, i)
     for name in required:
@@ -244,14 +242,14 @@ def _column_index(header, required, optional=()):
     return index
 
 
-def _read_columns(text, required, optional=()):
-    """{name: stripped cells} of the named columns of a CSV text with a header.
+def _read_columns(text, required):
+    """{name: stripped cells} of the required columns of a CSV text with a
+    header; other columns are not read.
 
     Blank lines, before the header too, are skipped and not counted, and a
     short row reads its missing trailing cells as blank, as in
-    csv.DictReader. An optional column the header lacks is left out. A row
-    csv refuses (an oversized cell) or that holds a NUL raises a DataError
-    naming it.
+    csv.DictReader. A row csv refuses (an oversized cell) or that holds a
+    NUL raises a DataError naming it.
     """
     rows = csv.reader(text.splitlines())
     header, body = None, []
@@ -268,15 +266,11 @@ def _read_columns(text, required, optional=()):
         # string cell cannot show a trailing one, so refuse it everywhere
         i = next(i for i, row in enumerate([header, *body]) if "\x00" in "".join(row))
         raise DataError(f"{f'row {i}' if i else 'header'}: line contains NUL")
-    index = _column_index(header, required, optional)
+    index = _column_index(header, required)
     if body and min(map(len, body)) < len(header):
         body = [row + [""] * (len(header) - len(row)) for row in body]
     columns = list(zip(*body)) or [()] * len(header)
-    return {
-        name: list(map(str.strip, columns[index[name]]))
-        for name in (*required, *optional)
-        if name in index
-    }
+    return {name: list(map(str.strip, columns[index[name]])) for name in required}
 
 
 def _convert(cells, parse, bad):
@@ -352,7 +346,7 @@ def parse_observations(source):
         On a missing required column, a malformed cell or an impossible
         value (the message names the 1-based data row and the field).
     """
-    cells = _read_columns(_open_text(source), ("date",) + OBS_REQUIRED, optional=("hm",))
+    cells = _read_columns(_open_text(source), ("date",) + OBS_REQUIRED)
     date = _convert(cells.pop("date"), _iso_dates, "bad date value {!r}")
     cells["pc"] = ["0" if text in TRACE_TOKENS else text for text in cells["pc"]]
     return Observations(date=date, **{name: _float_column(cells[name], name) for name in cells})

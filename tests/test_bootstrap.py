@@ -229,6 +229,16 @@ def test_no_converged_replication_reported_not_raised(tmp_path):
     assert len(rows) == 20 and all(row.split(",")[1] == "0" for row in rows)
 
 
+@pytest.mark.parametrize("theta0", [[40.0, 1.0], [[40.0, 1.0, 0, 0, 0, 0, 1.0]] * 2])
+def test_wrong_length_start_raises_before_any_draw(month_frame, month_fit, theta0):
+    """A start that is not a 7-vector for the with-id family is refused,
+    not fitted as 0 of `reps` converged replications."""
+    with mock.patch.object(bootstrap, "_draw", side_effect=AssertionError("drew a sample")):
+        with pytest.raises(ValueError, match=r"^theta0 must have length 7, got shape \("):
+            run_simulation(ModelSpec("with-id"), month_frame, month_fit,
+                           reps=20, size=25, seed=0, theta0=theta0)
+
+
 # ---------------------------------------------------------------- lockstep engine
 
 

@@ -1,4 +1,6 @@
+import argparse
 import csv
+import dataclasses
 import json
 import math
 import subprocess
@@ -9,7 +11,8 @@ from pathlib import Path
 import pytest
 
 import pm25cast
-from pm25cast.cli import main
+from pm25cast.cli import build_parser, main
+from pm25cast.forecast import PRESETS
 
 DEMO_DATA = Path(__file__).resolve().parent.parent / "demos" / "data"
 OBS_2014 = str(DEMO_DATA / "obs_201401.csv")
@@ -449,3 +452,106 @@ def test_missing_subcommand_is_usage_error():
 
 def test_unknown_flag_is_usage_error(tmp_path):
     assert run_quiet("fit", "--nonsense", "--out-dir", str(tmp_path), OBS_2014) == 1
+
+
+@pytest.mark.parametrize("argv,option", [
+    (["simulate", "--size", "25", "--rel-tol", "0.5", OBS_2014], "--rel-tol"),
+    (["simulate", "--size", "25", "--max-steps", "0", OBS_2014], "--max-steps"),
+    (["forecast", "--obs", OBS_2014, "--predictors", "observed"], "--predictors"),
+], ids=["simulate-rel-tol", "simulate-max-steps", "forecast-predictors"])
+def test_removed_options_are_usage_errors(tmp_path, capsys, argv, option):
+    """simulate's solver settings are fixed, and forecast takes its
+    predictors from --ncep when given: these options no longer exist."""
+    out = tmp_path / "out"
+    assert run(*argv, "--out-dir", str(out)) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("usage: pm25cast ")
+    assert f"error: unrecognized arguments: {option}" in err
+    assert not out.exists()
+
+
+def _model_file(tmp_path):
+    path = tmp_path / "model.json"
+    dataclasses.replace(PRESETS["thesis-2018"], c_id=0.5).to_json(path)
+    return path
+
+
+# The arguments every run of a command passes
+BASE_ARGS = {
+    "fit": [OBS_2014],
+    "simulate": ["--size", "25", "--reps", "12", OBS_2014],
+    "forecast": ["--obs", OBS_2014],
+}
+# (command, option): (arguments of the default run besides BASE_ARGS, a
+# non-default value, None for a flag). A required option, or one only
+# valid beside another, is given in the default run too; the value given
+# last wins.
+NON_DEFAULT = {
+    ("fit", "--family"): ([], "initial"),
+    ("fit", "--rho"): (["--family", "iterated", "--rho", "0.3"], "0.6"),
+    ("fit", "--start"): ([], "40,1,0,0,0,0,0.5"),
+    ("fit", "--alpha"): ([], "0.01"),
+    ("fit", "--rel-tol"): ([], "0.01"),
+    ("fit", "--max-steps"): ([], "1"),
+    ("simulate", "--family"): ([], "initial"),
+    ("simulate", "--rho"): (["--family", "iterated", "--rho", "0.3"], "0.6"),
+    ("simulate", "--start"): ([], "40,1,0,0,0,0,0.5"),
+    ("simulate", "--alpha"): ([], "0.01"),
+    ("simulate", "--reps"): ([], "13"),
+    ("simulate", "--size"): ([], "20"),
+    ("simulate", "--seed"): ([], "1"),
+    ("simulate", "--workers"): ([], "2"),
+    ("simulate", "--with-replacement"): ([], None),
+    ("simulate", "--min-ks-pass"): ([], "0.5"),
+    ("forecast", "--ncep"): (["--obs", OBS_2017], NCEP_2017),
+    ("forecast", "--obs"): ([], OBS_2017),
+    ("forecast", "--model"): ([], _model_file),
+    ("forecast", "--id-algo"): ([], "2"),
+    ("forecast", "--profile"): ([], "standard-i2"),
+}
+# Options that change no output, and why they stay
+DEAD_OPTIONS = {
+    ("simulate", "--workers"): "accepted for compatibility; the bootstrap runs on one thread",
+}
+
+
+def _options(command):
+    """Every option of a subcommand but --help and --out-dir, which names
+    where the outputs go."""
+    (commands,) = [a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction)]
+    return [a.option_strings[-1] for a in commands.choices[command]._actions
+            if a.option_strings and a.option_strings[-1] not in ("--help", "--out-dir")]
+
+
+def _outputs(out):
+    """{file name: bytes} of a run's outputs; JSON without its config echo."""
+    files = {}
+    for path in sorted(out.iterdir()):
+        if path.suffix == ".json":
+            payload = json.loads(path.read_text(encoding="utf-8"))
+            payload.pop("config")
+            files[path.name] = json.dumps(payload).encode("utf-8")
+        else:
+            files[path.name] = path.read_bytes()
+    return files
+
+
+@pytest.mark.parametrize("command,option", [
+    (command, option) for command in BASE_ARGS for option in _options(command)
+])
+def test_every_option_changes_the_output(tmp_path, command, option):
+    """A non-default value of each option writes other bytes than the
+    default run, so the command line takes no input that changes nothing;
+    the options DEAD_OPTIONS lists, with the reason they stay, write the
+    same bytes."""
+    assert (command, option) in NON_DEFAULT, f"{command} {option}: no non-default value listed"
+    default, value = NON_DEFAULT[command, option]
+    if callable(value):
+        value = value(tmp_path)
+    given = [option] if value is None else [option, str(value)]
+    for name, argv in {"default": default, "given": default + given}.items():
+        # 2, non-convergence, still writes every report
+        code = run_quiet(command, *BASE_ARGS[command], *argv, "--out-dir", str(tmp_path / name))
+        assert code in (0, 2), f"{name} run exited {code}"
+    changed = _outputs(tmp_path / "given") != _outputs(tmp_path / "default")
+    assert changed is ((command, option) not in DEAD_OPTIONS)

@@ -132,9 +132,9 @@ def test_parse_header_only():
 
 
 def _columns(table):
-    """(name, dtype, bytes) of each column; None for an absent one."""
+    """(name, dtype, bytes) of each column."""
     columns = [(f.name, getattr(table, f.name)) for f in dataclasses.fields(table)]
-    return [(name, None if a is None else (a.dtype.str, a.tobytes())) for name, a in columns]
+    return [(name, a.dtype.str, a.tobytes()) for name, a in columns]
 
 
 @pytest.mark.parametrize("parse,path", [
@@ -188,6 +188,22 @@ def test_a_repeated_column_no_parser_reads_is_allowed():
         "2014-01-01,153,44,179,-26,0,27,17,a,b,,\n"
     ))
     assert obs_rows(table)[0].pm == 153.0
+
+
+@pytest.mark.parametrize("header,cells", [
+    ("hm", ["51", "x", "1e999"]),
+    ("hm", ["", " ", ""]),
+    ("hm,hm", ["51,7", "x,", ",nan"]),
+], ids=["numbers-and-text", "blanks", "repeated"])
+def test_an_hm_column_reads_as_the_file_without_it(header, cells):
+    """No model reads humidity: an hm column, whatever it holds and however
+    often, is left unread like any other column."""
+    head = "date,pm,t,tmax,tmin,pc,w,ep"
+    rows = ["2014-01-01,153,44,179,-26,0,27,17", "2014-01-02,181,,155,-25,T,21,14",
+            "2014-01-03,96,40,150,-20,0,21,"]
+    plain = "\n".join([head, *rows]) + "\n"
+    with_hm = "\n".join([f"{head},{header}", *map(",".join, zip(rows, cells))]) + "\n"
+    assert _columns(parse_observations(_csv(with_hm))) == _columns(parse_observations(_csv(plain)))
 
 
 def test_lookup_takes_the_last_non_blank_row_of_a_date():

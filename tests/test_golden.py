@@ -40,13 +40,13 @@ GOLDEN = Path(__file__).resolve().parent / "data" / "golden"
 # (subdirectory, forecast options, observation file)
 FORECASTS = (
     ("ncep", ["--ncep", str(DEMO_DATA / "ncep_201712_6h.csv")], DEMO_DATA / "obs_201712.csv"),
-    ("observed", ["--predictors", "observed"], DEMO_DATA / "obs_201401.csv"),
+    ("observed", [], DEMO_DATA / "obs_201401.csv"),
     ("ncep-algo2", ["--ncep", str(DEMO_DATA / "ncep_201712_6h.csv"), "--id-algo", "2"],
      DEMO_DATA / "obs_201712.csv"),
     ("ncep-id-observed",
      ["--ncep", str(DEMO_DATA / "ncep_201712_6h.csv"), "--id-algo", "observed"],
      DEMO_DATA / "obs_201712.csv"),
-    ("observed-standard-i2", ["--predictors", "observed", "--profile", "standard-i2"],
+    ("observed-standard-i2", ["--profile", "standard-i2"],
      DEMO_DATA / "obs_201401.csv"),
 )
 GOLDEN_FILES = (

@@ -52,8 +52,6 @@ CASES = [
                  "row 1: bad pc value 'wet'", id="obs-bad-pc"),
     pytest.param("fit", OBS + "2014-01-01,153,44,179,-26,0,inf,17\n",
                  "row 1: non-finite w value 'inf'", id="obs-non-finite"),
-    pytest.param("fit", "date,pm,t,tmax,tmin,pc,w,ep,hm\n2014-01-01,153,44,179,-26,0,27,17,x\n",
-                 "row 1: bad hm value 'x'", id="obs-bad-hm"),
     pytest.param("fit", OBS + "2014-01-01,-1,44,179,-26,0,27,17\n",
                  "row 1: 2014-01-01: negative pm (-1.0)", id="obs-negative-pm"),
     pytest.param("fit", OBS + DAY1 + "2014-01-02,181,44,155,-25,-0.5,21,14\n",
@@ -174,7 +172,7 @@ COEFFICIENTS = '"b": 0.3, "c_w": 0, "c_t": 0, "c_pc": 0, "c_ep": 0, "c_id": 0.7'
 def test_coefficients_file_error_message(tmp_path, capsys, text, message):
     model = tmp_path / "model.json"
     model.write_text(text, encoding="utf-8")
-    argv = ["forecast", "--predictors", "observed", "--model", model, "--obs", OBS_2014,
+    argv = ["forecast", "--model", model, "--obs", OBS_2014,
             "--out-dir", tmp_path / "out"]
     assert main([str(a) for a in argv]) == 1
     assert capsys.readouterr().err == f"error: {message}\n"
