@@ -38,7 +38,6 @@ from .forecast import (
     PROFILES,
     PRESETS,
     Predictors,
-    hazard_flags,
     interval,
     predict_id_algo1,
     predict_id_algo2,
@@ -88,7 +87,6 @@ __all__ = [
     "eval_f",
     "f_quantile",
     "gauss_newton",
-    "hazard_flags",
     "hessian_cube",
     "interval",
     "jacobian",

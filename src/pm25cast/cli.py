@@ -219,6 +219,8 @@ def cmd_forecast(args):
     skipped.extend(skipped_fc)
     for date, reason in skipped:
         print(f"skipped {date}: {reason}", file=sys.stderr)
+    if not len(table):
+        raise Pm25CastError("no day could be forecast")
 
     out = Path(args.out_dir)
     out.mkdir(parents=True, exist_ok=True)

@@ -19,7 +19,6 @@ directly against 1/sqrt(F(q, n-q, alpha)). `bates_curvature` also takes a
 stack of fits (the bootstrap screens a block of replications in one call).
 """
 
-import functools
 import math
 from dataclasses import dataclass
 
@@ -133,11 +132,6 @@ def mean_square_curvature(faces, q):
     return float(_sphere_average(*_face_sums(np.asarray(faces, dtype=float)), q))
 
 
-@functools.lru_cache(maxsize=128)
-def _critical(alpha, q, dfd):
-    return 1.0 / math.sqrt(f_quantile(1.0 - alpha, q, dfd))
-
-
 def bates_curvature(v1, v2, sigma_hat, alpha=0.05):
     """Scaled mean-square curvatures with their critical value.
 
@@ -178,7 +172,7 @@ def bates_curvature(v1, v2, sigma_hat, alpha=0.05):
     rho = np.asarray(sigma_hat, dtype=float).reshape(k) * math.sqrt(q)
     rho_k_p = rho * _sphere_average(frob_p, trace_sq_p, q)
     rho_k_n = rho * _sphere_average(frob_total - frob_p, trace_sq_total - trace_sq_p, q)
-    critical = _critical(alpha, q, n - q)
+    critical = 1.0 / math.sqrt(f_quantile(1.0 - alpha, q, n - q))
     planar_ok, uniform_ok = rho_k_n < critical, rho_k_p < critical
     if single:
         rho_k_n, rho_k_p = float(rho_k_n[0]), float(rho_k_p[0])

@@ -6,7 +6,8 @@ The frozen model works on the concentration scale:
 
 Coefficients map from a 7-parameter log-scale estimate by dividing through
 by the log-transform factor 10, except b, which sits inside the inner
-exponential and carries over unchanged.
+exponential and carries over unchanged. `_log_pm` evaluates the id-free
+exponent once per day; the algorithm-2 indicator and pm_hat both use it.
 """
 
 import json
@@ -210,14 +211,9 @@ def _exp(x):
     return np.array([_safe_exp(v) for v in x.tolist()], dtype=float)
 
 
-def _columns(predictors):
-    """One Predictors row as a Predictors of one-entry arrays."""
-    return Predictors(*np.array([predictors], dtype=float).T)
-
-
-def _pm_hat(model, predictors, id_value):
-    """Single-value forecasts over predictor columns: the sum is taken left
-    to right as the formula reads, each exponential per element."""
+def _log_pm(model, predictors):
+    """Id-free log-scale forecasts over predictor columns: the sum is taken
+    left to right as the formula reads, the inner exponential per element."""
     for name in Predictors._fields:
         values = getattr(predictors, name)
         if not np.isfinite(values).all():
@@ -226,14 +222,12 @@ def _pm_hat(model, predictors, id_value):
         raise DataError("trg = 0: the nonlinear term is undefined")
     # overflow and 0 * inf pass silently, as they do on Python floats
     with np.errstate(over="ignore", invalid="ignore"):
-        expo = _exp(-model.b / predictors.trg)
-        return _exp(
-            model.a * expo
+        return (
+            model.a * _exp(-model.b / predictors.trg)
             + model.c_w * predictors.w
             + model.c_t * predictors.t
             + model.c_pc * predictors.pc
             + model.c_ep * predictors.ep
-            + model.c_id * id_value
         )
 
 
@@ -241,7 +235,8 @@ def predict_pm(model, predictors, id_value):
     """Single-value concentration forecast from the frozen model."""
     if id_value not in (-1, 0, 1):
         raise ValueError(f"id must be -1, 0 or 1, got {id_value}")
-    return float(_pm_hat(model, _columns(predictors), id_value)[0])
+    columns = Predictors(*np.array([predictors], dtype=float).T)
+    return _safe_exp(float(_log_pm(model, columns)[0]) + model.c_id * id_value)
 
 
 def _id_from_pm(pm):
@@ -307,17 +302,6 @@ def _hazards(predictors, pm_hat):
     return np.array(cells, dtype=str)
 
 
-def hazard_flags(predictors, pm_hat):
-    """Extrapolation markers for a forecast row.
-
-    EXTRAPOLATION(var) for any predictor outside its build range, except
-    that a negative trg reports the dedicated NEGATIVE_TRG flag instead;
-    UNRELIABLE joins it when a negative trg drives pm_hat above 300.
-    """
-    (cell,) = _hazards(_columns(predictors), np.array([pm_hat], dtype=float))
-    return tuple(filter(None, cell.split(";")))
-
-
 def forecast_series(model, predictors, profile, id_source="algo1", observations=None):
     """Run the single-value and interval models over a PredictorTable.
 
@@ -344,9 +328,11 @@ def forecast_series(model, predictors, profile, id_source="algo1", observations=
     ]
     predictors = PredictorTable(*(column[~skip] for column in predictors))
     pm = pm[~skip]
+    log_pm = _log_pm(model, predictors)
     from_obs = pm > 0
-    id_value = _id_from_pm(np.where(from_obs, pm, _pm_hat(model, predictors, 0)))
-    pm_hat = _pm_hat(model, predictors, id_value)
+    id_value = _id_from_pm(np.where(from_obs, pm, _exp(log_pm)))
+    with np.errstate(over="ignore", invalid="ignore"):
+        pm_hat = _exp(log_pm + model.c_id * id_value)
     arm, lo, hi = _intervals(pm_hat, profile)
     source = np.where(from_obs, id_source, "algo2")
     flags = _hazards(predictors, pm_hat)

@@ -416,6 +416,19 @@ def test_forecast_unknown_model(tmp_path):
                      "--model", "no-such-preset", "--out-dir", str(tmp_path)) == 1
 
 
+def test_forecast_of_no_day_exits_1_and_writes_nothing(tmp_path, capsys):
+    """The December 2017 observations hold only pm and ep, so without --ncep
+    every day is skipped: the command fails the way fit does on a frame
+    with no usable row, rather than write a forecast table with no rows."""
+    out = tmp_path / "fc"
+    out.mkdir()
+    assert run("forecast", "--obs", OBS_2017, "--out-dir", str(out)) == 1
+    err = capsys.readouterr().err
+    assert err.count(": missing field\n") == 31
+    assert err.endswith("error: no day could be forecast\n")
+    assert list(out.iterdir()) == []
+
+
 # ---------------------------------------------------------------- validate
 
 
@@ -476,6 +489,16 @@ def _model_file(tmp_path):
     return path
 
 
+def _two_months_obs_file(tmp_path):
+    """The January 2014 observations followed by the December 2017 ones,
+    which hold only pm and ep: each month is forecast from one source."""
+    path = tmp_path / "obs_two_months.csv"
+    _, *december = Path(OBS_2017).read_text(encoding="utf-8").splitlines(keepends=True)
+    path.write_text(Path(OBS_2014).read_text(encoding="utf-8") + "".join(december),
+                    encoding="utf-8")
+    return path
+
+
 # The arguments every run of a command passes
 BASE_ARGS = {
     "fit": [OBS_2014],
@@ -485,7 +508,8 @@ BASE_ARGS = {
 # (command, option): (arguments of the default run besides BASE_ARGS, a
 # non-default value, None for a flag). A required option, or one only
 # valid beside another, is given in the default run too; the value given
-# last wins.
+# last wins. A callable argument or value is called with the test's
+# tmp_path for the path of a file it writes.
 NON_DEFAULT = {
     ("fit", "--family"): ([], "initial"),
     ("fit", "--rho"): (["--family", "iterated", "--rho", "0.3"], "0.6"),
@@ -503,8 +527,8 @@ NON_DEFAULT = {
     ("simulate", "--workers"): ([], "2"),
     ("simulate", "--with-replacement"): ([], None),
     ("simulate", "--min-ks-pass"): ([], "0.5"),
-    ("forecast", "--ncep"): (["--obs", OBS_2017], NCEP_2017),
-    ("forecast", "--obs"): ([], OBS_2017),
+    ("forecast", "--ncep"): (["--obs", _two_months_obs_file], NCEP_2017),
+    ("forecast", "--obs"): ([], _two_months_obs_file),
     ("forecast", "--model"): ([], _model_file),
     ("forecast", "--id-algo"): ([], "2"),
     ("forecast", "--profile"): ([], "standard-i2"),
@@ -546,6 +570,7 @@ def test_every_option_changes_the_output(tmp_path, command, option):
     same bytes."""
     assert (command, option) in NON_DEFAULT, f"{command} {option}: no non-default value listed"
     default, value = NON_DEFAULT[command, option]
+    default = [str(a(tmp_path)) if callable(a) else a for a in default]
     if callable(value):
         value = value(tmp_path)
     given = [option] if value is None else [option, str(value)]

@@ -10,7 +10,6 @@ from pm25cast import (
     FrozenModel,
     IntervalProfile,
     Predictors,
-    hazard_flags,
     interval,
     predict_id_algo1,
     predict_id_algo2,
@@ -268,28 +267,43 @@ def test_covers_and_inclusion_rate():
 # ---------------------------------------------------------------- hazards
 
 
+def _flags(p, pm_hat):
+    """The flags cell forecast_series writes for one day with predictors p
+    and a forecast of about pm_hat (a model whose exponent is the constant
+    log(pm_hat))."""
+    model = FrozenModel(a=math.log(pm_hat), b=0.0, c_w=0.0, c_t=0.0, c_pc=0.0, c_ep=0.0, c_id=0.0)
+    table, skipped = forecast_series(
+        model, PredictorTable(np.array(["2017-12-01"], dtype="datetime64[D]"),
+                              *(np.array([v]) for v in p)), PROFILES["ncep-i1"], id_source="algo2")
+    assert not skipped and table.pm_hat[0] == pytest.approx(pm_hat, rel=1e-12)
+    return tuple(filter(None, table.flags[0].split(";")))
+
+
 def test_hazard_in_range_is_clean():
-    assert hazard_flags(ROW1, 168.9) == ()
+    assert _flags(ROW1, 168.9) == ()
 
 
 def test_hazard_extrapolation_per_variable():
-    assert hazard_flags(ROW1._replace(w=95.0), 100.0) == ("EXTRAPOLATION(w)",)
-    assert hazard_flags(ROW1._replace(t=-39.0), 100.0) == ("EXTRAPOLATION(t)",)
-    assert hazard_flags(ROW1._replace(pc=700.0), 100.0) == ("EXTRAPOLATION(pc)",)
-    assert hazard_flags(ROW1._replace(ep=65.0), 100.0) == ("EXTRAPOLATION(ep)",)
-    assert hazard_flags(ROW1._replace(trg=4.0), 100.0) == ("EXTRAPOLATION(trg)",)
+    assert _flags(ROW1._replace(w=95.0), 100.0) == ("EXTRAPOLATION(w)",)
+    assert _flags(ROW1._replace(t=-39.0), 100.0) == ("EXTRAPOLATION(t)",)
+    assert _flags(ROW1._replace(pc=700.0), 100.0) == ("EXTRAPOLATION(pc)",)
+    assert _flags(ROW1._replace(ep=65.0), 100.0) == ("EXTRAPOLATION(ep)",)
+    assert _flags(ROW1._replace(trg=4.0), 100.0) == ("EXTRAPOLATION(trg)",)
 
 
 def test_hazard_negative_trg_supersedes_range_flag():
-    flags = hazard_flags(ROW1._replace(trg=-6.0), 100.0)
+    flags = _flags(ROW1._replace(trg=-6.0), 100.0)
     assert flags == ("NEGATIVE_TRG",)
-    flags = hazard_flags(ROW1._replace(trg=-6.0), 350.0)
-    assert set(flags) == {"NEGATIVE_TRG", "UNRELIABLE"}
+    flags = _flags(ROW1._replace(trg=-6.0), 350.0)
+    assert flags == ("NEGATIVE_TRG", "UNRELIABLE")
+    assert _flags(ROW1._replace(trg=-6.0), 290.0) == ("NEGATIVE_TRG",)
+    assert _flags(ROW1._replace(trg=4.0), 350.0) == ("EXTRAPOLATION(trg)",)
 
 
 def test_hazard_multiple_flags_ordered():
-    flags = hazard_flags(ROW1._replace(w=95.0, ep=65.0), 100.0)
-    assert flags == ("EXTRAPOLATION(w)", "EXTRAPOLATION(ep)")
+    flags = _flags(ROW1._replace(w=95.0, ep=65.0, t=250.0, trg=300.0, pc=-1.0), 100.0)
+    assert flags == ("EXTRAPOLATION(t)", "EXTRAPOLATION(trg)", "EXTRAPOLATION(w)",
+                     "EXTRAPOLATION(pc)", "EXTRAPOLATION(ep)")
 
 
 # ---------------------------------------------------------------- series
@@ -347,12 +361,40 @@ def test_forecast_series_negative_trg_flagged():
     assert "NEGATIVE_TRG" in by_date[dt.date(2017, 12, 10)].split(";")
 
 
+# Build ranges and flag order, written out apart from forecast.BUILD_RANGES
+RANGES = (("t", -38.0, 243.0), ("trg", 9.0, 205.0), ("w", 16.0, 91.0),
+          ("pc", 0.0, 689.0), ("ep", 0.0, 64.0))
+
+
+def oracle_interval(pm_hat, r_lo, r_hi):
+    """(arm, lo, hi): the fixed low band below 35, the open high band above
+    150, else pm_hat - r_lo (at least 0) to pm_hat + r_hi."""
+    if pm_hat < 35.0:
+        return "low", 0.0, 35.0
+    if pm_hat > 150.0:
+        return "high", 150.0, math.inf
+    return "band", max(pm_hat - r_lo, 0.0), pm_hat + r_hi
+
+
+def oracle_flags(p, pm_hat):
+    """EXTRAPOLATION(name) per predictor outside its range in RANGES order,
+    a negative trg reported as NEGATIVE_TRG instead, then UNRELIABLE where
+    a negative trg forecasts above 300."""
+    flags = [f"EXTRAPOLATION({name})" for name, lo, hi in RANGES
+             if not lo <= getattr(p, name) <= hi and not (name == "trg" and p.trg < 0)]
+    if p.trg < 0:
+        flags.append("NEGATIVE_TRG")
+        if pm_hat > 300.0:
+            flags.append("UNRELIABLE")
+    return ";".join(flags)
+
+
 @pytest.mark.parametrize("id_source", ["algo1", "algo2", "observed"])
 def test_forecast_series_is_the_scalar_model_bit_for_bit(id_source):
     """Every column equals the row-by-row formula: pm_hat from math.exp,
-    the indicator from 10*math.log(pm), the interval and flags of the
-    scalar functions. np.exp or np.log would differ in the last bit on a
-    few percent of these rows."""
+    the indicator from 10*math.log(pm), the interval and flags by the
+    rules written out above. np.exp or np.log would differ in the last bit
+    on a few percent of these rows."""
     rng = np.random.default_rng(3)
     n = 400
     predictors = PredictorTable(
@@ -386,9 +428,9 @@ def test_forecast_series_is_the_scalar_model_bit_for_bit(id_source):
         else:
             source, id_value = "algo2", indicator(oracle_pm(MODEL, p, 0))
         pm_hat = oracle_pm(MODEL, p, id_value)
-        fc = interval(pm_hat, PROFILES["ncep-i2"])
-        expected.append((date, pm_hat, source, fc.arm, fc.lo, fc.hi,
-                         ";".join(hazard_flags(p, pm_hat))))
+        # the ncep-i2 profile: 45 below pm_hat, 30 above
+        expected.append((date, pm_hat, source, *oracle_interval(pm_hat, 45.0, 30.0),
+                         oracle_flags(p, pm_hat)))
     got = list(zip(*(getattr(table, name).tolist() for name in
                      ("date", "pm_hat", "id_source", "arm", "lo", "hi", "flags"))))
     assert got == expected

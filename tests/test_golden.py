@@ -9,11 +9,14 @@ of the with-id fit of that month, and `replications.csv` /
 forecast path calls LAPACK, so its bytes must match on every platform and
 every supported Python.
 
-The fit and the resampling run go through LAPACK's QR, whose last bits
-depend on the build. Their files are compared as bytes on numpy 2 and
-later, the build they were made with, and separately at a relative
-tolerance (FIT_RTOL, SIMULATE_RTOL) on every build (the numpy 1.x floor
-in CI links another LAPACK).
+The fit and the resampling run go through np.exp, BLAS products and
+LAPACK's QR, whose last bits depend on the build and on the CPU code
+paths numpy and OpenBLAS pick at run time. `regenerate` therefore also
+writes FINGERPRINT, a hash of those primitives on fixed inputs. The fit
+and resampling files are compared as bytes only where the fingerprint
+matches the committed one, and at a relative tolerance (FIT_RTOL,
+SIMULATE_RTOL) everywhere (the numpy 1.x floor in CI links another
+LAPACK).
 
 JSON reports are compared without their `config` block, which echoes
 input and output paths; the golden JSON files are stored without it.
@@ -21,6 +24,7 @@ input and output paths; the golden JSON files are stored without it.
 
 import contextlib
 import datetime as dt
+import hashlib
 import io
 import json
 import math
@@ -63,7 +67,27 @@ SIMULATE_FILES = ("simulate/replications.csv", "simulate/simulation.json")
 # 1e-8 of a column's largest magnitude between builds.
 SIMULATE_RTOL = 1e-6
 RTOL = {**dict.fromkeys(FIT_FILES, FIT_RTOL), **dict.fromkeys(SIMULATE_FILES, SIMULATE_RTOL)}
-NUMPY_2 = int(np.__version__.split(".")[0]) >= 2
+FINGERPRINT = "numerics_fingerprint.txt"
+
+
+def numerics_fingerprint():
+    """SHA-256 of numpy's major version, np.exp over a fixed grid, and
+    products and the R factor of a fixed 3000 x 7 matrix: the primitives
+    whose last bits the fit and resampling files inherit."""
+    matrix = np.random.default_rng(0).uniform(-1.0, 1.0, (3000, 7))
+    digest = hashlib.sha256(np.__version__.split(".")[0].encode())
+    for part in (
+        np.exp(np.linspace(-30.0, 30.0, 200_000)),
+        matrix.T @ matrix,
+        matrix @ matrix[0],
+        matrix[None, :, None, :] @ matrix[None, :, :, None],
+        np.linalg.qr(matrix, mode="r"),
+    ):
+        digest.update(np.ascontiguousarray(part).tobytes())
+    return digest.hexdigest()
+
+
+SAME_NUMERICS = (GOLDEN / FINGERPRINT).read_text(encoding="utf-8").strip() == numerics_fingerprint()
 
 
 def _cli(*argv):
@@ -73,7 +97,9 @@ def _cli(*argv):
 
 
 def regenerate(out):
-    """Write every golden output under `out`."""
+    """Write every golden output, and the fingerprint of the numerics that
+    made them, under `out`."""
+    (out / FINGERPRINT).write_text(numerics_fingerprint() + "\n", encoding="utf-8")
     _cli("aggregate-ncep", "--out-dir", out, DEMO_DATA / "ncep_201712_6h.csv")
     for name, options, obs in FORECASTS:
         _cli("forecast", *options, "--obs", obs, "--out-dir", out / name)
@@ -104,7 +130,7 @@ def test_output_matches_golden_bytes(regenerated, name):
     assert _comparable(regenerated / name) == _comparable(GOLDEN / name)
 
 
-@pytest.mark.skipif(not NUMPY_2, reason="golden fit bytes come from a numpy 2 LAPACK build")
+@pytest.mark.skipif(not SAME_NUMERICS, reason=f"numerics differ from {FINGERPRINT}'s build")
 @pytest.mark.parametrize("name", FIT_FILES + SIMULATE_FILES)
 def test_fit_output_matches_golden_bytes(regenerated, name):
     assert _comparable(regenerated / name) == _comparable(GOLDEN / name)

@@ -11,7 +11,7 @@ from pm25cast import (
     build_frame,
     gauss_newton,
 )
-from pm25cast import model
+from pm25cast import model, solver
 from pm25cast.model import jacobian
 from pm25cast.numerics import qr_stack
 from pm25cast.solver import fit_stack, write_trace_csv
@@ -108,17 +108,35 @@ def test_non_finite_jacobian_ends_unconverged(synth_frame, monkeypatch):
     assert np.isfinite(fit.rss) and fit.rss < fit.trace[0].rss
 
 
-def test_fit_started_at_its_minimum_converges():
-    """From its own minimum every halved trial step of this fit comes out a
-    few ulps above the RSS. The predicted decrease |Q1'r|^2 there is below
-    rel_tol * RSS, so the fit has converged at the rounding floor."""
-    spec = ModelSpec("initial")
-    frame = build_frame(synthetic_records(n=25, seed=185))
-    fit = gauss_newton(spec, frame)
-    again = gauss_newton(spec, frame, theta0=fit.theta)
-    q1, _, _ = qr_stack(jacobian(spec, fit.theta, frame)[None])
+def test_fit_started_at_its_minimum_converges(synth_frame, monkeypatch):
+    """Started at its own minimum, every trial step is made to come out a
+    few ulps above the RSS, as at the rounding floor: each trial point's
+    fitted values are the minimum's, pushed just far enough away from the
+    response to raise the RSS. The predicted decrease |Q1'r|^2 there is
+    below rel_tol * RSS, so the fit has converged at the floor."""
+    spec = ModelSpec("with-id")
+    fit = gauss_newton(spec, synth_frame)
+    y = model.response(spec, synth_frame, np.arange(synth_frame.n)[None])
+    push = np.finfo(float).eps
+    while solver._rss(y - (fit.fitted - push * fit.residuals))[0] <= fit.rss:
+        push *= 2.0
+    above = fit.fitted - push * fit.residuals
+    real_eval_f = model.eval_f
+    trials = []
+
+    def eval_f_above_the_floor(spec, theta, frame, rows=None):
+        f = real_eval_f(spec, theta, frame, rows)
+        moved = ~np.all(np.asarray(theta) == fit.theta, axis=-1)
+        f[moved] = above
+        trials.append(int(moved.sum()))
+        return f
+
+    monkeypatch.setattr(model, "eval_f", eval_f_above_the_floor)
+    again = gauss_newton(spec, synth_frame, theta0=fit.theta)
+    q1, _, _ = qr_stack(jacobian(spec, fit.theta, synth_frame)[None])
     gain = q1[0].T @ fit.residuals
     assert gain @ gain <= 1e-8 * fit.rss
+    assert sum(trials) == solver.MAX_HALVINGS + 1
     assert again.converged
     assert again.steps == 0
     assert np.array_equal(again.theta, fit.theta)
