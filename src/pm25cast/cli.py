@@ -45,24 +45,11 @@ _COUNT = _checked(int, lambda v: v >= 0, "at least 0")
 _POSITIVE_COUNT = _checked(int, lambda v: v >= 1, "at least 1")
 
 
-def _sha256(path):
-    digest = hashlib.sha256()
-    with open(path, "rb") as fh:
-        for chunk in iter(lambda: fh.read(65536), b""):
-            digest.update(chunk)
-    return digest.hexdigest()
-
-
 def _config_echo(args, input_paths):
-    options = {
-        key: value
-        for key, value in sorted(vars(args).items())
-        if key not in ("func",) and not callable(value)
-    }
     return {
         "command": args.command,
-        "options": {k: (str(v) if isinstance(v, Path) else v) for k, v in options.items()},
-        "inputs": {str(p): _sha256(p) for p in input_paths},
+        "options": {k: v for k, v in sorted(vars(args).items()) if not callable(v)},
+        "inputs": {str(p): hashlib.sha256(Path(p).read_bytes()).hexdigest() for p in input_paths},
     }
 
 
@@ -112,7 +99,6 @@ def _fit_summary(fit, frame):
 
 
 def cmd_fit(args):
-    numerics._special()  # import scipy before the data are read, not at peak memory
     frame = _load_frame(args.obs)
     spec = model.ModelSpec(args.family, args.rho)
     fit, curv, bias, resid = _fit_with_diagnostics(spec, frame, args)
@@ -141,7 +127,6 @@ def cmd_fit(args):
 
 
 def cmd_simulate(args):
-    numerics._special()  # import scipy before the data are read, not at peak memory
     frame = _load_frame(args.obs)
     spec = model.ModelSpec(args.family, args.rho)
     theta0 = _parse_start(args.start, spec.q) if args.start else None

@@ -24,6 +24,9 @@ The functions below take `rows`, the frame rows of one sample (m,) or of a
 stack of samples (samples, m), each sample sorted; None is the whole
 frame. A stack is evaluated at a (samples, q) theta, each sample at its
 own, and every result gains a leading samples axis.
+
+One guard on `_evaluate` covers every order and the differencing: overflow
+and 0 * inf pass silently, and the inf or nan they leave make a non-finite fit.
 """
 
 from dataclasses import dataclass
@@ -154,9 +157,7 @@ def _structural(beta, frame, idx, order):
         return np.zeros(t.shape + (q, q))
 
     trg = col("trg")  # never 0: a ModelFrame refuses such a row
-    # an exponential that overflows to inf is handled as a non-finite fit
-    with np.errstate(over="ignore"):
-        expo = np.exp(-beta[..., 1, None] / trg)
+    expo = np.exp(-beta[..., 1, None] / trg)
     if order == 2:
         cube = np.zeros(trg.shape + (q, q))
         h12 = -expo / trg
@@ -172,6 +173,7 @@ def _structural(beta, frame, idx, order):
     )
 
 
+@np.errstate(over="ignore", invalid="ignore")
 def _evaluate(spec, theta, frame, rows, order):
     theta = _check_theta(spec, theta)
     if spec.family not in _ITERATED:

@@ -92,12 +92,7 @@ class StackFit(NamedTuple):
         return steps
 
 
-def _rss(resid):
-    # an RSS that overflows to inf is handled as a non-finite RSS
-    with np.errstate(over="ignore"):
-        return vecdot(resid, resid)
-
-
+@np.errstate(over="ignore")
 def fit_stack(spec, frame, rows, theta0, max_steps=50, rel_tol=1e-8):
     """Gauss-Newton with step halving on every sample of a stack at once.
 
@@ -116,7 +111,8 @@ def fit_stack(spec, frame, rows, theta0, max_steps=50, rel_tol=1e-8):
     DataError when the iterated families find no lag pair. A frame holds
     no row the model cannot evaluate, so the start is one evaluation of
     the whole stack; a sample whose Jacobian loses rank or whose trial
-    theta turns non-finite is reported in `fault`.
+    theta turns non-finite is reported in `fault`. One guard silences overflow
+    of an RSS, a trial theta or |Q1'r|^2; the sample ends as a non-finite fit.
     """
     rows = np.asarray(rows)
     if np.any(np.diff(frame.dates[rows], axis=-1) < np.timedelta64(0, "D")):
@@ -130,7 +126,7 @@ def fit_stack(spec, frame, rows, theta0, max_steps=50, rel_tol=1e-8):
     fault = [None] * k
     fitted = model.eval_f(spec, theta, frame, rows)
     resid = y - fitted
-    rss = _rss(resid)
+    rss = vecdot(resid, resid)
     converged = np.zeros(k, dtype=bool)
     path = [(np.arange(k), theta.copy(), rss.copy())]
     live = np.flatnonzero(np.isfinite(rss))
@@ -174,7 +170,7 @@ def fit_stack(spec, frame, rows, theta0, max_steps=50, rel_tol=1e-8):
                     break
             fitted_try = model.eval_f(spec, theta_try, frame, sub[trying])
             resid_try = y[live[trying]] - fitted_try
-            rss_try = _rss(resid_try)
+            rss_try = vecdot(resid_try, resid_try)
             down = np.isfinite(rss_try) & (rss_try <= rss[live[trying]])
             took = live[trying[down]]
             rss_prev = rss[took]

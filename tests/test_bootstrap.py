@@ -1,5 +1,6 @@
 import json
 import tracemalloc
+import warnings
 from pathlib import Path
 from unittest import mock
 
@@ -229,6 +230,17 @@ def test_no_converged_replication_reported_not_raised(tmp_path):
     assert len(rows) == 20 and all(row.split(",")[1] == "0" for row in rows)
 
 
+def test_overflowing_trial_step_warns_nothing(month_frame, month_fit):
+    """Seed 2 draws size-10 samples whose trial steps overflow the model's
+    product th1*exp(-th2/trg); such a trial is rejected as a non-finite RSS
+    without a numpy warning, and 92 of the 100 replications converge."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        s = run_simulation(ModelSpec("with-id"), month_frame, month_fit,
+                           reps=100, size=10, seed=2, with_replacement=True)
+    assert s.converged_count == 92
+
+
 @pytest.mark.parametrize("theta0", [[40.0, 1.0], [[40.0, 1.0, 0, 0, 0, 0, 1.0]] * 2])
 def test_wrong_length_start_raises_before_any_draw(month_frame, month_fit, theta0):
     """A start that is not a 7-vector for the with-id family is refused,
@@ -322,8 +334,8 @@ def test_simulation_memory_stays_small():
     second-derivative arrays per screening block, which must stay bounded
     by FIT_STACK and BLOCK: one stack of all 1000 replications takes ~7 MiB,
     and one block of 1000 ~28 MiB. scipy.special is imported before
-    tracing starts, as `simulate` does, so the first KS test's import is
-    not counted and the bound holds whichever test runs first."""
+    tracing starts, so the first KS test's import is not counted and the
+    bound holds whichever test runs first."""
     spec = ModelSpec("with-id")
     frame = build_frame(synthetic_records(n=365, seed=3))
     base = gauss_newton(spec, frame)

@@ -1,6 +1,7 @@
 import argparse
 import csv
 import dataclasses
+import hashlib
 import json
 import math
 import subprocess
@@ -26,6 +27,21 @@ def run(*argv):
         return main(list(argv))
     except SystemExit as exc:
         return exc.code
+
+
+def _digests(*paths):
+    """The config echo's inputs: each path with the SHA-256 of its bytes."""
+    return {p: hashlib.sha256(Path(p).read_bytes()).hexdigest() for p in paths}
+
+
+def _subcommand(command):
+    (commands,) = [a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction)]
+    return commands.choices[command]
+
+
+def _dests(command):
+    """Names of a subcommand's arguments as they appear on the parsed args."""
+    return {a.dest for a in _subcommand(command)._actions if a.dest != "help"}
 
 
 def run_quiet(*argv):
@@ -56,9 +72,8 @@ def test_fit_writes_reports(tmp_path):
     assert diag["fit"]["converged"] is True
     assert "curvature" in diag and "box_bias" in diag and "residuals" in diag
     assert diag["config"]["options"]["family"] == "with-id"
-    hashes = diag["config"]["inputs"]
-    assert len(hashes) == 1
-    assert all(len(v) == 64 for v in hashes.values())
+    assert diag["config"]["inputs"] == _digests(OBS_2014)
+    assert set(diag["config"]["options"]) == _dests("fit") | {"command"}
 
 
 def test_fit_explicit_start_and_alpha(tmp_path):
@@ -445,7 +460,8 @@ def test_validate_pipeline(tmp_path):
     assert payload["n"] == 29
     assert 0.0 <= payload["recorded"]["rate"] <= 1.0
     assert set(payload["profiles"]) == {"standard-i1", "standard-i2", "ncep-i1", "ncep-i2"}
-    assert len(payload["config"]["inputs"]) == 2
+    assert payload["config"]["inputs"] == _digests(str(fc / "forecast.csv"), OBS_2017)
+    assert set(payload["config"]["options"]) == _dests("validate") | {"command"}
 
 
 def test_validate_unmatched_dates(tmp_path):
@@ -542,8 +558,7 @@ DEAD_OPTIONS = {
 def _options(command):
     """Every option of a subcommand but --help and --out-dir, which names
     where the outputs go."""
-    (commands,) = [a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction)]
-    return [a.option_strings[-1] for a in commands.choices[command]._actions
+    return [a.option_strings[-1] for a in _subcommand(command)._actions
             if a.option_strings and a.option_strings[-1] not in ("--help", "--out-dir")]
 
 

@@ -13,7 +13,7 @@ from pm25cast import (
 )
 from pm25cast import model, solver
 from pm25cast.model import jacobian
-from pm25cast.numerics import qr_stack
+from pm25cast.numerics import qr_stack, vecdot
 from pm25cast.solver import fit_stack, write_trace_csv
 
 from conftest import jan2014_records, noise_free_frame, obs_rows, obs_table, synthetic_records
@@ -76,11 +76,14 @@ def test_non_convergence_is_flagged_not_raised(synth_frame):
     assert len(fit.trace) == 1
 
 
-def test_non_finite_start_ends_unconverged():
-    """exp(-th2/trg) overflows at th2 = -10000, so the starting RSS is inf."""
-    theta0 = [40.0, -10000.0, 0.0, 0.0, 0.0, 0.0, 1.0]
+@pytest.mark.parametrize("theta1", [40.0, 0.0])
+def test_non_finite_start_ends_unconverged(theta1):
+    """exp(-th2/trg) overflows at th2 = -10000, so the starting RSS is inf
+    (th1 = 40) or nan (th1 = 0, 0 * inf), and no numpy warning is raised."""
+    theta0 = [theta1, -10000.0, 0.0, 0.0, 0.0, 0.0, 1.0]
     frame = build_frame(jan2014_records())
-    with np.errstate(over="ignore", invalid="ignore"):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
         fit = gauss_newton(ModelSpec("with-id"), frame, theta0=theta0)
     assert not fit.converged
     assert fit.steps == 0
@@ -117,8 +120,13 @@ def test_fit_started_at_its_minimum_converges(synth_frame, monkeypatch):
     spec = ModelSpec("with-id")
     fit = gauss_newton(spec, synth_frame)
     y = model.response(spec, synth_frame, np.arange(synth_frame.n)[None])
+
+    def rss_at(fitted):
+        resid = y - fitted
+        return vecdot(resid, resid)[0]
+
     push = np.finfo(float).eps
-    while solver._rss(y - (fit.fitted - push * fit.residuals))[0] <= fit.rss:
+    while rss_at(fit.fitted - push * fit.residuals) <= fit.rss:
         push *= 2.0
     above = fit.fitted - push * fit.residuals
     real_eval_f = model.eval_f
@@ -166,9 +174,8 @@ def test_infinite_rss_gives_nan_standardized_residuals_without_warning():
     frame = build_frame(jan2014_records())
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        with np.errstate(over="ignore"):
-            fit = gauss_newton(ModelSpec("with-id"), frame,
-                               theta0=[40.0, -10000.0, 0.0, 0.0, 0.0, 0.0, 1.0])
+        fit = gauss_newton(ModelSpec("with-id"), frame,
+                           theta0=[40.0, -10000.0, 0.0, 0.0, 0.0, 0.0, 1.0])
     assert fit.sigma_hat == np.inf
     assert np.isnan(fit.std_residuals).all()
 
