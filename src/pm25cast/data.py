@@ -187,11 +187,6 @@ class ModelFrame:
             id=self.id[idx],
         )
 
-    def write_csv(self, path):
-        columns = (self.dates, self.lpm, self.trg, self.t, self.w, self.pc, self.ep)
-        _write_columns(path, ["date", "lpm", "trg", "t", "w", "pc", "ep", "id"],
-                       columns + (self.id.astype(int),))
-
 
 def _write_columns(path, header, columns):
     """CSV with one row per entry: dates in ISO form, numbers as their repr,

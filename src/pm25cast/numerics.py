@@ -79,7 +79,8 @@ def qr_stack(a):
     fault : list of length k
         None for a matrix that factored; otherwise the exception `qr_full`
         would raise on it (its factors are then meaningless). A non-finite
-        matrix is not factored.
+        matrix is not factored (ValueError): this is the one finiteness
+        check `solver.fit_stack` makes on a Jacobian.
     """
     return _sign_fixed_qr_stack(a, "reduced")
 

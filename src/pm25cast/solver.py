@@ -7,6 +7,7 @@ import numpy as np
 
 from . import model
 from .data import _write_columns
+from .errors import RankDeficiencyError
 # qr_full stays bound here for bench/tests/test_bench.py::test_tracer_rebinds_every_namespace_and_restores
 from .numerics import qr_full, qr_stack, solve_upper, vecdot  # noqa: F401
 
@@ -68,8 +69,9 @@ class StackFit(NamedTuple):
     """End state of `fit_stack`, one entry (or row) per sample.
 
     `fault[i]` is None, or the exception a single fit of sample i raises
-    (rank deficiency of its Jacobian, a non-finite trial theta); the other
-    fields of a faulted sample are meaningless. `path` starts with
+    (the RankDeficiencyError `qr_stack` reports for its Jacobian, or a
+    non-finite trial theta); the other fields of a faulted sample are
+    meaningless. A non-finite Jacobian is no fault. `path` starts with
     (all samples, start theta, start RSS) and then lists the accepted steps
     of each round of trials as (samples, theta, rss), in order.
     """
@@ -92,7 +94,7 @@ class StackFit(NamedTuple):
         return steps
 
 
-@np.errstate(over="ignore")
+@np.errstate(over="ignore", invalid="ignore")
 def fit_stack(spec, frame, rows, theta0, max_steps=50, rel_tol=1e-8):
     """Gauss-Newton with step halving on every sample of a stack at once.
 
@@ -111,8 +113,9 @@ def fit_stack(spec, frame, rows, theta0, max_steps=50, rel_tol=1e-8):
     DataError when the iterated families find no lag pair. A frame holds
     no row the model cannot evaluate, so the start is one evaluation of
     the whole stack; a sample whose Jacobian loses rank or whose trial
-    theta turns non-finite is reported in `fault`. One guard silences overflow
-    of an RSS, a trial theta or |Q1'r|^2; the sample ends as a non-finite fit.
+    theta turns non-finite is reported in `fault`. One guard silences
+    overflow and inf - inf (an RSS, a step and its back substitution, a
+    trial theta, |Q1'r|^2); the sample ends as a non-finite fit or fault.
     """
     rows = np.asarray(rows)
     if np.any(np.diff(frame.dates[rows], axis=-1) < np.timedelta64(0, "D")):
@@ -134,24 +137,18 @@ def fit_stack(spec, frame, rows, theta0, max_steps=50, rel_tol=1e-8):
     for _ in range(max_steps):
         if not live.size:
             break
-        v1 = model.jacobian(spec, theta[live], frame, rows[live])
-        finite = np.isfinite(v1).all(axis=(1, 2))
-        if not finite.all():
-            live, v1 = live[finite], v1[finite]
-        # v1 and q1 are dropped as soon as they are used, so they are not
-        # held through the step trials
-        q1, r1, qr_fault = qr_stack(v1)
-        del v1
+        q1, r1, qr_fault = qr_stack(model.jacobian(spec, theta[live], frame, rows[live]))
         factored = np.array([exc is None for exc in qr_fault], dtype=bool)
         if not factored.all():
             for i in np.flatnonzero(~factored):
-                fault[live[i]] = qr_fault[i]
+                if isinstance(qr_fault[i], RankDeficiencyError):
+                    fault[live[i]] = qr_fault[i]
             live, q1, r1 = live[factored], q1[factored], r1[factored]
         if not live.size:
             break
         sub = rows[live]
         gain = (np.swapaxes(q1, -1, -2) @ resid[live][..., None])[..., 0]
-        del q1
+        del q1  # not held through the step trials
         delta = solve_upper(r1, gain)
 
         scale = np.ones(live.size)
@@ -211,7 +208,9 @@ def gauss_newton(spec, frame, theta0=None, max_steps=50, rel_tol=1e-8):
     Returns a FitResult; non-convergence is reported through the
     `converged` flag, not an exception. A non-finite RSS at the start or a
     non-finite Jacobian ends the fit unconverged at the current point.
-    Rank deficiency of the Jacobian raises RankDeficiencyError.
+    Rank deficiency of the Jacobian raises RankDeficiencyError. A trial
+    step that turns theta non-finite re-raises `fit_stack`'s
+    ValueError("theta must be finite"), as a malformed `theta0` raises ValueError.
 
     This is `fit_stack` run on a stack of one sample, the whole frame.
     """

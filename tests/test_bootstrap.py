@@ -251,6 +251,14 @@ def test_wrong_length_start_raises_before_any_draw(month_frame, month_fit, theta
                            reps=20, size=25, seed=0, theta0=theta0)
 
 
+def test_zero_reps_and_an_empty_frame_are_refused(month_frame, month_fit):
+    spec = ModelSpec("with-id")
+    with pytest.raises(ValueError, match="^reps must be positive$"):
+        run_simulation(spec, month_frame, month_fit, reps=0, size=25, seed=0)
+    with pytest.raises(StratificationError, match="^cannot sample from an empty frame$"):
+        run_simulation(spec, month_frame.subset([]), month_fit, reps=5, size=25, seed=0)
+
+
 # ---------------------------------------------------------------- lockstep engine
 
 
@@ -378,6 +386,17 @@ def test_apply_correction_fields(month_frame, month_fit):
     assert out.curvature is not None
     assert out.rss_observation_before > 0
     assert out.rss_observation_after > 0
+
+
+def test_linear_family_correction_has_no_structural_rss(month_frame):
+    spec = ModelSpec("linear")
+    fit = gauss_newton(spec, month_frame)
+    s = run_simulation(spec, month_frame, fit, reps=10, size=25, seed=5)
+    assert s.converged_count > 0
+    out = apply_correction(fit, s, spec, month_frame)
+    assert np.array_equal(out.fit.theta, s.theta_corrected)
+    assert out.rss_observation_before is None
+    assert out.rss_observation_after is None
 
 
 def test_zero_bias_correction_is_identity(month_frame, month_fit):

@@ -305,6 +305,22 @@ def test_fit_bad_start_length(tmp_path):
                      "--out-dir", str(tmp_path), OBS_2014) == 1
 
 
+def test_fit_infinite_start_is_refused(tmp_path, capsys):
+    out = tmp_path / "fit"
+    assert run("fit", "--start", "inf,1,0,0,0,0,1", "--out-dir", str(out), OBS_2014) == 1
+    assert capsys.readouterr().err == "error: theta must be finite\n"
+    assert not out.exists()
+
+
+def test_fit_with_no_usable_row_exits_1(tmp_path, capsys):
+    obs = tmp_path / "obs.csv"
+    obs.write_text("date,pm,t,tmax,tmin,pc,w,ep\n2014-01-01,,44,179,-26,0,27,17\n")
+    out = tmp_path / "fit"
+    assert run("fit", "--out-dir", str(out), str(obs)) == 1
+    assert capsys.readouterr().err == "error: no usable rows after filtering\n"
+    assert not out.exists()
+
+
 # ---------------------------------------------------------------- simulate
 
 
@@ -344,6 +360,17 @@ def test_simulate_deterministic_across_runs(tmp_path):
 def test_simulate_size_too_large(tmp_path):
     assert run_quiet("simulate", "--reps", "5", "--size", "999", "--seed", "1",
                      "--out-dir", str(tmp_path), OBS_2014) == 1
+
+
+def test_simulate_stops_when_the_baseline_fit_does_not_converge(tmp_path, capsys):
+    """exp(-th2/trg) overflows at th2 = -10000: the baseline fit ends at a
+    non-finite RSS, so no replication is drawn and nothing is written."""
+    out = tmp_path / "sim"
+    code = run("simulate", "--start", "0,-10000,0,0,0,0,1", "--size", "25", "--reps", "20",
+               "--out-dir", str(out), OBS_2014)
+    assert code == 2
+    assert capsys.readouterr().err == "baseline fit did not converge\n"
+    assert not out.exists()
 
 
 def test_simulate_no_converged_replication_exit_code(tmp_path, capsys):

@@ -24,6 +24,7 @@ from pm25cast.data import SixHourly, id_from_lpm, write_aggregated_csv
 from pm25cast.forecast import read_forecast_csv
 
 from conftest import JAN_2014, jan2014_records, obs_rows, obs_table, synthetic_records
+from reference import write_frame_csv
 
 DEMO_DATA = Path(__file__).resolve().parent.parent / "demos" / "data"
 GOLDEN_FORECAST = Path(__file__).resolve().parent / "data" / "golden" / "ncep" / "forecast.csv"
@@ -400,7 +401,7 @@ def test_frame_rejects_non_finite_columns(jan2014_frame, column, bad):
 
 def test_frame_csv_roundtrip(tmp_path, jan2014_frame):
     out = tmp_path / "frame.csv"
-    jan2014_frame.write_csv(out)
+    write_frame_csv(jan2014_frame, out)
     lines = out.read_text().strip().splitlines()
     assert lines[0] == "date,lpm,trg,t,w,pc,ep,id"
     assert len(lines) == 32

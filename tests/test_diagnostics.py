@@ -12,6 +12,7 @@ from scipy.linalg import solve_triangular
 
 from pm25cast import (
     ModelSpec,
+    RankDeficiencyError,
     bates_curvature,
     box_bias,
     build_frame,
@@ -378,6 +379,30 @@ def test_bias_scales_with_sigma_squared():
 # ---------------------------------------------------------------- residual screen
 
 
+def test_single_rank_deficient_jacobian_raises(synth_frame):
+    spec = ModelSpec("with-id")
+    theta = default_start(spec)
+    v1 = jacobian(spec, theta, synth_frame)
+    v1[:, 3] = 2.0 * v1[:, 2]
+    v2 = hessian_cube(spec, theta, synth_frame)
+    with pytest.raises(RankDeficiencyError):
+        bates_curvature(v1, v2, 1.0)
+    with pytest.raises(RankDeficiencyError):
+        box_bias(v1, v2, 1.0, theta)
+
+
+def test_mis_shaped_second_derivative_array_is_refused(synth_frame):
+    spec = ModelSpec("with-id")
+    theta = default_start(spec)
+    v1 = jacobian(spec, theta, synth_frame)
+    v2 = hessian_cube(spec, theta, synth_frame)[:, :, :6]
+    message = rf"^second-derivative array must be \({synth_frame.n}, 7, 7\)$"
+    with pytest.raises(ValueError, match=message):
+        bates_curvature(v1, v2, 1.0)
+    with pytest.raises(ValueError, match=message):
+        box_bias(v1, v2, 1.0, theta)
+
+
 def _manual_fit(frame, residuals, fitted=None):
     spec = ModelSpec("with-id")
     res = np.asarray(residuals, dtype=float)
@@ -431,6 +456,13 @@ def test_screen_needs_three_rows():
     tiny = frame.subset([0, 1])
     with pytest.raises(ValueError):
         residual_screen(_manual_fit_subset(fit, tiny), tiny)
+
+
+def test_screen_skips_a_constant_nonzero_regressor(synth_frame):
+    frame = dataclasses.replace(synth_frame, pc=np.full(synth_frame.n, 5.0))
+    rng = np.random.default_rng(21)
+    rep = residual_screen(_manual_fit(frame, rng.standard_normal(frame.n)), frame)
+    assert set(rep.spearman) == {"fitted", "trg", "t", "w", "ep", "id"}
 
 
 def _manual_fit_subset(fit, frame):

@@ -60,6 +60,11 @@ def test_from_lpm_params_divides_all_but_decay():
     assert m.c_id == pytest.approx(0.736975, abs=1e-12)
 
 
+def test_from_lpm_params_needs_seven_values():
+    with pytest.raises(ValueError, match="^need exactly 7 parameters$"):
+        FrozenModel.from_lpm_params([45.0, 0.3, 0.0, 0.0, 0.0, 0.0])
+
+
 def test_model_json_roundtrip(tmp_path):
     path = tmp_path / "coef.json"
     MODEL.to_json(path)
@@ -387,6 +392,11 @@ def oracle_flags(p, pm_hat):
         if pm_hat > 300.0:
             flags.append("UNRELIABLE")
     return ";".join(flags)
+
+
+def test_forecast_series_refuses_an_unknown_id_source():
+    with pytest.raises(ValueError, match="^unknown id source 'algo3'$"):
+        forecast_series(MODEL, _predictors(), PROFILES["ncep-i1"], id_source="algo3")
 
 
 @pytest.mark.parametrize("id_source", ["algo1", "algo2", "observed"])

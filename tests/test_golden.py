@@ -37,6 +37,7 @@ from pm25cast import build_frame, parse_observations
 from pm25cast.cli import main
 
 from conftest import obs_table
+from reference import write_frame_csv
 
 DEMO_DATA = Path(__file__).resolve().parent.parent / "demos" / "data"
 GOLDEN = Path(__file__).resolve().parent / "data" / "golden"
@@ -104,7 +105,8 @@ def regenerate(out):
     for name, options, obs in FORECASTS:
         _cli("forecast", *options, "--obs", obs, "--out-dir", out / name)
         _cli("validate", out / name / "forecast.csv", obs, "--out-dir", out / name)
-    build_frame(parse_observations(DEMO_DATA / "obs_201401.csv")).write_csv(out / "frame.csv")
+    write_frame_csv(build_frame(parse_observations(DEMO_DATA / "obs_201401.csv")),
+                    out / "frame.csv")
     _cli("fit", "--family", "with-id", "--out-dir", out / "fit", DEMO_DATA / "obs_201401.csv")
     _cli("simulate", "--family", "with-id", "--size", 25, "--reps", 200, "--seed", 11,
          "--out-dir", out / "simulate", DEMO_DATA / "obs_201401.csv")

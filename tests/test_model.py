@@ -4,7 +4,7 @@ import math
 import numpy as np
 import pytest
 
-from pm25cast import DataError, ModelSpec, build_frame
+from pm25cast import DataError, ModelSpec, build_frame, gauss_newton
 from pm25cast.model import (
     FAMILIES,
     default_start,
@@ -95,6 +95,18 @@ def test_rho_validation():
         ModelSpec("iterated", rho=float("nan"))
     with pytest.raises(ValueError):
         ModelSpec("with-id", rho=0.5)
+
+
+def test_unknown_family_is_refused():
+    with pytest.raises(ValueError, match="^unknown family 'quadratic'$"):
+        ModelSpec("quadratic")
+
+
+def test_iterated_fit_without_a_lag_pair_raises(frame):
+    every_other_day = frame.subset(np.arange(0, frame.n, 2))
+    for spec in (ModelSpec("iterated", rho=0.3), ModelSpec("iterated-free-rho")):
+        with pytest.raises(DataError, match="no valid lag pairs"):
+            gauss_newton(spec, every_other_day)
 
 
 def test_default_starts():

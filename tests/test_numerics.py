@@ -153,6 +153,12 @@ def test_qr_rejects_non_finite_input(qr, bad):
         qr(a)
 
 
+
+def test_qr_full_refuses_a_stack():
+    with pytest.raises(ValueError, match=r"^need a 2-d matrix, got shape \(2, 5, 3\)$"):
+        qr_full(np.ones((2, 5, 3)))
+
+
 # ---------------------------------------------------------------- one_blas_thread
 
 
@@ -280,6 +286,17 @@ def test_pearson_degenerate_inputs():
         pearson_test(np.array([1.0, 2.0]), np.array([3.0, 4.0]))
     with pytest.raises(ValueError):
         pearson_test(np.ones(10), np.arange(10.0))
+
+
+
+@pytest.mark.parametrize("test", [pearson_test, spearman_test])
+@pytest.mark.parametrize("x,y", [
+    (np.arange(5.0), np.arange(6.0)),
+    (np.ones((2, 5)), np.ones((2, 5))),
+])
+def test_correlation_tests_refuse_mismatched_inputs(test, x, y):
+    with pytest.raises(ValueError, match="^x and y must be 1-d arrays of equal length$"):
+        test(x, y)
 
 
 # ---------------------------------------------------------------- spearman
@@ -441,6 +458,13 @@ def test_ks_normal_statistic_equals_scipy_stats_bit_for_bit():
         cdf = scipy.stats.norm.cdf(xs, loc=xs.mean(), scale=xs.std(ddof=1))
         grid = np.arange(1, n + 1) / n
         assert d == np.max(np.maximum(np.abs(cdf - grid), np.abs(cdf - (grid - 1.0 / n))))
+
+
+@pytest.mark.parametrize("a,b", [(np.array([]), np.arange(5.0)), (np.arange(5.0), np.array([])),
+                                 (np.ones((3, 0)), np.arange(5.0))])
+def test_ks_two_sample_refuses_an_empty_sample(a, b):
+    with pytest.raises(ValueError, match="^both samples must be non-empty$"):
+        ks_two_sample(a, b)
 
 
 def test_ks_normal_degenerate():

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from pm25cast import (
+    ModelFrame,
     ModelSpec,
     RankDeficiencyError,
     build_frame,
@@ -109,6 +110,67 @@ def test_non_finite_jacobian_ends_unconverged(synth_frame, monkeypatch):
     assert fit.steps == 1
     assert len(fit.trace) == 2
     assert np.isfinite(fit.rss) and fit.rss < fit.trace[0].rss
+
+
+def test_fit_stack_ends_a_non_finite_jacobian_unconverged_without_a_fault(monkeypatch):
+    """`qr_stack` refuses a non-finite Jacobian, but only its rank faults
+    are kept: that sample stops unconverged at its start, the others fit
+    as they do alone."""
+    spec = ModelSpec("with-id")
+    frame = build_frame(synthetic_records(n=60, seed=9))
+    rows = np.array([np.arange(k, k + 30) for k in (0, 5, 11)])
+    alone = [gauss_newton(spec, frame.subset(idx)) for idx in rows]
+    real_jacobian = model.jacobian
+
+    def jacobian_nan_in_sample_1(spec, theta, frame, rows=None):
+        v1 = real_jacobian(spec, theta, frame, rows)
+        v1[rows[:, 0] == 5, 0, 0] = np.nan
+        return v1
+
+    monkeypatch.setattr(model, "jacobian", jacobian_nan_in_sample_1)
+    run = fit_stack(spec, frame, rows, model.default_start(spec))
+    assert run.fault == [None, None, None]
+    assert not run.converged[1]
+    assert np.array_equal(run.theta[1], model.default_start(spec))
+    assert len(run.trace(1)) == 1
+    for i in (0, 2):
+        assert run.converged[i] and alone[i].converged
+        assert np.array_equal(run.theta[i], alone[i].theta)
+
+
+def _overflowing_step_frame(scale):
+    """Twelve days whose regressors and exp(-680/trg) are all near 1e-295
+    and whose response is near `scale`, so Gauss-Newton's first step from
+    (1, 680, 0, 0, 0, 0) overflows: to inf in the back substitution at
+    scale 1e12, to inf - inf = nan there at 1e20."""
+    rng = np.random.default_rng(0)
+    n = 12
+
+    def tiny():
+        return rng.uniform(1.0, 2.0, n) * 1e-295
+
+    return ModelFrame(
+        dates=np.arange("2020-01-01", "2020-01-13", dtype="datetime64[D]"),
+        lpm=rng.uniform(1.0, 2.0, n) * scale,
+        trg=np.linspace(1.0, 1.001, n),
+        t=tiny(), w=tiny(), pc=tiny(), ep=tiny(), id=np.ones(n),
+    )
+
+
+@pytest.mark.parametrize("scale", [1e12, 1e20])
+def test_non_finite_trial_step_is_a_fault_without_warning(scale):
+    spec = ModelSpec("initial")
+    frame = _overflowing_step_frame(scale)
+    theta0 = np.array([1.0, 680.0, 0.0, 0.0, 0.0, 0.0])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        run = fit_stack(spec, frame, np.arange(frame.n)[None], theta0)
+        with pytest.raises(ValueError, match="^theta must be finite$"):
+            gauss_newton(spec, frame, theta0=theta0)
+    assert type(run.fault[0]) is ValueError and str(run.fault[0]) == "theta must be finite"
+    assert not run.converged[0]
+    assert np.array_equal(run.theta[0], theta0)
+    assert len(run.trace(0)) == 1
 
 
 def test_fit_started_at_its_minimum_converges(synth_frame, monkeypatch):
@@ -218,6 +280,11 @@ def test_fit_stack_refuses_a_sample_out_of_date_order():
     assert fit_stack(spec, frame, rows, model.default_start(spec)).fault == [None, None]
 
 
+def test_wrong_length_start_is_refused(synth_frame):
+    with pytest.raises(ValueError, match="^theta0 must have length 7$"):
+        gauss_newton(ModelSpec("with-id"), synth_frame, theta0=[40.0, 1.0])
+
+
 def test_too_few_rows():
     frame = build_frame(synthetic_records(n=6, seed=3))
     with pytest.raises(ValueError):
@@ -253,6 +320,15 @@ def test_zero_residual_standardization():
     fit = gauss_newton(ModelSpec("initial"), frame)
     assert fit.sigma_hat < 1e-8
     assert np.all(np.isfinite(fit.std_residuals))
+
+
+def test_exact_fit_has_zero_standardized_residuals(synth_frame):
+    """A response the linear family reproduces bit for bit has RSS 0, so
+    sigma_hat is 0 and the standardized residuals are 0, not nan."""
+    frame = dataclasses.replace(synth_frame, lpm=2.0 + 3.0 * synth_frame.t)
+    fit = gauss_newton(ModelSpec("linear"), frame, theta0=[2.0, 3.0], max_steps=0)
+    assert fit.rss == 0.0 and fit.sigma_hat == 0.0
+    assert np.array_equal(fit.std_residuals, np.zeros(frame.n))
 
 
 def test_explicit_start_used(synth_frame):
