@@ -150,8 +150,8 @@ def run_simulation(
     fit's residuals, and (d) the replication residual vector not being an
     exact copy of the baseline's on shared rows. Failed fits, and samples
     with no more observations than parameters, which are not fitted, are
-    counted as unconverged, never fatal. A `theta0` that is not a q-vector
-    raises ValueError before any draw.
+    counted as unconverged, never fatal. A `theta0` that is not a finite
+    q-vector raises ValueError (`model.check_theta`) before any draw.
 
     bias_j = mean(theta*_j) - theta_hat_j over converged replications;
     theta_corrected = theta_hat - bias. `gate_ok` reports whether the KS
@@ -165,9 +165,7 @@ def run_simulation(
     """
     if reps < 1:
         raise ValueError("reps must be positive")
-    start = model.default_start(spec) if theta0 is None else np.asarray(theta0, dtype=float)
-    if start.shape != (spec.q,):
-        raise ValueError(f"theta0 must have length {spec.q}, got shape {start.shape}")
+    start = model.check_theta(spec, model.default_start(spec) if theta0 is None else theta0)
 
     strata, allocs = _strata(frame, size)
     rows = np.array([

@@ -77,10 +77,16 @@ def default_start(spec):
     return np.array(FAMILIES[spec.family])
 
 
-def _check_theta(spec, theta):
+def check_theta(spec, theta, stacked=False):
+    """`theta` as a float array, refused unless it is a finite q-vector.
+
+    With `stacked`, a (samples, q) stack passes too. The fit entries
+    (`solver.gauss_newton`, `bootstrap.run_simulation`) check their start
+    with it before any draw or evaluation, and every evaluation its theta.
+    """
     theta = np.asarray(theta, dtype=float)
-    if theta.shape[-1:] != (spec.q,) or theta.ndim > 2:
-        raise ValueError(f"theta must have length {spec.q}, got {theta.shape}")
+    if theta.shape[-1:] != (spec.q,) or theta.ndim > (2 if stacked else 1):
+        raise ValueError(f"theta0 must have length {spec.q}, got shape {theta.shape}")
     if not np.all(np.isfinite(theta)):
         raise ValueError("theta must be finite")
     return theta
@@ -175,7 +181,7 @@ def _structural(beta, frame, idx, order):
 
 @np.errstate(over="ignore", invalid="ignore")
 def _evaluate(spec, theta, frame, rows, order):
-    theta = _check_theta(spec, theta)
+    theta = check_theta(spec, theta, stacked=True)
     if spec.family not in _ITERATED:
         return _structural(theta, frame, rows, order)
 

@@ -4,18 +4,18 @@ The statistical tests return asymptotic p-values from fixed closed forms
 (t approximation for the correlation tests, Kolmogorov limit law for the
 ECDF tests) so that results are reproducible across library versions.
 
-P-values and quantiles come straight from the `scipy.special` routines
-(`fdtri`, `stdtr`, `ndtr`, `kolmogorov`) that `scipy.stats` itself calls
-for these distributions, and ranks from a small numpy mid-rank helper.
-`scipy.stats` is never imported, and `scipy.special` only on the first
-call that needs one of its four ufuncs (`_special`): importing
-`scipy.stats` takes about a second and `scipy.special` about 0.35 s,
-against 0.02-0.05 s of work in an `aggregate-ncep`, `forecast` or
-`validate` run, none of which computes a p-value.
+The four distribution functions behind them are written out here with the
+`math` module, so numpy is the only run-time dependency: the Kolmogorov
+survival function from its two series, the regularized incomplete beta
+from a continued fraction (t tails, and F quantiles by Newton's method on
+it), and the normal CDF from `math.erfc`. They agree with `scipy.special`
+to about 1e-14 relative; tests/test_numerics.py holds them to it. Ranks
+come from a small numpy mid-rank helper.
 """
 
 import contextlib
 import functools
+import math
 import os
 from typing import NamedTuple
 
@@ -159,7 +159,8 @@ def vecdot(a, b):
 
 
 # OpenBLAS thread-count entry points, as exported by plain, ILP64 and the
-# renamed scipy-openblas builds (numpy and scipy wheels each bundle one)
+# renamed scipy-openblas builds (numpy wheels bundle the last; a process
+# that also imports scipy holds a second one)
 _OPENBLAS_THREAD_SYMBOLS = [
     (f"{prefix}_get_num_threads{suffix}", f"{prefix}_set_num_threads{suffix}")
     for prefix in ("scipy_openblas", "openblas")
@@ -173,7 +174,7 @@ def _openblas_thread_controls():
     """(get, set) thread-count functions of every OpenBLAS loaded in this process.
 
     Found through /proc/self/maps, so the list is empty off Linux or when
-    numpy and scipy use another BLAS.
+    numpy uses another BLAS.
     """
     import ctypes
 
@@ -224,23 +225,158 @@ def one_blas_thread():
             setter(count)
 
 
-@functools.cache
-def _special():
-    """The `scipy.special` module, imported on the first call."""
-    from scipy import special
+# The special functions work on Python floats with math.exp, math.erfc and
+# math.lgamma, whose bits do not follow numpy's CPU-dependent SIMD paths.
 
-    return special
+_KOLMOGOROV_SWITCH = 0.82  # the two series of the Kolmogorov law meet here
+# Stirling series of log Gamma(z) - (z - 1/2) log z + z - log sqrt(2 pi):
+# B_2k / (2k (2k - 1)) z^(1 - 2k), k = 1..8, to double precision for z >= 10
+_STIRLING = (1 / 12, -1 / 360, 1 / 1260, -1 / 1680, 1 / 1188, -691 / 360360, 1 / 156,
+             -3617 / 122400)
+_STIRLING_FROM = 10.0
 
 
+def _elementwise(fn, x):
+    """A scalar math function over every entry of the float array x."""
+    return np.fromiter(map(fn, x.ravel().tolist()), float, x.size).reshape(x.shape)
+
+
+def _normal_cdf(z):
+    """Standard normal CDF, 0.5 * erfc(-z / sqrt(2)), elementwise."""
+    return 0.5 * _elementwise(math.erfc, -np.asarray(z, dtype=float) / math.sqrt(2.0))
+
+
+def _kolmogorov_sf(x):
+    """P(K > x) for the Kolmogorov limit law, at one float x.
+
+    Up to x = 0.82 it is 1 - sqrt(2 pi)/x * sum_k u^((2k-1)^2) with
+    u = exp(-pi^2 / (8 x^2)), above it 2 * sum_k (-1)^(k-1) v^(k^2) with
+    v = exp(-2 x^2). Each takes one math.exp; the powers are products,
+    and three and six terms reach double precision.
+    """
+    if x <= _KOLMOGOROV_SWITCH:
+        if x <= 0.0:
+            return 1.0
+        u = math.exp(-(math.pi ** 2 / 8.0) / (x * x))
+        u8 = u * u
+        u8 *= u8
+        u8 *= u8
+        return 1.0 - math.sqrt(2.0 * math.pi) / x * u * (1.0 + u8 * (1.0 + u8 * u8))
+    v = math.exp(-2.0 * x * x)
+    v2 = v * v
+    v3 = v2 * v
+    v5 = v3 * v2
+    v7 = v5 * v2
+    v9 = v7 * v2
+    return 2.0 * v * (1.0 - v3 * (1.0 - v5 * (1.0 - v7 * (1.0 - v9 * (1.0 - v9 * v2)))))
+
+
+def _stirling_rest(z):
+    zz = 1.0 / (z * z)
+    total = 0.0
+    for coef in reversed(_STIRLING):
+        total = total * zz + coef
+    return total / z
+
+
+def _log_beta(a, b):
+    """log B(a, b). From 10 on, lgamma(big) - lgamma(small + big) comes from
+    Stirling's series, where the two lgamma values would cancel."""
+    small, big = min(a, b), max(a, b)
+    if big < _STIRLING_FROM:
+        return math.lgamma(a) + math.lgamma(b) - math.lgamma(a + b)
+    return (math.lgamma(small) + small - (big - 0.5) * math.log1p(small / big)
+            - small * math.log(small + big) + _stirling_rest(big) - _stirling_rest(small + big))
+
+
+def _beta_fraction(a, b, x, y):
+    """The continued fraction F of I_x(a, b) = x^a y^b / (B(a, b) F).
+
+    The even form of DiDonato and Morris (1992), summed by the modified
+    Lentz method: its terms use y = 1 - x beside x, so none cancels when x
+    is near 1. It converges fast when lam = a - (a + b) x >= 0.
+    """
+    tiny = 1e-300
+    lam = a * y - b * x
+    f = c = a * (lam + 1.0) / (a + 1.0)
+    d = 0.0
+    for m in range(1, 10_000):
+        k = a + 2 * m - 1.0
+        num = (a + m - 1.0) * (a + b + m - 1.0) * m * (b - m) * x * x / (k * k)
+        den = m + m * (b - m) * x / k + (a + m) * (lam + 1.0 + m * (1.0 + y)) / (k + 2.0)
+        d = 1.0 / ((den + num * d) or tiny)
+        c = (den + num / c) or tiny
+        delta = c * d
+        f *= delta
+        if abs(delta - 1.0) < 2.5e-16:
+            return f
+    raise ArithmeticError(f"incomplete beta fraction did not converge at a={a}, b={b}, x={x}")
+
+
+def _betainc(a, b, x, y):
+    """I_x(a, b), its complement I_y(b, a) with y = 1 - x, and x^a y^b / B(a, b).
+
+    Taking both x and y keeps either tail's relative precision. The
+    continued fraction is summed on the side where it converges fast, and
+    the other side is one minus it.
+    """
+    if x <= 0.0:
+        return 0.0, 1.0, 0.0
+    if y <= 0.0:
+        return 1.0, 0.0, 0.0
+    log_x = math.log(x) if x < 0.5 else math.log1p(-y)
+    log_y = math.log(y) if y < 0.5 else math.log1p(-x)
+    front = math.exp(a * log_x + b * log_y - _log_beta(a, b))
+    if a * y >= b * x:
+        lower = front / _beta_fraction(a, b, x, y)
+        return lower, 1.0 - lower, front
+    upper = front / _beta_fraction(b, a, y, x)
+    return 1.0 - upper, upper, front
+
+
+@functools.lru_cache(maxsize=256)
 def f_quantile(p, dfn, dfd):
-    """Quantile of the F(dfn, dfd) distribution at probability p."""
+    """Quantile of the F(dfn, dfd) distribution at probability p.
+
+    Newton's method on u = log f, kept inside a bisection bracket, solves
+    log I_x(dfn/2, dfd/2) = log p with x = dfn f / (dfn f + dfd); above the
+    median it solves the upper tail I_y(dfd/2, dfn/2) = 1 - p instead, so
+    that both tails keep their relative precision. Memoized: the bootstrap
+    asks for the same quantile once per screening block.
+    """
     if not 0.0 < p < 1.0:
         raise ValueError("p must lie strictly between 0 and 1")
-    return float(_special().fdtri(dfn, dfd, p))
+    if not (dfn > 0.0 and dfd > 0.0):
+        return math.nan
+    dfn, dfd = float(dfn), float(dfd)
+    upper = p > 0.5
+    target = 1.0 - p if upper else p
+    # d tail / d u = +-x^a y^b / B(a, b), the `front` of _betainc
+    sign = -1.0 if upper else 1.0
+    u, lo, hi = 0.0, -745.0, 709.0
+    for _ in range(200):
+        f = math.exp(u)
+        tails = _betainc(0.5 * dfn, 0.5 * dfd, dfn * f / (dfn * f + dfd), dfd / (dfn * f + dfd))
+        tail, front = tails[upper], tails[2]
+        if (tail < target) == upper:
+            hi = u
+        else:
+            lo = u
+        step = -sign * math.log(tail / target) * tail / front if tail > 0.0 < front else math.nan
+        if abs(step) < 1e-10:
+            # Newton converges quadratically: the error left is far below 1e-10
+            return math.exp(u + step)
+        u = u + step if lo < u + step < hi else 0.5 * (lo + hi)
+    return math.exp(u)
 
 
 def _t_two_sided_p(t_stat, df):
-    return float(2.0 * _special().stdtr(df, -abs(t_stat)))
+    """2 P(T_df > |t|) = I_x(df/2, 1/2) with x = df / (df + t^2)."""
+    t = float(t_stat)
+    t_sq = t * t
+    if math.isnan(t_sq):
+        return math.nan
+    return _betainc(0.5 * df, 0.5, df / (df + t_sq), t_sq / (df + t_sq))[0]
 
 
 def pearson_test(x, y):
@@ -347,7 +483,7 @@ def ks_two_sample(a, b):
         raise ValueError("both samples must be non-empty")
     d = _ecdf_distance(np.sort(a.reshape(-1, a.shape[-1]), axis=-1), b)
     en = np.sqrt(a.shape[-1] * b.size / (a.shape[-1] + b.size))
-    p = _special().kolmogorov(en * d)
+    p = _elementwise(_kolmogorov_sf, en * d)
     if a.ndim == 1:
         return TestResult(float(d[0]), float(p[0]))
     return TestResult(d, p)
@@ -368,7 +504,7 @@ def ks_normal(x):
     sd = x.std(ddof=1)
     if sd == 0.0:
         raise ValueError("zero variance input")
-    cdf = _special().ndtr((x - x.mean()) / sd)
+    cdf = _normal_cdf((x - x.mean()) / sd)
     grid = np.arange(1, n + 1) / n
     d = float(np.max(np.maximum(np.abs(cdf - grid), np.abs(cdf - (grid - 1.0 / n)))))
-    return TestResult(d, float(_special().kolmogorov(np.sqrt(n) * d)))
+    return TestResult(d, _kolmogorov_sf(math.sqrt(n) * d))

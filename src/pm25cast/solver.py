@@ -214,9 +214,7 @@ def gauss_newton(spec, frame, theta0=None, max_steps=50, rel_tol=1e-8):
 
     This is `fit_stack` run on a stack of one sample, the whole frame.
     """
-    theta = np.array(model.default_start(spec) if theta0 is None else theta0, dtype=float)
-    if theta.shape != (spec.q,):
-        raise ValueError(f"theta0 must have length {spec.q}")
+    theta = model.check_theta(spec, model.default_start(spec) if theta0 is None else theta0)
     run = fit_stack(spec, frame, np.arange(frame.n)[None], theta, max_steps, rel_tol)
     if run.fault[0] is not None:
         raise run.fault[0]

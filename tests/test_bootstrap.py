@@ -341,13 +341,11 @@ def test_simulation_memory_stays_small():
     engine adds its stacked Jacobians and QR factors per fit stack and its
     second-derivative arrays per screening block, which must stay bounded
     by FIT_STACK and BLOCK: one stack of all 1000 replications takes ~7 MiB,
-    and one block of 1000 ~28 MiB. scipy.special is imported before
-    tracing starts, so the first KS test's import is not counted and the
-    bound holds whichever test runs first."""
+    and one block of 1000 ~28 MiB. Nothing is imported before tracing
+    starts, so a module that the run imports on first use counts too."""
     spec = ModelSpec("with-id")
     frame = build_frame(synthetic_records(n=365, seed=3))
     base = gauss_newton(spec, frame)
-    numerics._special()
     tracemalloc.start()
     try:
         s = run_simulation(spec, frame, base, reps=1000, size=25, seed=0)

@@ -156,11 +156,15 @@ def _scipy_modules_after(code):
     "import pm25cast.cli as cli; cli.build_parser()",
 ])
 def test_import_loads_no_scipy(code):
-    """scipy.special is loaded on the first p-value, not on import."""
+    """Importing the package and building the parser load no scipy module."""
     assert _scipy_modules_after(code) == "[]"
 
 
 def test_forecast_path_loads_no_scipy_and_fit_does(tmp_path):
+    """No command loads a scipy module: neither the forecast path on the
+    December 2017 demo files nor `fit` and `simulate` on the January 2014
+    month, whose quantiles and p-values come from `numerics` alone. (The
+    name is from when `fit` loaded scipy.special.)"""
     forecast_path = (
         "import pm25cast.cli as cli; "
         f"out = {str(tmp_path)!r}; "
@@ -171,11 +175,40 @@ def test_forecast_path_loads_no_scipy_and_fit_does(tmp_path):
         "out + '/fc/forecast.csv', obs_2017]) == 0"
     )
     assert _scipy_modules_after(forecast_path) == "[]"
-    fit = (
+    fit_and_simulate = (
         "import pm25cast.cli as cli; "
-        f"assert cli.main(['fit', '--out-dir', {str(tmp_path / 'fit')!r}, obs_2014]) == 0"
+        f"out = {str(tmp_path)!r}; "
+        "assert cli.main(['fit', '--out-dir', out + '/fit', obs_2014]) == 0; "
+        "assert cli.main(['simulate', '--size', '25', '--reps', '50', "
+        "'--out-dir', out + '/sim', obs_2014]) == 0"
     )
-    assert "scipy.special" in _scipy_modules_after(fit)
+    assert _scipy_modules_after(fit_and_simulate) == "[]"
+
+
+def test_fit_and_simulate_need_no_scipy(tmp_path):
+    """With scipy blocked (`sys.modules["scipy"] = None` makes every scipy
+    import fail), `fit` and `simulate` on the demo month exit 0 and write
+    the bytes of an unblocked run into the same directory."""
+    src = str(Path(pm25cast.__file__).resolve().parent.parent)
+    script = (
+        "import sys\n"
+        "block, src, out, obs = sys.argv[1:]\n"
+        "if block == 'block':\n"
+        "    sys.modules['scipy'] = None\n"
+        "sys.path.insert(0, src)\n"
+        "import pm25cast.cli as cli\n"
+        "sys.exit(cli.main(['fit', '--out-dir', out, obs])\n"
+        "         or cli.main(['simulate', '--size', '25', '--reps', '200', '--out-dir', out, obs]))\n"
+    )
+    written = []
+    for block in ("free", "block"):
+        done = subprocess.run([sys.executable, "-c", script, block, src, str(tmp_path), OBS_2014],
+                              capture_output=True, text=True, timeout=120)
+        assert done.returncode == 0, done.stderr
+        written.append({path.name: path.read_bytes() for path in sorted(tmp_path.iterdir())})
+    assert sorted(written[0]) == ["diagnostics.json", "fit_trace.csv", "replications.csv",
+                                  "residuals.csv", "simulation.json"]
+    assert written[0] == written[1]
 
 
 def test_fit_non_finite_end_point_warns_nothing(tmp_path):

@@ -233,13 +233,78 @@ def test_f_quantile_cdf_roundtrip():
         assert abs(scipy.stats.f.cdf(x, 7, 524) - p) < 1e-6
 
 
+# The special functions are held to scipy.stats as an oracle at a stated
+# relative tolerance, the tightest each meets on its grid (scipy 1.17;
+# worst seen: F quantile 1.2e-14, t tail 9.3e-15, Kolmogorov 9.8e-15, KS
+# normal D 9.1e-16). Against the exact values, the Kolmogorov survival
+# function is within 2e-15, and much of the gap is scipy's own.
+ORACLE_RTOL = 2e-14
+F_GRID_P = (1.0 - 0.05, 1.0 - 0.01, 1e-6, 0.01, 0.25, 0.5, 0.9, 0.999999)
+F_GRID_DFD = (1, 2, 5, 17, 23, 24, 293, 524, 2993, 9990, 0.5, 31.5)
+# (1 - alpha, q, n - q) of the curvature screens in the fit and simulate
+# goldens, the benchmark's fit-large and bootstrap-small runs (seeds 0 and
+# 1) and acceptance item 07
+CRITICAL_CASES = [(0.95, 7, 18), (0.95, 7, 24), (0.95, 7, 358), (0.95, 7, 534), (0.95, 7, 2993)]
+
+
 @pytest.mark.parametrize("dfn", range(2, 9))
 def test_f_quantile_equals_scipy_stats_bit_for_bit(dfn):
     """The curvature critical values (p = 1 - alpha, q = 2..8) and a wider
-    grid give exactly the bits of scipy.stats.f.ppf."""
-    for p in (1.0 - 0.05, 1.0 - 0.01, 1e-6, 0.01, 0.25, 0.5, 0.9, 0.999999):
-        for dfd in (1, 2, 5, 17, 23, 24, 293, 524, 2993, 9990, 0.5, 31.5):
-            assert f_quantile(p, dfn, dfd) == scipy.stats.f.ppf(p, dfn, dfd), (p, dfn, dfd)
+    grid, out to p = 1e-6 and 0.999999 and dfd = 0.5 and 9990, agree with
+    scipy.stats.f.ppf to ORACLE_RTOL. (They were bit-equal while both
+    called scipy.special.fdtri.)"""
+    for p in F_GRID_P:
+        for dfd in F_GRID_DFD:
+            expect = scipy.stats.f.ppf(p, dfn, dfd)
+            assert f_quantile(p, dfn, dfd) == pytest.approx(expect, rel=ORACLE_RTOL, abs=0.0), (p, dfd)
+
+
+@pytest.mark.parametrize("p,dfn,dfd", CRITICAL_CASES)
+def test_f_quantile_matches_scipy_at_the_pipelines_critical_values(p, dfn, dfd):
+    expect = scipy.stats.f.ppf(p, dfn, dfd)
+    assert f_quantile(p, dfn, dfd) == pytest.approx(expect, rel=ORACLE_RTOL, abs=0.0)
+
+
+@pytest.mark.parametrize("dfn", range(2, 9))
+def test_f_quantile_round_trips_through_the_incomplete_beta(dfn):
+    """At x = f_quantile(p), I_x(dfn/2, dfd/2) gives p back; above the
+    median the upper tail gives 1 - p, which is exact there."""
+    for p in F_GRID_P:
+        for dfd in F_GRID_DFD:
+            f = f_quantile(p, dfn, dfd)
+            lower, upper, _ = numerics._betainc(
+                dfn / 2, dfd / 2, dfn * f / (dfn * f + dfd), dfd / (dfn * f + dfd))
+            got, want = (upper, 1.0 - p) if p > 0.5 else (lower, p)
+            assert got == pytest.approx(want, rel=ORACLE_RTOL, abs=0.0), (p, dfd)
+
+
+@pytest.mark.parametrize("dfn,dfd", [(2, 0.5), (7, 18), (7, 2993), (8, 9990)])
+def test_f_quantile_increases_with_p(dfn, dfd):
+    ps = np.concatenate([[1e-9, 1e-6], np.linspace(0.01, 0.99, 99), [1 - 1e-6, 1 - 1e-9]])
+    values = [f_quantile(float(p), dfn, dfd) for p in ps]
+    assert np.all(np.diff(values) > 0.0)
+
+
+@pytest.mark.parametrize("big", [0.5, 1.0, 3.5, 14.5, 199.0, 1496.5, 4995.0])
+@pytest.mark.parametrize("small", [0.25, 0.5, 1.0, 2.5, 4.0])
+def test_betainc_matches_scipy(big, small):
+    """Both tails, with x and y = 1 - x passed apart, against scipy's
+    regularized incomplete beta and its complement, down to 1e-20. One
+    parameter is at most 4, as in every t tail and every F(q <= 8, .)
+    quantile here. The tolerance is 3e-14: at a = b = 0.5, x = 0.999999
+    scipy itself is 2.8e-14 off the exact value."""
+    import scipy.special
+
+    for a, b in ((big, small), (small, big)):
+        mean = a / (a + b)
+        edges = np.geomspace(1e-6, 0.02, 10)
+        for x in sorted({*np.linspace(0.02, 0.98, 25), *edges, *(1.0 - edges),
+                         mean * 0.9, mean, 1.0 - (1.0 - mean) * 0.9}):
+            lower, upper, _ = numerics._betainc(a, b, x, 1.0 - x)
+            for got, want in ((lower, scipy.special.betainc(a, b, x)),
+                              (upper, scipy.special.betaincc(a, b, x))):
+                if want > 1e-20:
+                    assert got == pytest.approx(want, rel=3e-14, abs=0.0), (a, b, x)
 
 
 @pytest.mark.parametrize("p", [0.0, 1.0, -0.2, 1.5])
@@ -329,6 +394,9 @@ def _spearman_p_reference(rho, n):
 
 
 def test_spearman_p_equals_scipy_stats_bit_for_bit():
+    """p agrees with the two-sided tail of scipy.stats.t to ORACLE_RTOL,
+    with and without ties. (It was bit-equal while both called
+    scipy.special.stdtr.)"""
     rng = np.random.default_rng(21)
     for n in (3, 4, 10, 57, 400):
         for _ in range(10):
@@ -337,7 +405,19 @@ def test_spearman_p_equals_scipy_stats_bit_for_bit():
             pairs = [(x, y)] if n < 10 else [(x, y), (np.round(x), np.round(y, 1))]
             for a, b in pairs:
                 rho, p = spearman_test(a, b)
-                assert p == _spearman_p_reference(rho, n)
+                assert p == pytest.approx(_spearman_p_reference(rho, n), rel=ORACLE_RTOL, abs=0.0)
+
+
+@pytest.mark.parametrize("df", [1, 2, 22, 29, 356, 2991, 2998, 9998])
+def test_t_tail_matches_scipy(df):
+    """The two-sided t tail on the degrees of freedom of the demo month,
+    the bootstrap-small baseline and fit-large, down to p = 1e-20. (Deeper,
+    both this code and scipy drift by about 1e-16 * |log p|.)"""
+    for t in np.concatenate([np.linspace(0.0, 5.0, 101), np.geomspace(5.0, 300.0, 120)]):
+        expect = 2.0 * scipy.stats.t.sf(t, df)
+        if expect > 1e-20:
+            got = numerics._t_two_sided_p(t, df)
+            assert got == pytest.approx(expect, rel=ORACLE_RTOL, abs=0.0), t
 
 
 @pytest.mark.parametrize("sample", [
@@ -450,14 +530,50 @@ def test_ks_normal_bimodal_rejected():
 
 
 def test_ks_normal_statistic_equals_scipy_stats_bit_for_bit():
+    """D agrees with the one computed from scipy.stats.norm.cdf to 2e-15
+    relative (worst seen 9.1e-16), and p with scipy.stats.kstwobign at D to
+    ORACLE_RTOL. (D was bit-equal while both called scipy.special.ndtr.)"""
     rng = np.random.default_rng(23)
     for n in (3, 10, 31, 365, 3000):
         x = np.round(rng.standard_t(4, n) * 3.0, 1)
-        d, _ = ks_normal(x)
+        d, p = ks_normal(x)
         xs = np.sort(x)
         cdf = scipy.stats.norm.cdf(xs, loc=xs.mean(), scale=xs.std(ddof=1))
         grid = np.arange(1, n + 1) / n
-        assert d == np.max(np.maximum(np.abs(cdf - grid), np.abs(cdf - (grid - 1.0 / n))))
+        expect = np.max(np.maximum(np.abs(cdf - grid), np.abs(cdf - (grid - 1.0 / n))))
+        assert d == pytest.approx(expect, rel=2e-15, abs=0.0)
+        assert p == pytest.approx(scipy.stats.kstwobign.sf(math.sqrt(n) * d), rel=ORACLE_RTOL, abs=0.0)
+
+
+def test_normal_cdf_matches_scipy():
+    z = np.linspace(-8.0, 8.0, 1601)
+    assert numerics._normal_cdf(z) == pytest.approx(scipy.stats.norm.cdf(z), rel=ORACLE_RTOL, abs=0.0)
+
+
+def test_kolmogorov_sf_matches_scipy_on_both_sides_of_the_series_switch():
+    switch = numerics._KOLMOGOROV_SWITCH
+    near = [np.nextafter(switch, 0.0), switch, np.nextafter(switch, 1.0)]
+    for x in np.concatenate([near, np.linspace(0.78, 0.86, 81), np.linspace(0.05, 6.0, 596)]):
+        expect = scipy.stats.kstwobign.sf(x)
+        assert numerics._kolmogorov_sf(float(x)) == pytest.approx(expect, rel=ORACLE_RTOL, abs=0.0), x
+    assert numerics._kolmogorov_sf(0.0) == numerics._kolmogorov_sf(-1.0) == 1.0
+    assert numerics._kolmogorov_sf(math.inf) == 0.0
+    assert math.isnan(numerics._kolmogorov_sf(math.nan))
+
+
+def test_kolmogorov_sf_matches_scipy_on_the_golden_simulate_run(monkeypatch, jan2014_frame):
+    """Every scaled KS statistic of the golden resampling run (with-id, 200
+    replications of size 25, seed 11, on the demo month)."""
+    from pm25cast import ModelSpec, gauss_newton, run_simulation
+
+    seen = []
+    sf = numerics._kolmogorov_sf
+    monkeypatch.setattr(numerics, "_kolmogorov_sf", lambda x: seen.append(x) or sf(x))
+    spec = ModelSpec("with-id")
+    run_simulation(spec, jan2014_frame, gauss_newton(spec, jan2014_frame), reps=200, size=25, seed=11)
+    assert len(seen) == 199
+    for x in seen:
+        assert sf(x) == pytest.approx(scipy.stats.kstwobign.sf(x), rel=ORACLE_RTOL, abs=0.0), x
 
 
 @pytest.mark.parametrize("a,b", [(np.array([]), np.arange(5.0)), (np.arange(5.0), np.array([])),

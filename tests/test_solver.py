@@ -281,7 +281,7 @@ def test_fit_stack_refuses_a_sample_out_of_date_order():
 
 
 def test_wrong_length_start_is_refused(synth_frame):
-    with pytest.raises(ValueError, match="^theta0 must have length 7$"):
+    with pytest.raises(ValueError, match=r"^theta0 must have length 7, got shape \(2,\)$"):
         gauss_newton(ModelSpec("with-id"), synth_frame, theta0=[40.0, 1.0])
 
 
