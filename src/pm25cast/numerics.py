@@ -351,13 +351,15 @@ def f_quantile(p, dfn, dfd):
     dfn, dfd = float(dfn), float(dfd)
     upper = p > 0.5
     target = 1.0 - p if upper else p
-    # d tail / d u = +-x^a y^b / B(a, b), the `front` of _betainc
+    # the lower tail rises with u and the upper one falls, both at the rate
+    # x^a y^b / B(a, b), the `front` of _betainc
     sign = -1.0 if upper else 1.0
-    u, lo, hi = 0.0, -745.0, 709.0
+    u, lo, hi = 0.0, -745.0, 709.0  # exp(u) stays finite and above 0
     for _ in range(200):
         f = math.exp(u)
-        tails = _betainc(0.5 * dfn, 0.5 * dfd, dfn * f / (dfn * f + dfd), dfd / (dfn * f + dfd))
-        tail, front = tails[upper], tails[2]
+        lower_tail, upper_tail, front = _betainc(
+            0.5 * dfn, 0.5 * dfd, dfn * f / (dfn * f + dfd), dfd / (dfn * f + dfd))
+        tail = upper_tail if upper else lower_tail
         if (tail < target) == upper:
             hi = u
         else:

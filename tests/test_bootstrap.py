@@ -15,7 +15,6 @@ from pm25cast import (
     build_frame,
     gauss_newton,
     model,
-    numerics,
     run_simulation,
     stratified_sample,
 )

@@ -128,8 +128,8 @@ def test_fit_non_finite_end_point_exits_2_and_writes_reports(tmp_path, capsys):
 
 
 def test_cli_start_up_does_not_import_scipy_stats():
-    """Importing scipy.stats costs over a second; the CLI's statistics come
-    from scipy.special alone, so a fresh start must not load it."""
+    """Importing scipy.stats costs over a second; a fresh start must not
+    load it."""
     src = str(Path(pm25cast.__file__).resolve().parent.parent)
     code = ("import sys; sys.path.insert(0, sys.argv[1]); import pm25cast.cli as cli; "
             "cli.build_parser(); print(sorted(m for m in sys.modules if m.startswith('scipy.stats')))")

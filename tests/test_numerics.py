@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+import scipy.special
 import scipy.stats
 
 from pm25cast import RankDeficiencyError
@@ -234,10 +235,10 @@ def test_f_quantile_cdf_roundtrip():
 
 
 # The special functions are held to scipy.stats as an oracle at a stated
-# relative tolerance, the tightest each meets on its grid (scipy 1.17;
-# worst seen: F quantile 1.2e-14, t tail 9.3e-15, Kolmogorov 9.8e-15, KS
-# normal D 9.1e-16). Against the exact values, the Kolmogorov survival
-# function is within 2e-15, and much of the gap is scipy's own.
+# relative tolerance, the tightest they meet on these grids (scipy 1.17;
+# worst seen: F quantile 1.2e-14, t tail 1.5e-14, normal CDF 1.2e-14,
+# Kolmogorov 9.8e-15). Against the exact values the Kolmogorov survival
+# function is within 2e-15: most of that gap is scipy's own.
 ORACLE_RTOL = 2e-14
 F_GRID_P = (1.0 - 0.05, 1.0 - 0.01, 1e-6, 0.01, 0.25, 0.5, 0.9, 0.999999)
 F_GRID_DFD = (1, 2, 5, 17, 23, 24, 293, 524, 2993, 9990, 0.5, 31.5)
@@ -293,8 +294,6 @@ def test_betainc_matches_scipy(big, small):
     parameter is at most 4, as in every t tail and every F(q <= 8, .)
     quantile here. The tolerance is 3e-14: at a = b = 0.5, x = 0.999999
     scipy itself is 2.8e-14 off the exact value."""
-    import scipy.special
-
     for a, b in ((big, small), (small, big)):
         mean = a / (a + b)
         edges = np.geomspace(1e-6, 0.02, 10)
