@@ -346,7 +346,7 @@ def f_quantile(p, dfn, dfd):
     """
     if not 0.0 < p < 1.0:
         raise ValueError("p must lie strictly between 0 and 1")
-    if not (dfn > 0.0 and dfd > 0.0):
+    if not (0.0 < dfn < math.inf and 0.0 < dfd < math.inf):
         return math.nan
     dfn, dfd = float(dfn), float(dfd)
     upper = p > 0.5

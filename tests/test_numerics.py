@@ -306,6 +306,11 @@ def test_betainc_matches_scipy(big, small):
                     assert got == pytest.approx(want, rel=3e-14, abs=0.0), (a, b, x)
 
 
+@pytest.mark.parametrize("dfn,dfd", [(7, 0), (0, 5), (-1, 5), (7, math.inf), (math.inf, 7), (7, math.nan)])
+def test_f_quantile_of_a_degenerate_df_is_nan(dfn, dfd):
+    assert math.isnan(f_quantile(0.95, dfn, dfd))
+
+
 @pytest.mark.parametrize("p", [0.0, 1.0, -0.2, 1.5])
 def test_f_quantile_domain(p):
     with pytest.raises(ValueError):
