@@ -1,8 +1,9 @@
+import json
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
-import scipy.special
 import scipy.stats
 
 from pm25cast import RankDeficiencyError
@@ -234,14 +235,20 @@ def test_f_quantile_cdf_roundtrip():
         assert abs(scipy.stats.f.cdf(x, 7, 524) - p) < 1e-6
 
 
-# The special functions are held to scipy.stats as an oracle at a stated
-# relative tolerance, the tightest they meet on these grids (scipy 1.17;
-# worst seen: F quantile 1.2e-14, t tail 1.5e-14, normal CDF 1.2e-14,
-# Kolmogorov 9.8e-15). Against the exact values the Kolmogorov survival
-# function is within 2e-15: most of that gap is scipy's own.
+# The special functions are held at a stated relative tolerance to oracles
+# of known precision. For the F quantile, the t tail and the incomplete
+# beta they are the exact values of tests/data/exact_special_values.json
+# (mpmath, rounded to double; tests/make_exact_values.py writes them). The
+# test extra admits scipy releases whose fdtri is Cephes's, which forms
+# 1 - p and back and so is about 3e-11 off at p = 1e-6. For the Kolmogorov
+# law and the normal CDF the oracle is scipy.stats. ORACLE_RTOL is the
+# tightest tolerance all of them meet, worst seen: F quantile 8.7e-15,
+# t tail 1.5e-14, incomplete beta 1.3e-14, normal CDF 1.2e-14 and
+# Kolmogorov 9.8e-15 (against scipy 1.17, itself within 2e-15 of the exact
+# values).
 ORACLE_RTOL = 2e-14
-F_GRID_P = (1.0 - 0.05, 1.0 - 0.01, 1e-6, 0.01, 0.25, 0.5, 0.9, 0.999999)
-F_GRID_DFD = (1, 2, 5, 17, 23, 24, 293, 524, 2993, 9990, 0.5, 31.5)
+EXACT = json.loads((Path(__file__).parent / "data" / "exact_special_values.json").read_text())
+EXACT_F = {(p, dfn, dfd): value for p, dfn, dfd, value in EXACT["f_quantile"]}
 # (1 - alpha, q, n - q) of the curvature screens in the fit and simulate
 # goldens, the benchmark's fit-large and bootstrap-small runs (seeds 0 and
 # 1) and acceptance item 07
@@ -252,26 +259,25 @@ CRITICAL_CASES = [(0.95, 7, 18), (0.95, 7, 24), (0.95, 7, 358), (0.95, 7, 534), 
 def test_f_quantile_equals_scipy_stats_bit_for_bit(dfn):
     """The curvature critical values (p = 1 - alpha, q = 2..8) and a wider
     grid, out to p = 1e-6 and 0.999999 and dfd = 0.5 and 9990, agree with
-    scipy.stats.f.ppf to ORACLE_RTOL. (They were bit-equal while both
-    called scipy.special.fdtri.)"""
-    for p in F_GRID_P:
-        for dfd in F_GRID_DFD:
-            expect = scipy.stats.f.ppf(p, dfn, dfd)
-            assert f_quantile(p, dfn, dfd) == pytest.approx(expect, rel=ORACLE_RTOL, abs=0.0), (p, dfd)
+    the exact quantiles to ORACLE_RTOL. (The name is from when f_quantile
+    called scipy.special.fdtri and gave the bits of scipy.stats.f.ppf.)"""
+    cases = [(p, dfd) for p, n, dfd in EXACT_F if n == dfn]
+    assert len(cases) >= 96  # 8 p by 12 dfd, and the critical cases
+    for p, dfd in cases:
+        assert f_quantile(p, dfn, dfd) == pytest.approx(EXACT_F[p, dfn, dfd], rel=ORACLE_RTOL, abs=0.0), (p, dfd)
 
 
 @pytest.mark.parametrize("p,dfn,dfd", CRITICAL_CASES)
-def test_f_quantile_matches_scipy_at_the_pipelines_critical_values(p, dfn, dfd):
-    expect = scipy.stats.f.ppf(p, dfn, dfd)
-    assert f_quantile(p, dfn, dfd) == pytest.approx(expect, rel=ORACLE_RTOL, abs=0.0)
+def test_f_quantile_is_exact_at_the_pipelines_critical_values(p, dfn, dfd):
+    assert f_quantile(p, dfn, dfd) == pytest.approx(EXACT_F[p, dfn, dfd], rel=ORACLE_RTOL, abs=0.0)
 
 
 @pytest.mark.parametrize("dfn", range(2, 9))
 def test_f_quantile_round_trips_through_the_incomplete_beta(dfn):
     """At x = f_quantile(p), I_x(dfn/2, dfd/2) gives p back; above the
     median the upper tail gives 1 - p, which is exact there."""
-    for p in F_GRID_P:
-        for dfd in F_GRID_DFD:
+    for p, n, dfd in EXACT_F:
+        if n == dfn:
             f = f_quantile(p, dfn, dfd)
             lower, upper, _ = numerics._betainc(
                 dfn / 2, dfd / 2, dfn * f / (dfn * f + dfd), dfd / (dfn * f + dfd))
@@ -288,22 +294,17 @@ def test_f_quantile_increases_with_p(dfn, dfd):
 
 @pytest.mark.parametrize("big", [0.5, 1.0, 3.5, 14.5, 199.0, 1496.5, 4995.0])
 @pytest.mark.parametrize("small", [0.25, 0.5, 1.0, 2.5, 4.0])
-def test_betainc_matches_scipy(big, small):
-    """Both tails, with x and y = 1 - x passed apart, against scipy's
-    regularized incomplete beta and its complement, down to 1e-20. One
-    parameter is at most 4, as in every t tail and every F(q <= 8, .)
-    quantile here. The tolerance is 3e-14: at a = b = 0.5, x = 0.999999
-    scipy itself is 2.8e-14 off the exact value."""
-    for a, b in ((big, small), (small, big)):
-        mean = a / (a + b)
-        edges = np.geomspace(1e-6, 0.02, 10)
-        for x in sorted({*np.linspace(0.02, 0.98, 25), *edges, *(1.0 - edges),
-                         mean * 0.9, mean, 1.0 - (1.0 - mean) * 0.9}):
-            lower, upper, _ = numerics._betainc(a, b, x, 1.0 - x)
-            for got, want in ((lower, scipy.special.betainc(a, b, x)),
-                              (upper, scipy.special.betaincc(a, b, x))):
-                if want > 1e-20:
-                    assert got == pytest.approx(want, rel=3e-14, abs=0.0), (a, b, x)
+def test_betainc_is_exact(big, small):
+    """Both tails, with x and y = 1 - x passed apart, against the exact
+    I_x(a, b) and 1 - I_x(a, b), down to 1e-20. One parameter is at most
+    4, as in every t tail and every F(q <= 8, .) quantile here."""
+    rows = [row for row in EXACT["betainc"] if {row[0], row[1]} == {big, small}]
+    assert len(rows) > 40
+    for a, b, x, want_lower, want_upper in rows:
+        lower, upper, _ = numerics._betainc(a, b, x, 1.0 - x)
+        for got, want in ((lower, want_lower), (upper, want_upper)):
+            if want > 1e-20:
+                assert got == pytest.approx(want, rel=ORACLE_RTOL, abs=0.0), (a, b, x)
 
 
 @pytest.mark.parametrize("dfn,dfd", [(7, 0), (0, 5), (-1, 5), (7, math.inf), (math.inf, 7), (7, math.nan)])
@@ -390,18 +391,13 @@ def test_spearman_tied_values_use_midranks():
     assert abs(rho - expect) < 1e-12
 
 
-def _spearman_p_reference(rho, n):
-    if abs(rho) == 1.0:
-        return 0.0
-    tstat = rho * np.sqrt((n - 2) / (1.0 - rho * rho))
-    return float(2.0 * scipy.stats.t.sf(abs(tstat), n - 2))
-
-
 def test_spearman_p_equals_scipy_stats_bit_for_bit():
-    """p agrees with the two-sided tail of scipy.stats.t to ORACLE_RTOL,
-    with and without ties. (It was bit-equal while both called
-    scipy.special.stdtr.)"""
+    """p agrees with the exact two-sided t tail at the t formed from rho to
+    ORACLE_RTOL, with and without ties. rho is exact arithmetic on
+    mid-ranks, so it equals the recorded one. (The name is from when both
+    called scipy.special.stdtr.)"""
     rng = np.random.default_rng(21)
+    exact = iter(EXACT["spearman"])
     for n in (3, 4, 10, 57, 400):
         for _ in range(10):
             x = rng.standard_normal(n)
@@ -409,19 +405,21 @@ def test_spearman_p_equals_scipy_stats_bit_for_bit():
             pairs = [(x, y)] if n < 10 else [(x, y), (np.round(x), np.round(y, 1))]
             for a, b in pairs:
                 rho, p = spearman_test(a, b)
-                assert p == pytest.approx(_spearman_p_reference(rho, n), rel=ORACLE_RTOL, abs=0.0)
+                want_n, want_rho, want_p = next(exact)
+                assert (n, rho) == (want_n, want_rho)
+                assert p == pytest.approx(want_p, rel=ORACLE_RTOL, abs=0.0)
+    assert next(exact, None) is None
 
 
 @pytest.mark.parametrize("df", [1, 2, 22, 29, 356, 2991, 2998, 9998])
-def test_t_tail_matches_scipy(df):
+def test_t_tail_is_exact(df):
     """The two-sided t tail on the degrees of freedom of the demo month,
-    the bootstrap-small baseline and fit-large, down to p = 1e-20. (Deeper,
-    both this code and scipy drift by about 1e-16 * |log p|.)"""
-    for t in np.concatenate([np.linspace(0.0, 5.0, 101), np.geomspace(5.0, 300.0, 120)]):
-        expect = 2.0 * scipy.stats.t.sf(t, df)
-        if expect > 1e-20:
-            got = numerics._t_two_sided_p(t, df)
-            assert got == pytest.approx(expect, rel=ORACLE_RTOL, abs=0.0), t
+    the bootstrap-small baseline and fit-large, for |t| up to 300 and down
+    to p = 1e-20."""
+    rows = [(t, value) for t, d, value in EXACT["t_two_sided"] if d == df]
+    assert len(rows) > 100
+    for t, value in rows:
+        assert numerics._t_two_sided_p(t, df) == pytest.approx(value, rel=ORACLE_RTOL, abs=0.0), t
 
 
 @pytest.mark.parametrize("sample", [
