@@ -196,11 +196,10 @@ def run_simulation(
                 converged[block] = True
 
                 th = run.theta[done]
-                sigma_hat = np.sqrt(run.rss[done] / (resid.shape[1] - spec.q))
                 curv = bates_curvature(
                     model.jacobian(spec, th, frame, sample),
                     model.hessian_cube(spec, th, frame, sample),
-                    sigma_hat,
+                    run.sigma_hat[done],
                     alpha=alpha,
                 )
                 curvature_pass[block] = curv.planar_ok & curv.uniform_ok

@@ -18,6 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import AggregationError, DataError
+from .numerics import _elementwise
 
 # Non-numeric precipitation markers that mean "trace amount"; they parse as 0.
 TRACE_TOKENS = frozenset({"微量", "T", "trace"})
@@ -45,10 +46,9 @@ def id_from_lpm(lpm):
 
 
 def lpm_from_pm(pm):
-    """lpm = 10*ln(pm) per entry, -inf where pm <= 0: math.log, not np.log,
-    which differs from it in the last bit on some inputs."""
-    return np.array([-math.inf if v <= 0 else 10.0 * math.log(v)
-                     for v in np.atleast_1d(pm).tolist()], dtype=float)
+    """lpm = 10*ln(pm) per entry, -inf where pm <= 0."""
+    return _elementwise(lambda v: -math.inf if v <= 0 else 10.0 * math.log(v),
+                        np.atleast_1d(np.asarray(pm, dtype=float)))
 
 
 @dataclass(frozen=True)

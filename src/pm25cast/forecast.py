@@ -23,6 +23,7 @@ from .data import (
     _write_json, id_from_lpm, lpm_from_pm,
 )
 from .errors import DataError
+from .numerics import _elementwise
 
 FORECAST_COLUMNS = ("date", "pm_hat", "id_source", "arm", "lo", "hi", "flags")
 ARMS = ("low", "band", "high")
@@ -206,11 +207,6 @@ def _safe_exp(x):
         return math.inf
 
 
-def _exp(x):
-    # math.exp, not np.exp: the two differ in the last bit on some inputs
-    return np.array([_safe_exp(v) for v in x.tolist()], dtype=float)
-
-
 def _log_pm(model, predictors):
     """Id-free log-scale forecasts over predictor columns: the sum is taken
     left to right as the formula reads, the inner exponential per element."""
@@ -223,7 +219,7 @@ def _log_pm(model, predictors):
     # overflow and 0 * inf pass silently, as they do on Python floats
     with np.errstate(over="ignore", invalid="ignore"):
         return (
-            model.a * _exp(-model.b / predictors.trg)
+            model.a * _elementwise(_safe_exp, -model.b / predictors.trg)
             + model.c_w * predictors.w
             + model.c_t * predictors.t
             + model.c_pc * predictors.pc
@@ -311,7 +307,7 @@ def forecast_series(model, predictors, profile, id_source="algo1", observations=
     day's observed concentration. Observed concentrations are the pm
     column of `observations`, an Observations table. Returns (table,
     skipped): a ForecastTable, and (date, reason) for the days that could
-    not be forecast.
+    not be forecast, a day whose pm_hat underflows to 0 among them.
     """
     if id_source not in ID_SOURCES:
         raise ValueError(f"unknown id source {id_source!r}")
@@ -330,13 +326,15 @@ def forecast_series(model, predictors, profile, id_source="algo1", observations=
     pm = pm[~skip]
     log_pm = _log_pm(model, predictors)
     from_obs = pm > 0
-    id_value = _id_from_pm(np.where(from_obs, pm, _exp(log_pm)))
+    id_value = _id_from_pm(np.where(from_obs, pm, _elementwise(_safe_exp, log_pm)))
     with np.errstate(over="ignore", invalid="ignore"):
-        pm_hat = _exp(log_pm + model.c_id * id_value)
+        pm_hat = _elementwise(_safe_exp, log_pm + model.c_id * id_value)
+    keep = pm_hat != 0.0
+    predictors, underflow = _predictor_table(keep, "pm_hat underflows to 0", *predictors)
+    pm_hat, source = pm_hat[keep], np.where(from_obs, id_source, "algo2")[keep]
     arm, lo, hi = _intervals(pm_hat, profile)
-    source = np.where(from_obs, id_source, "algo2")
     flags = _hazards(predictors, pm_hat)
-    return ForecastTable(predictors.date, pm_hat, source, arm, lo, hi, flags), skipped
+    return ForecastTable(predictors.date, pm_hat, source, arm, lo, hi, flags), skipped + underflow
 
 
 def _predictor_table(keep, reason, date, trg, w, t, pc, ep):

@@ -225,8 +225,10 @@ def one_blas_thread():
             setter(count)
 
 
-# The special functions work on Python floats with math.exp, math.erfc and
-# math.lgamma, whose bits do not follow numpy's CPU-dependent SIMD paths.
+# The special functions here, and the per-element exp and log of `data` and
+# `forecast`, work on Python floats with the `math` module: numpy's exp, log
+# and erfc follow CPU-dependent SIMD paths and differ from it in the last bit
+# on some inputs.
 
 _KOLMOGOROV_SWITCH = 0.82  # the two series of the Kolmogorov law meet here
 # Stirling series of log Gamma(z) - (z - 1/2) log z + z - log sqrt(2 pi):
@@ -334,15 +336,13 @@ def _betainc(a, b, x, y):
     return 1.0 - upper, upper, front
 
 
-@functools.lru_cache(maxsize=256)
 def f_quantile(p, dfn, dfd):
     """Quantile of the F(dfn, dfd) distribution at probability p.
 
     Newton's method on u = log f, kept inside a bisection bracket, solves
     log I_x(dfn/2, dfd/2) = log p with x = dfn f / (dfn f + dfd); above the
     median it solves the upper tail I_y(dfd/2, dfn/2) = 1 - p instead, so
-    that both tails keep their relative precision. Memoized: the bootstrap
-    asks for the same quantile once per screening block.
+    that both tails keep their relative precision.
     """
     if not 0.0 < p < 1.0:
         raise ValueError("p must lie strictly between 0 and 1")

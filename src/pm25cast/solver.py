@@ -25,44 +25,38 @@ class FitResult:
     """Converged or best-effort fit state.
 
     `trace` holds one TraceStep per accepted step, starting with the
-    initial point, so rss values along it are non-increasing. `rss`
-    and residuals are on the model scale (lpm units for the built-in
-    families).
+    initial point, so rss values along it are non-increasing; `theta`,
+    `rss` and `steps` are read from it. Residuals and `rss` are on the
+    model scale (lpm units for the built-in families).
     """
 
     spec: model.ModelSpec
-    theta: np.ndarray
-    rss: float
     sigma_hat: float
     fitted: np.ndarray
     residuals: np.ndarray
-    std_residuals: np.ndarray
     trace: tuple
     converged: bool
-    steps: int
 
+    @property
+    def theta(self):
+        return self.trace[-1].theta
 
-def _fit_result(spec, theta, fitted, resid, trace, converged):
-    rss = trace[-1].rss
-    sigma_hat = float(np.sqrt(rss / (resid.size - spec.q)))
-    if not np.isfinite(sigma_hat):
-        std_residuals = np.full_like(resid, np.nan)
-    elif sigma_hat > 0:
-        std_residuals = resid / sigma_hat
-    else:
-        std_residuals = np.zeros_like(resid)
-    return FitResult(
-        spec=spec,
-        theta=theta,
-        rss=rss,
-        sigma_hat=sigma_hat,
-        fitted=fitted,
-        residuals=resid,
-        std_residuals=std_residuals,
-        trace=tuple(trace),
-        converged=converged,
-        steps=len(trace) - 1,
-    )
+    @property
+    def rss(self):
+        return self.trace[-1].rss
+
+    @property
+    def steps(self):
+        return len(self.trace) - 1
+
+    @property
+    def std_residuals(self):
+        """residuals / sigma_hat: nan when sigma_hat is not finite, 0 when it is 0."""
+        if not np.isfinite(self.sigma_hat):
+            return np.full_like(self.residuals, np.nan)
+        if self.sigma_hat > 0:
+            return self.residuals / self.sigma_hat
+        return np.zeros_like(self.residuals)
 
 
 class StackFit(NamedTuple):
@@ -84,6 +78,11 @@ class StackFit(NamedTuple):
     fault: list
     path: list
 
+    @property
+    def sigma_hat(self):
+        """sqrt(rss / (n - q)) per sample."""
+        return np.sqrt(self.rss / (self.residuals.shape[-1] - self.theta.shape[-1]))
+
     def trace(self, i):
         """TraceSteps of sample i: its start, then every accepted step."""
         steps = []
@@ -101,8 +100,9 @@ def fit_stack(spec, frame, rows, theta0, max_steps=50, rel_tol=1e-8):
     Every sample follows exactly the iteration `gauss_newton` documents, in
     lockstep with the others: one stacked Jacobian, one stacked QR and one
     stacked triangular solve per iteration, and one stacked evaluation per
-    round of step trials. Each sample keeps its own step scale, accept mask
-    and stop flag, and leaves the active set when it converges or stops.
+    round of step trials. The samples still trying share the round's step
+    scale; each keeps its own accept mask and stop flag, and leaves the
+    active set when it converges or stops.
     Every operation works sample by sample, so a sample's result does not
     depend on which other samples share the stack.
 
@@ -151,15 +151,13 @@ def fit_stack(spec, frame, rows, theta0, max_steps=50, rel_tol=1e-8):
         del q1  # not held through the step trials
         delta = solve_upper(r1, gain)
 
-        scale = np.ones(live.size)
+        scale = 1.0
         accepted = np.zeros(live.size, dtype=bool)
-        diverged = np.zeros(live.size, dtype=bool)
         trying = np.arange(live.size)
         for _ in range(MAX_HALVINGS + 1):
-            theta_try = theta[live[trying]] + scale[trying, None] * delta[trying]
+            theta_try = theta[live[trying]] + scale * delta[trying]
             finite = np.isfinite(theta_try).all(axis=1)
             if not finite.all():
-                diverged[trying[~finite]] = True
                 for i in live[trying[~finite]]:
                     fault[i] = ValueError("theta must be finite")
                 trying, theta_try = trying[finite], theta_try[finite]
@@ -178,15 +176,15 @@ def fit_stack(spec, frame, rows, theta0, max_steps=50, rel_tol=1e-8):
             converged[took] = rss_prev - rss[took] <= rel_tol * rss_prev
             accepted[trying[down]] = True
             trying = trying[~down]
-            scale[trying] *= 0.5
+            scale *= 0.5
             if not trying.size:
                 break
-        # Halving exhausted: a point where the predicted decrease |Q1'r|^2
-        # is already below rel_tol*RSS is a minimum at the rounding floor
-        # (every trial step came out a few ulps above the current RSS).
-        stuck = ~accepted & ~diverged
-        floor = stuck & (vecdot(gain, gain) <= rel_tol * rss[live])
-        converged[live[floor]] = True
+        # Halving exhausted for the samples still trying: a point where the
+        # predicted decrease |Q1'r|^2 is already below rel_tol*RSS is a minimum
+        # at the rounding floor (each trial step came out a few ulps above the RSS).
+        stuck = live[trying]
+        floor = vecdot(gain[trying], gain[trying]) <= rel_tol * rss[stuck]
+        converged[stuck[floor]] = True
         live = live[accepted & ~converged[live]]
 
     return StackFit(theta, rss, fitted, resid, converged, fault, path)
@@ -218,9 +216,8 @@ def gauss_newton(spec, frame, theta0=None, max_steps=50, rel_tol=1e-8):
     run = fit_stack(spec, frame, np.arange(frame.n)[None], theta, max_steps, rel_tol)
     if run.fault[0] is not None:
         raise run.fault[0]
-    return _fit_result(
-        spec, run.theta[0], run.fitted[0], run.residuals[0], run.trace(0), bool(run.converged[0])
-    )
+    return FitResult(spec, float(run.sigma_hat[0]), run.fitted[0], run.residuals[0],
+                     tuple(run.trace(0)), bool(run.converged[0]))
 
 
 def write_trace_csv(fit, path):

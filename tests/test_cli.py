@@ -504,6 +504,39 @@ def test_forecast_of_no_day_exits_1_and_writes_nothing(tmp_path, capsys):
     assert list(out.iterdir()) == []
 
 
+def test_forecast_skips_a_day_whose_pm_hat_underflows(tmp_path):
+    """pc = 1e6 on 2014-01-05 drives the preset's exponent below -745, so
+    that day's pm_hat underflows to 0: it is skipped with its reason and
+    every other day is forecast as in the golden run."""
+    rows = [line.split(",") for line in Path(OBS_2014).read_text().splitlines()]
+    pc = rows[0].index("pc")
+    (day,) = [r for r in rows if r[0] == "2014-01-05"]
+    day[pc] = "1000000"
+    obs = tmp_path / "obs.csv"
+    obs.write_text("".join(",".join(r) + "\n" for r in rows))
+    out = tmp_path / "fc"
+    assert run_quiet("forecast", "--obs", str(obs), "--out-dir", str(out)) == 0
+    golden = Path(__file__).resolve().parent / "data" / "golden" / "observed" / "forecast.csv"
+    kept = golden.read_bytes().splitlines(True)
+    assert (out / "forecast.csv").read_bytes() == b"".join(
+        line for line in kept if not line.startswith(b"2014-01-05"))
+    meta = json.loads((out / "forecast_meta.json").read_text())
+    assert meta["skipped"] == [["2014-01-05", "pm_hat underflows to 0"]]
+
+
+def test_forecast_with_underflowing_coefficients_names_each_day(tmp_path, capsys):
+    coef = tmp_path / "coef.json"
+    coef.write_text(json.dumps({**dataclasses.asdict(PRESETS["thesis-2018"]), "a": -800}))
+    out = tmp_path / "fc"
+    assert run("forecast", "--ncep", NCEP_2017, "--obs", OBS_2017, "--model", str(coef),
+               "--out-dir", str(out)) == 0
+    # two zero-range days are skipped before the forecast; of the other 29,
+    # only the two with the smallest range (trg 4 and 2) keep a pm_hat above 0
+    assert capsys.readouterr().err.count(": pm_hat underflows to 0\n") == 27
+    rows = list(csv.DictReader(open(out / "forecast.csv")))
+    assert [r["date"] for r in rows] == ["2017-12-23", "2017-12-26"]
+
+
 # ---------------------------------------------------------------- validate
 
 

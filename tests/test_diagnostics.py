@@ -410,10 +410,8 @@ def _manual_fit(frame, residuals, fitted=None):
         fitted = frame.lpm - res
     sigma = float(np.sqrt(res @ res / (frame.n - 7)))
     return FitResult(
-        spec=spec, theta=np.zeros(7), rss=float(res @ res), sigma_hat=sigma,
-        fitted=np.asarray(fitted, dtype=float), residuals=res,
-        std_residuals=res / sigma, trace=(TraceStep(np.zeros(7), float(res @ res)),),
-        converged=True, steps=0,
+        spec=spec, sigma_hat=sigma, fitted=np.asarray(fitted, dtype=float), residuals=res,
+        trace=(TraceStep(np.zeros(7), float(res @ res)),), converged=True,
     )
 
 
@@ -469,9 +467,8 @@ def _manual_fit_subset(fit, frame):
     res = fit.residuals[: frame.n]
     sigma = float(np.sqrt(res @ res)) or 1.0
     return FitResult(
-        spec=fit.spec, theta=fit.theta, rss=float(res @ res), sigma_hat=sigma,
-        fitted=frame.lpm - res, residuals=res, std_residuals=res / sigma,
-        trace=fit.trace, converged=True, steps=0,
+        spec=fit.spec, sigma_hat=sigma, fitted=frame.lpm - res, residuals=res,
+        trace=(TraceStep(fit.theta, float(res @ res)),), converged=True,
     )
 
 

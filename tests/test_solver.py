@@ -1,9 +1,11 @@
 import dataclasses
 import datetime as dt
+import math
 import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from pm25cast import (
     ModelFrame,
@@ -266,6 +268,88 @@ def test_fit_stack_matches_single_fits():
         None, "RankDeficiencyError", None
     ]
     assert run.converged[[0, 2]].all()
+
+
+STACK_FRAME = build_frame(synthetic_records(n=60, seed=9))
+# scale of each parameter's offset from the default start in stacked-fit tests
+START_SPREAD = np.array([500.0, 100.0, 0.1, 0.01, 0.01, 0.1, 1.0])
+
+
+def _bits(x):
+    return np.asarray(x, dtype=float).tobytes()
+
+
+def _assert_stack_fits_each_sample_alone(spec, frame, rows, starts, run):
+    """Sample i of the stacked `run` is gauss_newton's fit of
+    frame.subset(rows[i]) from starts[i], bit for bit, fault included."""
+    for i, idx in enumerate(rows):
+        try:
+            alone = gauss_newton(spec, frame.subset(idx), theta0=starts[i])
+        except (RankDeficiencyError, ValueError) as exc:
+            assert type(run.fault[i]) is type(exc) and str(run.fault[i]) == str(exc)
+            continue
+        assert run.fault[i] is None
+        assert _bits(run.theta[i]) == _bits(alone.theta)
+        assert _bits(run.rss[i]) == _bits(alone.rss)
+        assert _bits(run.sigma_hat[i]) == _bits(alone.sigma_hat)
+        assert bool(run.converged[i]) == alone.converged
+        assert [_bits(t) + _bits(r) for t, r in run.trace(i)] == [
+            _bits(t) + _bits(r) for t, r in alone.trace
+        ]
+        assert alone.rss == alone.trace[-1].rss
+        assert alone.steps == len(alone.trace) - 1
+        assert _bits(alone.sigma_hat) == _bits(math.sqrt(alone.rss / (idx.size - spec.q)))
+
+
+@st.composite
+def _stacks(draw):
+    """(spec, rows, starts): 2-6 sorted row samples of STACK_FRAME, drawn
+    with replacement, and one start per sample around the default start."""
+    spec = ModelSpec(draw(st.sampled_from(["initial", "with-id"])))
+    k = draw(st.integers(2, 6))
+    m = draw(st.integers(15, 40))
+    sample = st.lists(st.integers(0, STACK_FRAME.n - 1), min_size=m, max_size=m)
+    rows = np.sort(np.array(draw(st.lists(sample, min_size=k, max_size=k))), axis=1)
+    offset = st.lists(st.floats(-1.0, 1.0), min_size=spec.q, max_size=spec.q)
+    offsets = np.array(draw(st.lists(offset, min_size=k, max_size=k)))
+    return spec, rows, model.default_start(spec) + offsets * START_SPREAD[: spec.q]
+
+
+@settings(max_examples=25, deadline=None)
+@given(stack=_stacks())
+def test_fit_stack_fits_each_sample_as_alone_from_its_own_start(stack):
+    spec, rows, starts = stack
+    run = fit_stack(spec, STACK_FRAME, rows, starts)
+    _assert_stack_fits_each_sample_alone(spec, STACK_FRAME, rows, starts, run)
+
+
+def test_fit_stack_samples_halve_to_different_depths_in_one_iteration(monkeypatch):
+    """In one iteration the sample started at the default start takes its
+    full step while the far start needs at least two halvings; both still
+    fit exactly as they fit alone."""
+    spec = ModelSpec("with-id")
+    rows = np.array([np.arange(0, 30), np.arange(20, 50)])
+    starts = np.array([model.default_start(spec)] * 2)
+    starts[1, :2] = 1000.0, 80.0
+    real_eval_f, real_jacobian = model.eval_f, model.jacobian
+    rounds = []  # per iteration, the number of samples evaluated in each round
+
+    def counting_jacobian(*args):
+        rounds.append([])
+        return real_jacobian(*args)
+
+    def counting_eval_f(spec, theta, frame, rows=None):
+        if rounds:  # not the start's evaluation
+            rounds[-1].append(len(theta))
+        return real_eval_f(spec, theta, frame, rows)
+
+    with monkeypatch.context() as patch:
+        patch.setattr(model, "jacobian", counting_jacobian)
+        patch.setattr(model, "eval_f", counting_eval_f)
+        run = fit_stack(spec, STACK_FRAME, rows, starts)
+    assert run.fault == [None, None] and run.converged.all()
+    assert any(r[:2] == [2, 1] and len(r) >= 3 for r in rounds)
+    _assert_stack_fits_each_sample_alone(spec, STACK_FRAME, rows, starts, run)
 
 
 def test_fit_stack_refuses_a_sample_out_of_date_order():
