@@ -45,11 +45,13 @@ class BootstrapSummary:
     """Aggregate of a resampling run, with one entry per replication in the
     arrays `converged`, `curvature_pass`, `ks_p` (nan where the replication
     did not converge), `identical_residuals` and `theta` (reps x q, nan for
-    a replication whose fit failed).
+    a replication whose fit failed); `theta_hat` is the baseline estimate.
 
-    bias, std and mse are taken over converged replications only, with
-    population (ddof=0) scaling, so mse_j = std_j^2 + bias_j^2 holds as an
-    exact identity up to float rounding.
+    bias, std, mse and theta_corrected are derived from `theta`,
+    `converged` and `theta_hat`. The moments are taken over converged
+    replications only, with population (ddof=0) scaling, so
+    mse_j = std_j^2 + bias_j^2 holds as an exact identity up to float
+    rounding; they are nan when no replication converged.
     """
 
     converged: np.ndarray
@@ -57,11 +59,17 @@ class BootstrapSummary:
     ks_p: np.ndarray
     identical_residuals: np.ndarray
     theta: np.ndarray
-    bias: np.ndarray
-    std: np.ndarray
-    mse: np.ndarray
-    theta_corrected: np.ndarray
+    theta_hat: np.ndarray
     min_ks_pass: float
+
+    def _moment(self, of_kept):
+        kept = self.theta[self.converged]
+        return of_kept(kept) if kept.size else np.full(self.theta.shape[1], np.nan)
+
+    bias = property(lambda self: self._moment(lambda kept: kept.mean(axis=0) - self.theta_hat))
+    std = property(lambda self: self._moment(lambda kept: kept.std(axis=0, ddof=0)))
+    mse = property(lambda self: self._moment(lambda k: np.mean((k - self.theta_hat) ** 2, axis=0)))
+    theta_corrected = property(lambda self: self.theta_hat - self.bias)
 
     ks_pass = property(lambda self: self.ks_p > 0.05)
     ks_strong = property(lambda self: self.ks_p > 0.5)
@@ -210,23 +218,13 @@ def run_simulation(
                 same = resid == baseline.residuals[at]
                 identical[block] = shared.any(axis=1) & (same | ~shared).all(axis=1)
 
-    kept = theta[converged]
-    if kept.size:
-        bias = kept.mean(axis=0) - baseline.theta
-        std = kept.std(axis=0, ddof=0)
-        mse = np.mean((kept - baseline.theta) ** 2, axis=0)
-    else:
-        bias = std = mse = np.full(spec.q, np.nan)
     return BootstrapSummary(
         converged=converged,
         curvature_pass=curvature_pass,
         ks_p=ks_p,
         identical_residuals=identical,
         theta=theta,
-        bias=bias,
-        std=std,
-        mse=mse,
-        theta_corrected=baseline.theta - bias,
+        theta_hat=baseline.theta,
         min_ks_pass=min_ks_pass,
     )
 

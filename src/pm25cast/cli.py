@@ -178,17 +178,13 @@ def cmd_simulate(args):
     return 0
 
 
-def _load_frozen_model(name_or_path):
-    if name_or_path in forecast.PRESETS:
-        return forecast.PRESETS[name_or_path]
-    return forecast.FrozenModel.from_json(name_or_path)
-
-
 def cmd_forecast(args):
-    frozen = _load_frozen_model(args.model)
+    if args.model in forecast.PRESETS:
+        frozen, inputs = forecast.PRESETS[args.model], [args.obs]
+    else:
+        frozen, inputs = forecast.FrozenModel.from_json(args.model), [args.obs, args.model]
     profile = forecast.PROFILES[args.profile]
     observations = data.parse_observations(args.obs)
-    inputs = [args.obs]
 
     if args.ncep is None:
         predictors, skipped = forecast.predictors_from_records(observations)

@@ -38,13 +38,19 @@ from .numerics import (
 
 @dataclass(frozen=True)
 class CurvatureReport:
+    """Scaled curvatures and their critical value, as `bates_curvature` made
+    them. Derived: advisory `thresholds` at 1x, 0.5x and 0.2x critical, and
+    pass flags against 1x, `planar_ok` for rho_k_n and `uniform_ok` for
+    rho_k_p (bools for one fit, (k,) arrays for a stack)."""
+
     rho_k_n: float
     rho_k_p: float
     critical: float
-    thresholds: tuple
-    planar_ok: bool
-    uniform_ok: bool
     alpha: float
+
+    thresholds = property(lambda self: (self.critical, 0.5 * self.critical, 0.2 * self.critical))
+    planar_ok = property(lambda self: self.rho_k_n < self.critical)
+    uniform_ok = property(lambda self: self.rho_k_p < self.critical)
 
 
 @dataclass(frozen=True)
@@ -55,12 +61,21 @@ class BiasReport:
 
 @dataclass(frozen=True)
 class ResidualDiagnostics:
+    """Residual screen results. Derived: `heteroscedastic` when a Spearman
+    p-value is below `alpha`, `autocorrelated` when the lag-1 one is (None
+    without a lag test)."""
+
     spearman: dict
     lag1: tuple | None  # None when fewer than 3 consecutive-day pairs exist
     ks_normality: tuple
-    heteroscedastic: bool
-    autocorrelated: bool | None
     alpha: float
+
+    heteroscedastic = property(
+        lambda self: any(res.pvalue < self.alpha for res in self.spearman.values())
+    )
+    autocorrelated = property(
+        lambda self: None if self.lag1 is None else self.lag1.pvalue < self.alpha
+    )
 
 
 def _factor(v1, v2):
@@ -136,10 +151,8 @@ def bates_curvature(v1, v2, sigma_hat, alpha=0.05):
     """Scaled mean-square curvatures with their critical value.
 
     Returns a CurvatureReport carrying rho*K for the intrinsic and
-    parameter-effects parts (rho = sigma_hat*sqrt(q)), the critical value
-    1/sqrt(F(q, n-q, 1-alpha quantile)), advisory thresholds at 1x, 0.5x
-    and 0.2x critical, and pass flags against the 1x threshold: planar_ok
-    for the intrinsic measure, uniform_ok for the parameter-effects one.
+    parameter-effects parts (rho = sigma_hat*sqrt(q)) and the critical value
+    1/sqrt(F(q, n-q, 1-alpha quantile)).
 
     The intrinsic sums are the totals over the unrotated faces minus the
     tangent sums (see the module docstring); they agree with the explicit
@@ -173,19 +186,9 @@ def bates_curvature(v1, v2, sigma_hat, alpha=0.05):
     rho_k_p = rho * _sphere_average(frob_p, trace_sq_p, q)
     rho_k_n = rho * _sphere_average(frob_total - frob_p, trace_sq_total - trace_sq_p, q)
     critical = 1.0 / math.sqrt(f_quantile(1.0 - alpha, q, n - q))
-    planar_ok, uniform_ok = rho_k_n < critical, rho_k_p < critical
     if single:
         rho_k_n, rho_k_p = float(rho_k_n[0]), float(rho_k_p[0])
-        planar_ok, uniform_ok = bool(planar_ok[0]), bool(uniform_ok[0])
-    return CurvatureReport(
-        rho_k_n=rho_k_n,
-        rho_k_p=rho_k_p,
-        critical=critical,
-        thresholds=(critical, 0.5 * critical, 0.2 * critical),
-        planar_ok=planar_ok,
-        uniform_ok=uniform_ok,
-        alpha=alpha,
-    )
+    return CurvatureReport(rho_k_n=rho_k_n, rho_k_p=rho_k_p, critical=critical, alpha=alpha)
 
 
 def box_bias(v1, v2, sigma_hat, theta_hat):
@@ -218,8 +221,8 @@ def residual_screen(fit, frame, alpha=0.05):
     to each raw regressor on the used rows (constant columns are skipped);
     the lag test is a Pearson correlation over consecutive-day residual
     pairs, left out (`lag1` and `autocorrelated` None) when fewer than 3
-    pairs exist; normality is a KS test on the raw residuals. Flags compare
-    p-values against `alpha`.
+    pairs exist; normality is a KS test on the raw residuals. The report's
+    flags compare p-values against `alpha`.
     """
     if fit.residuals.size < 3:
         raise ValueError("need at least 3 residuals")
@@ -236,14 +239,8 @@ def residual_screen(fit, frame, alpha=0.05):
     lag1 = None
     if step.sum() >= 3:
         lag1 = pearson_test(fit.std_residuals[:-1][step], fit.std_residuals[1:][step])
-    ks = ks_normal(fit.residuals)
     return ResidualDiagnostics(
-        spearman=spearman,
-        lag1=lag1,
-        ks_normality=ks,
-        heteroscedastic=any(res.pvalue < alpha for res in spearman.values()),
-        autocorrelated=None if lag1 is None else lag1.pvalue < alpha,
-        alpha=alpha,
+        spearman=spearman, lag1=lag1, ks_normality=ks_normal(fit.residuals), alpha=alpha
     )
 
 

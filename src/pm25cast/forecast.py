@@ -214,10 +214,9 @@ def _log_pm(model, predictors):
         values = getattr(predictors, name)
         if not np.isfinite(values).all():
             raise DataError(f"predictor {name} is non-finite: {values[~np.isfinite(values)][0]}")
-    if (predictors.trg == 0.0).any():
-        raise DataError("trg = 0: the nonlinear term is undefined")
-    # overflow and 0 * inf pass silently, as they do on Python floats
-    with np.errstate(over="ignore", invalid="ignore"):
+    # overflow, 0 * inf and a zero trg pass silently, as they do on Python
+    # floats; the callers refuse or skip a trg = 0 day
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
         return (
             model.a * _elementwise(_safe_exp, -model.b / predictors.trg)
             + model.c_w * predictors.w
@@ -232,7 +231,10 @@ def predict_pm(model, predictors, id_value):
     if id_value not in (-1, 0, 1):
         raise ValueError(f"id must be -1, 0 or 1, got {id_value}")
     columns = Predictors(*np.array([predictors], dtype=float).T)
-    return _safe_exp(float(_log_pm(model, columns)[0]) + model.c_id * id_value)
+    log_pm = float(_log_pm(model, columns)[0])
+    if columns.trg[0] == 0.0:
+        raise DataError("trg = 0: the nonlinear term is undefined")
+    return _safe_exp(log_pm + model.c_id * id_value)
 
 
 def _id_from_pm(pm):
@@ -306,8 +308,10 @@ def forecast_series(model, predictors, profile, id_source="algo1", observations=
     one; "algo2" uses the id-free forecast; "observed" thresholds the same
     day's observed concentration. Observed concentrations are the pm
     column of `observations`, an Observations table. Returns (table,
-    skipped): a ForecastTable, and (date, reason) for the days that could
-    not be forecast, a day whose pm_hat underflows to 0 among them.
+    skipped): a ForecastTable, and (date, reason) in date order for the days
+    that could not be forecast. A day's reason is the first that holds of:
+    trg = 0, no same-day observed concentration (id_source "observed"),
+    pm_hat underflowing to 0, and pm_hat undefined.
     """
     if id_source not in ID_SOURCES:
         raise ValueError(f"unknown id source {id_source!r}")
@@ -316,25 +320,25 @@ def forecast_series(model, predictors, profile, id_source="algo1", observations=
         pm = np.full(len(date), math.nan)
     else:
         pm = observations.lookup("pm", date - ONE_DAY if id_source == "algo1" else date)
-    flat = predictors.trg == 0.0
-    skip = flat | ~(pm > 0) if id_source == "observed" else flat
-    skipped = [
-        (d, "trg = 0: single-value model undefined" if f else "no observed concentration for id")
-        for d, f in zip(date[skip].tolist(), flat[skip].tolist())
-    ]
-    predictors = PredictorTable(*(column[~skip] for column in predictors))
-    pm = pm[~skip]
     log_pm = _log_pm(model, predictors)
     from_obs = pm > 0
     id_value = _id_from_pm(np.where(from_obs, pm, _elementwise(_safe_exp, log_pm)))
     with np.errstate(over="ignore", invalid="ignore"):
         pm_hat = _elementwise(_safe_exp, log_pm + model.c_id * id_value)
-    keep = pm_hat != 0.0
-    predictors, underflow = _predictor_table(keep, "pm_hat underflows to 0", *predictors)
+    reason = np.select(
+        [predictors.trg == 0.0, ~from_obs & (id_source == "observed"), pm_hat == 0.0,
+         np.isnan(pm_hat)],
+        ["trg = 0: single-value model undefined", "no observed concentration for id",
+         "pm_hat underflows to 0", "pm_hat is undefined (0 * inf or inf - inf)"],
+        "",
+    )
+    keep = reason == ""
+    predictors = PredictorTable(*(column[keep] for column in predictors))
     pm_hat, source = pm_hat[keep], np.where(from_obs, id_source, "algo2")[keep]
     arm, lo, hi = _intervals(pm_hat, profile)
     flags = _hazards(predictors, pm_hat)
-    return ForecastTable(predictors.date, pm_hat, source, arm, lo, hi, flags), skipped + underflow
+    skipped = list(zip(date[~keep].tolist(), reason[~keep].tolist()))
+    return ForecastTable(predictors.date, pm_hat, source, arm, lo, hi, flags), skipped
 
 
 def _predictor_table(keep, reason, date, trg, w, t, pc, ep):

@@ -471,6 +471,8 @@ def test_forecast_pipeline(tmp_path):
     meta = json.loads((out / "forecast_meta.json").read_text())
     assert len(meta["skipped"]) == 2
     assert meta["config"]["options"]["profile"] == "ncep-i1"
+    # a preset is no file: only the two CSVs are digested
+    assert meta["config"]["inputs"] == _digests(OBS_2017, NCEP_2017)
 
 
 def test_forecast_model_from_file(tmp_path):
@@ -484,6 +486,8 @@ def test_forecast_model_from_file(tmp_path):
     assert code == 0
     rows = list(csv.DictReader(open(out / "forecast.csv")))
     assert all(r["id_source"] == "algo2" for r in rows)
+    meta = json.loads((out / "forecast_meta.json").read_text())
+    assert meta["config"]["inputs"] == _digests(OBS_2017, str(coef), NCEP_2017)
 
 
 def test_forecast_unknown_model(tmp_path):
@@ -535,6 +539,25 @@ def test_forecast_with_underflowing_coefficients_names_each_day(tmp_path, capsys
     assert capsys.readouterr().err.count(": pm_hat underflows to 0\n") == 27
     rows = list(csv.DictReader(open(out / "forecast.csv")))
     assert [r["date"] for r in rows] == ["2017-12-23", "2017-12-26"]
+
+
+def test_forecast_with_undefined_pm_hat_names_each_day(tmp_path, capsys):
+    """a = 0 and b = -100000 make a * exp(-b / trg) = 0 * inf = nan on every
+    day with 0 < trg < 140.9: each such day is skipped with its reason,
+    rather than the run stopping at the first nan pm_hat."""
+    coef = tmp_path / "coef.json"
+    coef.write_text(json.dumps({**{k: 0 for k in dataclasses.asdict(PRESETS["thesis-2018"])},
+                                "b": -100000}))
+    out = tmp_path / "fc"
+    assert run("forecast", "--ncep", NCEP_2017, "--obs", OBS_2017, "--model", str(coef),
+               "--out-dir", str(out)) == 0
+    # two zero-range days are skipped for trg = 0; only the two negative-range
+    # days, where exp(-b / trg) is 0, keep a pm_hat
+    assert capsys.readouterr().err.count(": pm_hat is undefined (0 * inf or inf - inf)\n") == 27
+    rows = list(csv.DictReader(open(out / "forecast.csv")))
+    assert [r["date"] for r in rows] == ["2017-12-07", "2017-12-10"]
+    skipped = json.loads((out / "forecast_meta.json").read_text())["skipped"]
+    assert [d for d, _ in skipped] == sorted(d for d, _ in skipped)
 
 
 # ---------------------------------------------------------------- validate

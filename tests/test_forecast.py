@@ -394,6 +394,34 @@ def oracle_flags(p, pm_hat):
     return ";".join(flags)
 
 
+def test_forecast_series_gives_each_skipped_day_its_first_reason_in_date_order():
+    """One reason table: trg = 0, then no same-day pm, then a pm_hat that
+    underflows to 0, then an undefined one (0 * inf: exp(-b/trg) overflows
+    for trg < 140.9), each day listed once with the first that holds."""
+    model = FrozenModel(a=0.0, b=-1e5, c_w=0.0, c_t=0.0, c_pc=-1.0, c_ep=0.0, c_id=0.0)
+    # Dec 1-7: kept, underflow, trg = 0 (no pm too), nan, no pm (nan too),
+    # no pm (underflow too), kept
+    trg = np.array([200.0, 200.0, 0.0, 50.0, 50.0, 200.0, 200.0])
+    pc = np.array([0.0, 1000.0, 0.0, 0.0, 0.0, 1000.0, 0.0])
+    has_pm = [True, True, False, True, False, False, True]
+    zeros = np.zeros(trg.size)
+    date = np.datetime64("2017-12-01") + np.arange(trg.size)
+    observations = obs_table((d, 50.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0)
+                             for d, keep in zip(date.tolist(), has_pm) if keep)
+    table, skipped = forecast_series(
+        model, PredictorTable(date=date, trg=trg, w=zeros, t=zeros, pc=pc, ep=zeros),
+        PROFILES["ncep-i1"], id_source="observed", observations=observations)
+    assert table.date.tolist() == [dt.date(2017, 12, 1), dt.date(2017, 12, 7)]
+    assert table.pm_hat.tolist() == [1.0, 1.0]
+    assert skipped == [
+        (dt.date(2017, 12, 2), "pm_hat underflows to 0"),
+        (dt.date(2017, 12, 3), "trg = 0: single-value model undefined"),
+        (dt.date(2017, 12, 4), "pm_hat is undefined (0 * inf or inf - inf)"),
+        (dt.date(2017, 12, 5), "no observed concentration for id"),
+        (dt.date(2017, 12, 6), "no observed concentration for id"),
+    ]
+
+
 def test_forecast_series_refuses_an_unknown_id_source():
     with pytest.raises(ValueError, match="^unknown id source 'algo3'$"):
         forecast_series(MODEL, _predictors(), PROFILES["ncep-i1"], id_source="algo3")

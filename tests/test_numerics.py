@@ -369,6 +369,16 @@ def test_correlation_tests_refuse_mismatched_inputs(test, x, y):
         test(x, y)
 
 
+@pytest.mark.parametrize("test", [pearson_test, spearman_test])
+@pytest.mark.parametrize("nan_in", [0, 1])
+def test_correlation_tests_give_nan_on_a_sample_holding_a_nan(test, nan_in):
+    """A nan in either sample makes r, t and the p-value nan."""
+    samples = [np.arange(10.0), np.arange(10.0) ** 2]
+    samples[nan_in][3] = np.nan
+    r, p = test(*samples)
+    assert math.isnan(r) and math.isnan(p)
+
+
 # ---------------------------------------------------------------- spearman
 
 
