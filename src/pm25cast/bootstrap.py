@@ -32,11 +32,8 @@ from .solver import FitResult, fit_stack, gauss_newton
 # run, 100 ~89 ms, and 200 to 1000 ~82 ms; the run's traced peak was
 # 1.7 MiB at 50, 1.9 at 200, 2.2 at 250 and 7.0 at 1000.
 FIT_STACK = 200
-# Replications screened together. A block holds stacked second-derivative
-# arrays of block x size x q x q floats (0.5 MB at 50 x 25 x 7 x 7). For
-# 1000 replications of size 25, blocks of 50 leave the process's peak RSS
-# within 0.7 MB of screening one replication at a time; blocks of 100
-# added 2.7 MB and of 200 6.1 MB, for little time.
+# Replications screened together; a block holds its Jacobians and face
+# entries, block x size x (q + m) floats.
 BLOCK = 50
 
 
@@ -113,12 +110,20 @@ def _strata(frame, size):
     return strata, _allocate([s.size for s in strata], size)
 
 
-def _draw(strata, allocs, rng, with_replacement):
-    """Rows of one stratified sample, stratum by stratum, unsorted."""
-    return np.concatenate([
-        stratum[rng.choice(stratum.size, size=int(alloc), replace=with_replacement)]
-        for stratum, alloc in zip(strata, allocs)
-    ])
+def _draw(strata, allocs, seeds, with_replacement):
+    """Rows of one stratified sample per seed, stratum by stratum, unsorted,
+    as a (len(seeds), size) array: each seed's generator fills its row with
+    indices within the strata, and one gather maps them to frame rows."""
+    sizes = np.array([stratum.size for stratum in strata])
+    ends = np.cumsum(allocs)
+    local = np.empty((len(seeds), int(ends[-1])), dtype=np.intp)
+    for row, seed in zip(local, seeds):
+        rng = np.random.default_rng(seed)
+        for size, alloc, end in zip(sizes.tolist(), allocs.tolist(), ends.tolist()):
+            row[end - alloc : end] = rng.choice(size, size=alloc, replace=with_replacement)
+    # stratum s of the concatenated strata starts at sum(sizes[:s])
+    local += np.repeat(np.cumsum(sizes) - sizes, allocs)
+    return np.concatenate(strata)[local]
 
 
 def stratified_sample(frame, size, seed, with_replacement=False):
@@ -128,8 +133,7 @@ def stratified_sample(frame, size, seed, with_replacement=False):
     in the frame; rows are sampled without replacement within each stratum
     (unless `with_replacement`) and returned in date order.
     """
-    rng = np.random.default_rng(seed)
-    return frame.subset(np.sort(_draw(*_strata(frame, size), rng, with_replacement)))
+    return frame.subset(np.sort(_draw(*_strata(frame, size), [seed], with_replacement)[0]))
 
 
 def _chunks(members, size):
@@ -175,11 +179,8 @@ def run_simulation(
         raise ValueError("reps must be positive")
     start = model.check_theta(spec, model.default_start(spec) if theta0 is None else theta0)
 
-    strata, allocs = _strata(frame, size)
-    rows = np.array([
-        _draw(strata, allocs, np.random.default_rng(child), with_replacement)
-        for child in np.random.SeedSequence(seed).spawn(reps)
-    ])
+    # the 1000 spawned seed sequences of a default run hold ~0.3 MB: not kept past the draw
+    rows = _draw(*_strata(frame, size), np.random.SeedSequence(seed).spawn(reps), with_replacement)
     rows.sort(axis=1)
 
     theta = np.full((reps, spec.q), np.nan)
@@ -206,7 +207,7 @@ def run_simulation(
                 th = run.theta[done]
                 curv = bates_curvature(
                     model.jacobian(spec, th, frame, sample),
-                    model.hessian_cube(spec, th, frame, sample),
+                    model.faces(spec, th, frame, sample),
                     run.sigma_hat[done],
                     alpha=alpha,
                 )
@@ -241,7 +242,7 @@ def apply_correction(fit, summary, spec, frame, alpha=0.05):
     theta_c = corrected.theta
     curvature = bates_curvature(
         model.jacobian(spec, theta_c, frame),
-        model.hessian_cube(spec, theta_c, frame),
+        model.faces(spec, theta_c, frame),
         corrected.sigma_hat,
         alpha=alpha,
     )

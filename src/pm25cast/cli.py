@@ -75,7 +75,7 @@ def _fit_with_diagnostics(spec, frame, args):
     if not (np.isfinite(fit.rss) and np.isfinite(fit.theta).all()):
         return fit, None, None, None  # no derivatives at a non-finite end point
     v1 = model.jacobian(spec, fit.theta, frame)
-    v2 = model.hessian_cube(spec, fit.theta, frame)
+    v2 = model.faces(spec, fit.theta, frame)
     curv = diagnostics.bates_curvature(v1, v2, fit.sigma_hat, alpha=args.alpha)
     bias = diagnostics.box_bias(v1, v2, fit.sigma_hat, fit.theta)
     resid = diagnostics.residual_screen(fit, frame, alpha=args.alpha)

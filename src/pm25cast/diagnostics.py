@@ -1,17 +1,21 @@
 """Nonlinearity diagnostics: mean-square curvatures, bias, residual screens.
 
 The curvature measures rest on the faces M_s = L' V2_s L, L = R1^-1, of a
-reduced QR V1 = Q1 R1 of the Jacobian. Rotating the face stack by the full
-orthogonal factor, A_t = sum_s Q[s,t] M_s, splits it into q tangent faces
-(parameter-effects part) and n-q residual faces (intrinsic part). Only the
-tangent faces are formed, as L' (sum_s Q1[s,t] V2_s) L. Because Q is
-orthogonal, sum_t ||A_t||_F^2 and sum_t tr(A_t)^2 over all n rotated faces
-equal the same sums over the unrotated faces M_s, so the intrinsic sums
-are the totals minus the tangent sums (Bates & Watts 1980). The totals
-need no M_s either: with P = L L', tr(M_s) = <V2_s, P> and
-||M_s||_F^2 = tr(V2_s P V2_s P). No n x n matrix is built.
-`rotated_faces` keeps the explicit rotation of all n faces by the complete
-Q as the reference route for tests.
+QR factorisation V1 = Q1 R1 of the Jacobian. Rotating them by the complete
+orthogonal factor, A_t = sum_s Q[s,t] M_s, splits them into q tangent
+faces (parameter-effects part) and n-q residual faces (intrinsic part)
+(Bates & Watts 1980). Neither Q nor a face is formed: each V2_s is
+sum_k C[s,k] E_k over the m pairs (i, j) of its family's support
+(`model.Faces`; E_k is the symmetric unit matrix of pair k), so
+A_t = L' (sum_k W[t,k] E_k) L with W = Q'C, and one R factor of
+[V1 | C] = Q [[R1, R12], [0, R22]] holds every row of W that is not 0:
+R12 = Q1'C is the tangent part, R22 the residual part. With P = L L',
+tau_k = tr(E_k P) and K_kl = tr(E_k P E_l P), a part with rows W has
+sum_t ||A_t||_F^2 = <W'W, K> and sum_t tr(A_t)^2 = |W tau|^2, and Box bias
+is -sigma^2/2 L R12 tau. The n x (q + m) matrix is the largest array. A
+dense (n, q, q) second-derivative array is read on its full upper triangle
+(m = q(q+1)/2). `rotated_faces` keeps the explicit rotation of all n faces
+by the complete Q as the reference route for tests.
 
 Mean-square curvatures come from the closed-form sphere integral; reports
 carry them premultiplied by rho = sigma_hat*sqrt(q) so they compare
@@ -24,16 +28,8 @@ from dataclasses import dataclass
 
 import numpy as np
 from . import model
-from .numerics import (
-    f_quantile,
-    ks_normal,
-    pearson_test,
-    qr_full,
-    qr_stack,
-    solve_upper,
-    spearman_test,
-    vecdot,
-)
+from .numerics import (_midranks, f_quantile, ks_normal, pearson_test, qr_full, r_factor,
+                       solve_upper, vecdot)
 
 
 @dataclass(frozen=True)
@@ -79,28 +75,44 @@ class ResidualDiagnostics:
 
 
 def _factor(v1, v2):
-    """Q1 and L = R1^-1 of a stack of Jacobians, after the shape checks.
-
-    `v1` is (k, n, q) and `v2` (k, n, q, q). Also returns the per-sample
-    fault list of `qr_stack`; the factors of a faulted sample are nan.
-    """
-    k, n, q = v1.shape
+    """L, R12, R22, tau and K of one Jacobian (n, q) or a stack (k, n, q),
+    each with a leading k axis, and `r_factor`'s faults (a faulted sample
+    reads nan). `v2` is the matching (..., n, q, q) array or `model.Faces`."""
+    v1 = np.asarray(v1, dtype=float)
+    n, q = v1.shape[-2:]
     if n <= q:
         raise ValueError(f"need n > q faces (n={n}, q={q})")
-    if v2.shape != (k, n, q, q):
-        raise ValueError(f"second-derivative array must be ({n}, {q}, {q})")
-    q1, r1, fault = qr_stack(v1)
-    bad = np.array([f is not None for f in fault], dtype=bool)
-    q1[bad] = np.nan
-    r1[bad] = np.nan
-    return q1, solve_upper(r1, np.broadcast_to(np.eye(q), r1.shape)), fault
+    if not isinstance(v2, model.Faces):
+        v2 = np.asarray(v2, dtype=float)
+        if v2.shape != v1.shape + (q,):
+            raise ValueError(f"second-derivative array must be ({n}, {q}, {q})")
+        upper = np.triu_indices(q)
+        v2 = model.Faces(v2[..., upper[0], upper[1]], tuple(zip(*upper)))
+    entries, pairs = np.asarray(v2.entries, dtype=float), v2.pairs
+    m = len(pairs)
+    if entries.shape != v1.shape[:-1] + (m,):
+        raise ValueError(f"face entries must be ({n}, {m})")
+    r_mat, fault = r_factor(np.concatenate([v1, entries], axis=-1).reshape(-1, n, q + m), q)
+    r_mat[[f is not None for f in fault]] = np.nan
+    k = r_mat.shape[0]
+    ell = solve_upper(r_mat[:, :q, :q], np.broadcast_to(np.eye(q), (k, q, q)))
+    unit = np.zeros((m, q, q))
+    for at, (i, j) in enumerate(pairs):
+        unit[at, i, j] = unit[at, j, i] = 1.0
+    # E_k P for every pair, so tau_k = tr(E_k P), K_kl = <E_k P, (E_l P)'>
+    ep = unit @ (ell @ np.swapaxes(ell, -1, -2))[:, None]
+    tau = np.trace(ep, axis1=-2, axis2=-1)
+    k_mat = ep.reshape(k, m, q * q) @ np.swapaxes(ep, -1, -2).reshape(k, m, q * q).swapaxes(-1, -2)
+    return ell, r_mat[:, :q, q:], r_mat[:, q:, q:], tau, k_mat, fault
 
 
-def _face_traces(v2, ell):
-    """tr(M_s) = <V2_s, L L'> for every face, without forming M_s."""
-    k, n, q = v2.shape[:3]
-    p_mat = ell @ np.swapaxes(ell, -1, -2)
-    return vecdot(v2.reshape(k, n, q * q), p_mat.reshape(k, 1, q * q)), p_mat
+def _weighted_sums(weights, tau, k_mat):
+    """(sum of squared Frobenius norms, sum of squared traces) of the faces
+    L' (sum_k weights[t, k] E_k) L, one pair per sample of the stack."""
+    k = weights.shape[0]
+    gram = np.swapaxes(weights, -1, -2) @ weights
+    traces = (weights @ tau[..., None])[..., 0]
+    return vecdot(gram.reshape(k, -1), k_mat.reshape(k, -1)), vecdot(traces, traces)
 
 
 def rotated_faces(v1, v2):
@@ -120,20 +132,9 @@ def rotated_faces(v1, v2):
     return rotated[:q], rotated[q:]
 
 
-def _face_sums(faces):
-    """(sum of squared Frobenius norms, sum of squared traces) of a stack.
-
-    Leading axes of `faces` (..., n, q, q) are kept: each sample's sums are
-    one dot product of its own entries.
-    """
-    flat = faces.reshape(faces.shape[:-3] + (-1,))
-    traces = np.trace(faces, axis1=-2, axis2=-1)
-    return vecdot(flat, flat), vecdot(traces, traces)
-
-
 def _sphere_average(frob, trace_sq, q):
-    # Sums that came out of a subtraction may sit a rounding error below 0,
-    # where the exact value is >= 0. `maximum` keeps a nan.
+    # A sum that rounds a hair below its exact value 0 must not reach the
+    # square root negative. `maximum` keeps a nan.
     return np.sqrt(np.maximum(2.0 * frob + trace_sq, 0.0) / (q * (q + 2)))
 
 
@@ -144,7 +145,9 @@ def mean_square_curvature(faces, q):
     unit sphere is (2*tr(A^2) + tr(A)^2) / (q*(q+2)); summing over faces
     and taking the square root gives the mean-square curvature.
     """
-    return float(_sphere_average(*_face_sums(np.asarray(faces, dtype=float)), q))
+    faces = np.asarray(faces, dtype=float)
+    flat, traces = faces.ravel(), np.trace(faces, axis1=-2, axis2=-1).ravel()
+    return float(_sphere_average(flat @ flat, traces @ traces, q))
 
 
 def bates_curvature(v1, v2, sigma_hat, alpha=0.05):
@@ -152,39 +155,24 @@ def bates_curvature(v1, v2, sigma_hat, alpha=0.05):
 
     Returns a CurvatureReport carrying rho*K for the intrinsic and
     parameter-effects parts (rho = sigma_hat*sqrt(q)) and the critical value
-    1/sqrt(F(q, n-q, 1-alpha quantile)).
+    1/sqrt(F(q, n-q, 1-alpha quantile)). `v2` is the dense (n, q, q)
+    second-derivative array or `model.faces`. Both parts agree with the
+    explicit rotation of `rotated_faces` up to rounding.
 
-    The intrinsic sums are the totals over the unrotated faces minus the
-    tangent sums (see the module docstring); they agree with the explicit
-    rotation of `rotated_faces` up to rounding.
-
-    Stacked input, `v1` (k, n, q), `v2` (k, n, q, q) and `sigma_hat` (k,),
-    gives one report whose measures and flags are (k,) arrays. There a
-    Jacobian that `qr_full` would reject gives nan measures and failed
-    flags instead of an exception.
+    Stacked input, `v1` (k, n, q), `v2` (k, n, q, q) or Faces with
+    (k, n, m) entries, and `sigma_hat` (k,), gives one report of (k,)
+    arrays, each sample's bits as alone. There a Jacobian that `qr_full`
+    would reject gives nan measures and failed flags instead of raising.
     """
-    v1 = np.asarray(v1, dtype=float)
-    v2 = np.asarray(v2, dtype=float)
-    single = v1.ndim == 2
-    if single:
-        v1, v2 = v1[None], v2[None]
-    q1, ell, fault = _factor(v1, v2)
+    single = np.ndim(v1) == 2
+    ell, tangent, residual, tau, k_mat, fault = _factor(v1, v2)
     if single and fault[0] is not None:
         raise fault[0]
-    k, n, q = q1.shape
-    # tangent faces: L' (sum_s Q1[s,t] V2_s) L
-    folded = (np.swapaxes(q1, -1, -2) @ v2.reshape(k, n, q * q)).reshape(k, q, q, q)
-    frob_p, trace_sq_p = _face_sums(np.swapaxes(ell, -1, -2)[:, None] @ folded @ ell[:, None])
-    # totals over the n faces M_s = L' V2_s L: tr(M_s) = <V2_s, P> and
-    # ||M_s||_F^2 = tr(V2_s P V2_s P), P = L L', so M_s is never formed
-    traces, p_mat = _face_traces(v2, ell)
-    trace_sq_total = vecdot(traces, traces)
-    twisted = v2 @ p_mat[:, None]
-    per_row = vecdot(twisted, np.swapaxes(twisted, -1, -2))
-    frob_total = vecdot(per_row.reshape(k, n * q), np.ones(n * q))
+    k, q = ell.shape[:2]
+    n = np.shape(v1)[-2]
     rho = np.asarray(sigma_hat, dtype=float).reshape(k) * math.sqrt(q)
-    rho_k_p = rho * _sphere_average(frob_p, trace_sq_p, q)
-    rho_k_n = rho * _sphere_average(frob_total - frob_p, trace_sq_total - trace_sq_p, q)
+    rho_k_p = rho * _sphere_average(*_weighted_sums(tangent, tau, k_mat), q)
+    rho_k_n = rho * _sphere_average(*_weighted_sums(residual, tau, k_mat), q)
     critical = 1.0 / math.sqrt(f_quantile(1.0 - alpha, q, n - q))
     if single:
         rho_k_n, rho_k_p = float(rho_k_n[0]), float(rho_k_p[0])
@@ -195,19 +183,17 @@ def box_bias(v1, v2, sigma_hat, theta_hat):
     """Leading-order estimation bias of theta_hat and its percentage form.
 
     bias = -(sigma_hat^2 / 2) * L L' * sum_i V1_i' * tr(M_i) with
-    M_i = L' V2_i L. Entries of percent_bias where theta_hat is exactly 0
-    are reported as nan.
+    M_i = L' V2_i L, which is -(sigma_hat^2 / 2) * L R12 tau (see the
+    module docstring). `v2` is as for `bates_curvature`. Entries of
+    percent_bias where theta_hat is exactly 0 are reported as nan.
     """
     theta_hat = np.asarray(theta_hat, dtype=float)
-    v1 = np.asarray(v1, dtype=float)
-    v2 = np.asarray(v2, dtype=float)
-    if v1.ndim != 2:
-        raise ValueError(f"box_bias takes one Jacobian (n, q), got shape {v1.shape}")
-    _, ell, fault = _factor(v1[None], v2[None])
+    if np.ndim(v1) != 2:
+        raise ValueError(f"box_bias takes one Jacobian (n, q), got shape {np.shape(v1)}")
+    ell, tangent, _, tau, _, fault = _factor(v1, v2)
     if fault[0] is not None:
         raise fault[0]
-    face_traces, p_mat = _face_traces(v2[None], ell)
-    bias = -0.5 * float(sigma_hat) ** 2 * p_mat[0] @ (v1.T @ face_traces[0])
+    bias = -0.5 * float(sigma_hat) ** 2 * ell[0] @ (tangent[0] @ tau[0])
     percent = np.full_like(bias, np.nan)
     nonzero = theta_hat != 0.0
     percent[nonzero] = 100.0 * bias[nonzero] / theta_hat[nonzero]
@@ -227,13 +213,14 @@ def residual_screen(fit, frame, alpha=0.05):
     if fit.residuals.size < 3:
         raise ValueError("need at least 3 residuals")
     idx = model.rows_used(fit.spec, frame)
-    abs_sr = np.abs(fit.std_residuals)
+    # spearman_test's statistic, with |standardized residual| ranked once
+    abs_sr_ranks = _midranks(np.abs(fit.std_residuals))
 
-    spearman = {"fitted": spearman_test(abs_sr, fit.fitted)}
+    spearman = {"fitted": pearson_test(abs_sr_ranks, _midranks(fit.fitted))}
     for name, col in model.regressor_columns(fit.spec, frame).items():
         if np.ptp(col) == 0.0:
             continue
-        spearman[name] = spearman_test(abs_sr, col)
+        spearman[name] = pearson_test(abs_sr_ranks, _midranks(col))
 
     step = frame.day_steps(idx)
     lag1 = None

@@ -13,8 +13,8 @@ linear             f = th1 + th2*t, a two-parameter test family whose
 
 One kernel, `_structural`, evaluates the undifferenced equation g (linear,
 initial or with-id) on a set of frame rows and returns its value, its
-Jacobian or its second-derivative faces. The non-iterated families are g
-on every row. The iterated families are a differencing step over lag pairs
+Jacobian or its second-derivative face entries on their support (`Faces`).
+The non-iterated families are g on every row. The iterated families are a differencing step over lag pairs
 (consecutive frame rows whose dates are exactly one day apart):
 g(curr) - rho*g(prev) at the same derivative order. For the free-rho family
 f also gains rho*lpm_prev, so the rho column of the Jacobian is
@@ -30,6 +30,7 @@ and 0 * inf pass silently, and the inf or nan they leave make a non-finite fit.
 """
 
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -49,6 +50,21 @@ _ITERATED = ("iterated", "iterated-free-rho")
 
 # regressor columns paired with th3..th7; id only for 7+-parameter families
 _REGRESSORS = ("w", "t", "pc", "ep", "id")
+
+# the (i, j) parameter pairs, i <= j, of each family's face entries that
+# are not identically 0, in `_evaluate`'s order: (th1, th2) and (th2, th2)
+# of the exponential term, then free rho's (th_j, rho)
+_EXP_PAIRS = ((0, 1), (1, 1))
+_SUPPORT = {"linear": (), "iterated-free-rho": _EXP_PAIRS + tuple((j, 7) for j in range(7))}
+
+
+class Faces(NamedTuple):
+    """Second-derivative faces by their entries on the family's support:
+    `entries[..., s, k]` is d2f_s / dth_i dth_j at `pairs[k] = (i, j)`, and
+    every entry off the pairs and their mirrors is 0."""
+
+    entries: np.ndarray
+    pairs: tuple
 
 
 @dataclass(frozen=True)
@@ -134,8 +150,9 @@ def regressor_columns(spec, frame):
 
 
 def _lift(value, order):
-    """A per-sample scalar shaped to broadcast over order+1 trailing axes."""
-    return np.asarray(value)[(...,) + (None,) * (order + 1)]
+    """A per-sample scalar shaped to broadcast over an order-`order` result:
+    (m,) values, an (m, q) Jacobian or (m, pairs) face entries."""
+    return np.asarray(value)[(...,) + (None,) * min(order + 1, 2)]
 
 
 def _structural(beta, frame, idx, order):
@@ -144,7 +161,8 @@ def _structural(beta, frame, idx, order):
     A 2-vector `beta` is the linear test family; a 6- or 7-vector is the
     exponential-plus-linear equation without or with the id term. Returns
     f for order 0, the (m, q) Jacobian for order 1 and the (m, q, q)
-    second-derivative faces for order 2, q = beta.shape[-1], m = len(idx);
+    second-derivative face entries on `_EXP_PAIRS` for order 2 (none for
+    the linear family), q = beta.shape[-1], m = len(idx);
     `idx` None means every row. For a stack `beta` is (samples, q), `idx`
     (samples, m), and every result gains a leading samples axis.
     """
@@ -160,17 +178,12 @@ def _structural(beta, frame, idx, order):
             return beta[..., 0, None] + beta[..., 1, None] * t
         if order == 1:
             return np.stack([np.ones_like(t), t], axis=-1)
-        return np.zeros(t.shape + (q, q))
+        return np.zeros(t.shape + (0,))
 
     trg = col("trg")  # never 0: a ModelFrame refuses such a row
     expo = np.exp(-beta[..., 1, None] / trg)
     if order == 2:
-        cube = np.zeros(trg.shape + (q, q))
-        h12 = -expo / trg
-        cube[..., 0, 1] = h12
-        cube[..., 1, 0] = h12
-        cube[..., 1, 1] = beta[..., 0, None] * expo / trg**2
-        return cube
+        return np.stack([-expo / trg, beta[..., 0, None] * expo / trg**2], axis=-1)
     lin = np.stack([col(name) for name in _REGRESSORS[: q - 2]], axis=-1)
     if order == 0:
         return beta[..., 0, None] * expo + (lin @ beta[..., 2:, None])[..., 0]
@@ -198,11 +211,7 @@ def _evaluate(spec, theta, frame, rows, order):
     lower = _structural(beta, frame, prev, order - 1)
     if order == 1:
         return np.concatenate([out, (lpm_prev - lower)[..., None]], axis=-1)
-    cube = np.zeros(prev.shape + (8, 8))
-    cube[..., :7, :7] = out
-    cube[..., :7, 7] = -lower
-    cube[..., 7, :7] = -lower
-    return cube
+    return np.concatenate([out, -lower], axis=-1)
 
 
 def eval_f(spec, theta, frame, rows=None):
@@ -215,13 +224,22 @@ def jacobian(spec, theta, frame, rows=None):
     return _evaluate(spec, theta, frame, rows, 1)
 
 
-def hessian_cube(spec, theta, frame, rows=None):
-    """Per-observation symmetric second-derivative faces, shape (n, q, q).
+def faces(spec, theta, frame, rows=None):
+    """Second-derivative faces as `Faces`, (n, m) entries: m = 2, 9 for the
+    free-rho family and 0 for linear. Their pairs depend on the family only."""
+    return Faces(_evaluate(spec, theta, frame, rows, 2), _SUPPORT.get(spec.family, _EXP_PAIRS))
 
-    Only the (th1, th2), (th2, th2) and, for the free-rho family, the rho
-    row/column entries are ever nonzero.
-    """
-    return _evaluate(spec, theta, frame, rows, 2)
+
+def hessian_cube(spec, theta, frame, rows=None):
+    """Per-observation symmetric second-derivative faces, shape (n, q, q):
+    the entries of `faces` and their mirrors, zeros elsewhere."""
+    entries, pairs = faces(spec, theta, frame, rows)
+    cube = np.zeros(entries.shape[:-1] + (spec.q, spec.q))
+    if pairs:
+        i, j = np.array(pairs).T
+        cube[..., i, j] = entries
+        cube[..., j, i] = entries
+    return cube
 
 
 def structural_rss(theta, frame):

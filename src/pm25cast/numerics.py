@@ -34,55 +34,41 @@ class TestResult(NamedTuple):
     pvalue: float
 
 
-def _sign_fixed_qr_stack(a, mode):
+def r_factor(a, q):
+    """Sign-fixed R factor of every matrix in a (k, n, c) stack, c >= q.
+
+    One numpy call forms R alone (LAPACK's geqrf, no orthogonal factor).
+    The sign convention (positive R1 diagonal) and the rank and non-finite
+    checks of `qr_full` apply to the first q columns only; the columns
+    after them (a residual vector, face entries) ride along, so their rows
+    of R above q hold their projections Q1'c and the rows below the
+    triangular factor of what Q1 leaves of them.
+
+    Returns (r, fault): r is (k, min(n, c), c); fault[k] is None for a
+    matrix that factored, otherwise the exception `qr_full` would raise on
+    its first q columns (its factor is then meaningless; first q columns
+    that are not finite are not factored). So one bad matrix does not stop
+    the others.
+    """
     a = np.asarray(a, dtype=float)
-    n, ncols = a.shape[-2:]
-    if n < ncols:
+    if a.shape[-2] < q:
         raise ValueError(f"need n >= q, got shape {a.shape[-2:]}")
-    finite = np.isfinite(a).all(axis=(-2, -1))
+    finite = np.isfinite(a[..., :q]).all(axis=(-2, -1))
     if not finite.all():
         a = np.where(finite[:, None, None], a, 0.0)
-    q_mat, r_mat = np.linalg.qr(a, mode=mode)
-    r1 = r_mat[:, :ncols, :]
-    sign = np.where(np.diagonal(r1, axis1=-2, axis2=-1) < 0.0, -1.0, 1.0)
-    r1 = r1 * sign[:, :, None]
-    q_mat[:, :, :ncols] *= sign[:, None, :]
-    diag = np.abs(np.diagonal(r1, axis1=-2, axis2=-1))
+    r_mat = np.linalg.qr(a, mode="r")
+    diag = np.diagonal(r_mat[:, :q, :q], axis1=-2, axis2=-1)
+    r_mat[:, :q] *= np.where(diag < 0.0, -1.0, 1.0)[:, :, None]
     fault = [None] * a.shape[0]
-    if ncols:
-        low = diag.min(axis=-1)
-        high = diag.max(axis=-1)
+    if q:
+        low, high = diag.min(axis=-1), diag.max(axis=-1)  # diag now reads |diag|
         for k in np.flatnonzero((high == 0.0) | (low <= RANK_TOL * high)):
             fault[k] = RankDeficiencyError(
                 f"columns numerically dependent (min |R1 diag| = {low[k]:.3e})"
             )
     for k in np.flatnonzero(~finite):
         fault[k] = ValueError("cannot factor a matrix with non-finite entries")
-    return q_mat, r1, fault
-
-
-def qr_stack(a):
-    """Reduced QR of every matrix in a (k, n, q) stack, in one numpy call.
-
-    Each matrix gets the sign convention, rank check and non-finite check
-    of `qr_full`, but only the first q columns of its orthogonal factor, so
-    memory and time grow with n*q rather than n*n. A failure is reported
-    per matrix instead of raised, so one bad matrix does not stop the
-    others.
-
-    Returns
-    -------
-    q1 : ndarray, shape (k, n, q)
-        Orthonormal basis of the column space of each matrix.
-    r1 : ndarray, shape (k, q, q)
-        Upper-triangular factors with a strictly positive diagonal.
-    fault : list of length k
-        None for a matrix that factored; otherwise the exception `qr_full`
-        would raise on it (its factors are then meaningless). A non-finite
-        matrix is not factored (ValueError): this is the one finiteness
-        check `solver.fit_stack` makes on a Jacobian.
-    """
-    return _sign_fixed_qr_stack(a, "reduced")
+    return r_mat, fault
 
 
 def solve_upper(r, b):
@@ -107,9 +93,9 @@ def qr_full(a):
     """Complete QR factorisation with a positive R1 diagonal.
 
     This is the reference route: it builds the whole n x n orthogonal
-    factor, which the tests use to check the reduced route (`qr_stack`)
+    factor, which the tests use to check the R-only route (`r_factor`)
     and the curvature shortcut built on it. Production code paths call
-    `qr_stack`.
+    `r_factor`.
 
     Parameters
     ----------
@@ -140,10 +126,13 @@ def qr_full(a):
     a = np.asarray(a, dtype=float)
     if a.ndim != 2:
         raise ValueError(f"need a 2-d matrix, got shape {a.shape}")
-    q_mat, r1, fault = _sign_fixed_qr_stack(a[None], "complete")
-    if fault[0] is not None:
-        raise fault[0]
-    return q_mat[0], r1[0]
+    fault = r_factor(a[None], a.shape[1])[1][0]
+    if fault is not None:
+        raise fault
+    q_mat, r_mat = np.linalg.qr(a, mode="complete")
+    sign = np.where(np.diag(r_mat) < 0.0, -1.0, 1.0)
+    q_mat[:, : sign.size] *= sign
+    return q_mat, r_mat[: sign.size] * sign[:, None]
 
 
 def vecdot(a, b):

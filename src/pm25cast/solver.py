@@ -9,7 +9,7 @@ from . import model
 from .data import _write_columns
 from .errors import RankDeficiencyError
 # qr_full stays bound here for bench/tests/test_bench.py::test_tracer_rebinds_every_namespace_and_restores
-from .numerics import qr_full, qr_stack, solve_upper, vecdot  # noqa: F401
+from .numerics import qr_full, r_factor, solve_upper, vecdot  # noqa: F401
 
 # A full step that fails to decrease the RSS is halved up to this many times.
 MAX_HALVINGS = 10
@@ -63,7 +63,7 @@ class StackFit(NamedTuple):
     """End state of `fit_stack`, one entry (or row) per sample.
 
     `fault[i]` is None, or the exception a single fit of sample i raises
-    (the RankDeficiencyError `qr_stack` reports for its Jacobian, or a
+    (the RankDeficiencyError `r_factor` reports for its Jacobian, or a
     non-finite trial theta); the other fields of a faulted sample are
     meaningless. A non-finite Jacobian is no fault. `path` starts with
     (all samples, start theta, start RSS) and then lists the accepted steps
@@ -98,13 +98,12 @@ def fit_stack(spec, frame, rows, theta0, max_steps=50, rel_tol=1e-8):
     """Gauss-Newton with step halving on every sample of a stack at once.
 
     Every sample follows exactly the iteration `gauss_newton` documents, in
-    lockstep with the others: one stacked Jacobian, one stacked QR and one
-    stacked triangular solve per iteration, and one stacked evaluation per
-    round of step trials. The samples still trying share the round's step
-    scale; each keeps its own accept mask and stop flag, and leaves the
-    active set when it converges or stops.
-    Every operation works sample by sample, so a sample's result does not
-    depend on which other samples share the stack.
+    lockstep with the others: one stacked Jacobian, R factor and triangular
+    solve per iteration, and one stacked evaluation per round of step
+    trials. The samples still trying share the round's step scale; each
+    keeps its own accept mask and stop flag, and leaves the active set when
+    it converges or stops. Every operation works sample by sample, so a
+    sample's result does not depend on which other samples share the stack.
 
     `rows` is the (samples, m) stack of frame row indices, and the dates
     of each sample must be non-decreasing. `theta0` is a q-vector (shared
@@ -137,19 +136,23 @@ def fit_stack(spec, frame, rows, theta0, max_steps=50, rel_tol=1e-8):
     for _ in range(max_steps):
         if not live.size:
             break
-        q1, r1, qr_fault = qr_stack(model.jacobian(spec, theta[live], frame, rows[live]))
+        jac_r = np.concatenate(
+            [model.jacobian(spec, theta[live], frame, rows[live]), resid[live][..., None]], axis=-1
+        )
+        r_mat, qr_fault = r_factor(jac_r, q)
+        del jac_r  # not held through the step trials
         factored = np.array([exc is None for exc in qr_fault], dtype=bool)
         if not factored.all():
             for i in np.flatnonzero(~factored):
                 if isinstance(qr_fault[i], RankDeficiencyError):
                     fault[live[i]] = qr_fault[i]
-            live, q1, r1 = live[factored], q1[factored], r1[factored]
+            live, r_mat = live[factored], r_mat[factored]
         if not live.size:
             break
         sub = rows[live]
-        gain = (np.swapaxes(q1, -1, -2) @ resid[live][..., None])[..., 0]
-        del q1  # not held through the step trials
-        delta = solve_upper(r1, gain)
+        # R of [J | r] is [[R1, Q1'r], [0, |r - Q1 Q1'r|]]
+        gain = r_mat[:, :q, q]
+        delta = solve_upper(r_mat[:, :q, :q], gain)
 
         scale = 1.0
         accepted = np.zeros(live.size, dtype=bool)
@@ -193,10 +196,10 @@ def fit_stack(spec, frame, rows, theta0, max_steps=50, rel_tol=1e-8):
 def gauss_newton(spec, frame, theta0=None, max_steps=50, rel_tol=1e-8):
     """Fit `spec` on `frame` by Gauss-Newton with step halving.
 
-    Each iteration solves R1*delta = Q1'*r from a reduced QR factorisation
-    of the Jacobian (neither the normal matrix nor an n x n orthogonal
-    factor is formed). A full step that fails to decrease the RSS is
-    halved up to MAX_HALVINGS times. Convergence is declared when an
+    Each iteration solves R1*delta = Q1'*r, both read from the R factor of
+    [J | r] (neither the normal matrix nor an orthogonal factor is formed).
+    A full step that fails to decrease the RSS is halved up to MAX_HALVINGS
+    times. Convergence is declared when an
     accepted step changes the RSS by less than `rel_tol` relative, or when
     the halving budget runs out at a point whose predicted decrease
     |Q1'r|^2 is at most `rel_tol` times the RSS (a minimum at the rounding

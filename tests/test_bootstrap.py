@@ -112,6 +112,22 @@ def test_sample_with_replacement_can_repeat(month_frame):
     assert hit
 
 
+@pytest.mark.parametrize("with_replacement", [False, True])
+def test_draws_of_many_seeds_are_each_seed_drawn_alone(month_frame, with_replacement):
+    """Each row of one multi-seed draw is that seed's stratified sample:
+    its rows, stratum by stratum, as `stratified_sample` draws them."""
+    strata, allocs = bootstrap._strata(month_frame, 25)
+    seeds = np.random.SeedSequence(5).spawn(30)
+    rows = bootstrap._draw(strata, allocs, seeds, with_replacement)
+    assert rows.shape == (30, 25)
+    for row, seed in zip(rows, seeds):
+        assert np.array_equal(row, bootstrap._draw(strata, allocs, [seed], with_replacement)[0])
+        alone = stratified_sample(month_frame, 25, seed, with_replacement=with_replacement)
+        assert np.array_equal(month_frame.dates[np.sort(row)], alone.dates)
+        for stratum, lo, hi in zip(strata, np.cumsum(allocs) - allocs, np.cumsum(allocs)):
+            assert np.isin(row[lo:hi], stratum).all()
+
+
 def test_sample_size_validation(month_frame):
     with pytest.raises(StratificationError):
         stratified_sample(month_frame, 0, seed=1)

@@ -1,3 +1,4 @@
+import argparse
 import dataclasses
 import datetime as dt
 import functools
@@ -25,8 +26,9 @@ from pm25cast.diagnostics import (
     mean_square_curvature,
     rotated_faces,
 )
-from pm25cast.model import FAMILIES, default_start, hessian_cube, jacobian
-from pm25cast.numerics import qr_full
+from pm25cast import cli
+from pm25cast.model import FAMILIES, Faces, default_start, faces, hessian_cube, jacobian
+from pm25cast.numerics import qr_full, spearman_test
 from pm25cast.solver import FitResult, TraceStep
 
 from conftest import DEC_2017, jan2014_records, obs_table, synthetic_records
@@ -275,6 +277,73 @@ def test_box_bias_matches_complete_factor(frame_name, family):
     assert np.allclose(got, ref, rtol=1e-12, atol=1e-12 * np.abs(ref).max())
 
 
+@functools.lru_cache(maxsize=None)
+def fitted_faces(frame_name, family):
+    """`model.faces` at the fit of `fitted_surfaces`."""
+    frame = build_frame(EQUIVALENCE_FRAMES[frame_name]())
+    spec = ModelSpec(family, rho=0.3 if family == "iterated" else None)
+    return faces(spec, fitted_surfaces(frame_name, family)[3], frame)
+
+
+@pytest.mark.parametrize("family", list(FAMILIES))
+@pytest.mark.parametrize("frame_name", list(EQUIVALENCE_FRAMES))
+def test_support_route_matches_explicit_rotation_and_complete_factor(frame_name, family):
+    """Face entries on the family's support give the curvature of rotating
+    all n dense faces by the complete Q, and the Box bias of the complete
+    factor, to 1e-12."""
+    v1, v2, sigma, theta = fitted_surfaces(frame_name, family)
+    q = v1.shape[1]
+    support = fitted_faces(frame_name, family)
+    rep = bates_curvature(v1, support, sigma)
+    par, intr = rotated_faces(v1, v2)
+    rho = sigma * math.sqrt(q)
+    ref_n = rho * mean_square_curvature(intr, q)
+    ref_p = rho * mean_square_curvature(par, q)
+    scale = ref_n ** 2 + ref_p ** 2
+    assert abs(rep.rho_k_n ** 2 - ref_n ** 2) <= 1e-12 * scale
+    assert abs(rep.rho_k_p ** 2 - ref_p ** 2) <= 1e-12 * scale
+
+    _, r1 = qr_full(v1)
+    ell = solve_triangular(r1, np.eye(q))
+    traces = np.einsum("ki,skl,li->s", ell, v2, ell)
+    ref = -0.5 * sigma ** 2 * (ell @ ell.T) @ (v1.T @ traces)
+    got = box_bias(v1, support, sigma, theta).bias
+    assert np.allclose(got, ref, rtol=1e-12, atol=1e-12 * np.abs(ref).max())
+
+
+@pytest.mark.parametrize("family", list(FAMILIES))
+def test_stacked_support_route_is_each_fit_alone(family):
+    """A stacked call on face entries gives every sample's single-call
+    report bit for bit, and a single call on them matches the dense cube."""
+    spec = ModelSpec(family, rho=0.3 if family == "iterated" else None)
+    frame = build_frame(synthetic_records(n=60, seed=9))
+    theta = gauss_newton(spec, frame).theta
+    rows = np.array([np.arange(k, k + 30) for k in (0, 7, 13, 30)])
+    thetas = np.array([theta * (1.0 + 0.01 * k) for k in range(4)])
+    v1 = jacobian(spec, thetas, frame, rows)
+    support = faces(spec, thetas, frame, rows)
+    sigma = np.array([0.5, 1.0, 2.0, 3.0])
+    rep = bates_curvature(v1, support, sigma)
+    for k in range(4):
+        one = bates_curvature(v1[k], Faces(support.entries[k], support.pairs), sigma[k])
+        assert (one.rho_k_n, one.rho_k_p) == (rep.rho_k_n[k], rep.rho_k_p[k])
+        dense = bates_curvature(v1[k], hessian_cube(spec, thetas[k], frame, rows[k]), sigma[k])
+        assert dense.rho_k_n == pytest.approx(one.rho_k_n, rel=1e-9, abs=1e-12)
+        assert dense.rho_k_p == pytest.approx(one.rho_k_p, rel=1e-9, abs=1e-12)
+
+
+def test_mis_shaped_face_entries_are_refused(synth_frame):
+    spec = ModelSpec("with-id")
+    theta = default_start(spec)
+    v1 = jacobian(spec, theta, synth_frame)
+    entries, pairs = faces(spec, theta, synth_frame)
+    for bad in (Faces(entries[:-1], pairs), Faces(entries, pairs[:1])):
+        with pytest.raises(ValueError, match=r"^face entries must be \("):
+            bates_curvature(v1, bad, 1.0)
+        with pytest.raises(ValueError, match=r"^face entries must be \("):
+            box_bias(v1, bad, 1.0, theta)
+
+
 def test_stacked_curvature_is_each_fit_alone():
     """One call on a stack gives every fit's report bit for bit; a
     rank-deficient Jacobian in the stack reads nan and fails both flags
@@ -325,6 +394,23 @@ def test_fit_and_diagnostics_memory_is_linear_in_n():
     finally:
         tracemalloc.stop()
     assert peak < 32 * 2 ** 20
+
+
+def test_fit_with_diagnostics_builds_no_face_cube():
+    """One n x q x q float array alone is 3.74 MiB at n = 10000 and q = 7;
+    the fit, curvature, bias and residual screen of the `fit` command
+    together stay below that."""
+    spec = ModelSpec("with-id")
+    frame = build_frame(synthetic_records(n=10000, seed=24))
+    args = argparse.Namespace(start=None, max_steps=50, rel_tol=1e-8, alpha=0.05)
+    tracemalloc.start()
+    try:
+        fit, curv, bias, _ = cli._fit_with_diagnostics(spec, frame, args)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert fit.converged and curv is not None and bias is not None
+    assert peak < 3.5 * 2 ** 20
 
 
 # ---------------------------------------------------------------- bias
@@ -454,6 +540,20 @@ def test_screen_needs_three_rows():
     tiny = frame.subset([0, 1])
     with pytest.raises(ValueError):
         residual_screen(_manual_fit_subset(fit, tiny), tiny)
+
+
+def test_screen_spearman_is_spearman_test_of_each_column(synth_frame):
+    """Ranking |standardized residual| once gives each column's
+    spearman_test result bit for bit."""
+    fit = gauss_newton(ModelSpec("with-id"), synth_frame)
+    rep = residual_screen(fit, synth_frame)
+    abs_sr = np.abs(fit.std_residuals)
+    columns = {"fitted": fit.fitted, "trg": synth_frame.trg, "t": synth_frame.t,
+               "w": synth_frame.w, "pc": synth_frame.pc, "ep": synth_frame.ep,
+               "id": synth_frame.id}
+    assert rep.spearman.keys() == columns.keys()
+    for name, col in columns.items():
+        assert rep.spearman[name] == spearman_test(abs_sr, col)
 
 
 def test_screen_skips_a_constant_nonzero_regressor(synth_frame):

@@ -14,10 +14,12 @@ from pm25cast.numerics import (
     ks_two_sample,
     pearson_test,
     qr_full,
-    qr_stack,
+    r_factor,
     solve_upper,
     spearman_test,
 )
+
+from reference import qr_stack
 
 
 # ---------------------------------------------------------------- qr_full
@@ -116,6 +118,31 @@ def test_qr_stack_reports_each_fault_and_factors_the_rest():
         # a matrix factors to the same bits alone as in the stack
         alone_q, alone_r, _ = qr_stack(a[k : k + 1])
         assert np.array_equal(q1[k], alone_q[0]) and np.array_equal(r1[k], alone_r[0])
+
+
+def test_r_factor_checks_its_leading_columns_and_carries_the_rest():
+    """The leading q rows of R are those of the complete factor; the
+    trailing columns are neither rank- nor finiteness-checked; a stack
+    factors each matrix to the bits it gets alone."""
+    rng = np.random.default_rng(14)
+    a = rng.standard_normal((4, 12, 5))
+    a[1, 4, 2] = np.nan
+    a[2, :, 1] = 2.0 * a[2, :, 0]
+    a[3, :, 4] = a[3, :, 3]
+    r, fault = r_factor(a, 3)
+    assert r.shape == (4, 5, 5)
+    assert fault[0] is None and fault[3] is None
+    assert isinstance(fault[1], ValueError) and "non-finite" in str(fault[1])
+    assert isinstance(fault[2], RankDeficiencyError)
+    for k in (0, 3):
+        q_mat, ref_r = qr_full(a[k, :, :3])
+        assert np.allclose(r[k, :3, :3], ref_r, rtol=0.0, atol=1e-12 * np.abs(ref_r).max())
+        assert np.allclose(r[k, :3, 3:], q_mat[:, :3].T @ a[k, :, 3:], rtol=0.0, atol=1e-12)
+        assert np.allclose(np.tril(r[k], -1), 0.0)
+        alone, _ = r_factor(a[k : k + 1], 3)
+        assert np.array_equal(r[k], alone[0])
+    with pytest.raises(ValueError, match="n >= q"):
+        r_factor(np.ones((1, 2, 4)), 3)
 
 
 @pytest.mark.skipif(not hasattr(np, "vecdot"), reason="np.vecdot is new in numpy 2")

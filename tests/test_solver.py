@@ -16,10 +16,11 @@ from pm25cast import (
 )
 from pm25cast import model, solver
 from pm25cast.model import jacobian
-from pm25cast.numerics import qr_stack, vecdot
+from pm25cast.numerics import vecdot
 from pm25cast.solver import fit_stack, write_trace_csv
 
 from conftest import jan2014_records, noise_free_frame, obs_rows, obs_table, synthetic_records
+from reference import qr_stack
 
 TRUE_THETA = np.array([50.0, 1.8, -0.06, -0.01, -0.013, -0.15])
 
@@ -115,7 +116,7 @@ def test_non_finite_jacobian_ends_unconverged(synth_frame, monkeypatch):
 
 
 def test_fit_stack_ends_a_non_finite_jacobian_unconverged_without_a_fault(monkeypatch):
-    """`qr_stack` refuses a non-finite Jacobian, but only its rank faults
+    """`r_factor` refuses a non-finite Jacobian, but only its rank faults
     are kept: that sample stops unconverged at its start, the others fit
     as they do alone."""
     spec = ModelSpec("with-id")
