@@ -14,11 +14,12 @@ linear             f = th1 + th2*t, a two-parameter test family whose
 One kernel, `_structural`, evaluates the undifferenced equation g (linear,
 initial or with-id) on a set of frame rows and returns its value, its
 Jacobian or its second-derivative face entries on their support (`Faces`).
-The non-iterated families are g on every row. The iterated families are a differencing step over lag pairs
-(consecutive frame rows whose dates are exactly one day apart):
-g(curr) - rho*g(prev) at the same derivative order. For the free-rho family
-f also gains rho*lpm_prev, so the rho column of the Jacobian is
-lpm_prev - g(prev) and the rho row and column of each face is -dg(prev).
+The non-iterated families are g on every row. The iterated families are a
+differencing step over lag pairs (consecutive frame rows whose dates are
+exactly one day apart): g(curr) - rho*g(prev) at the same derivative order.
+For the free-rho family f also gains rho*lpm_prev, so the rho column of
+the Jacobian is lpm_prev - g(prev) and the rho row and column of each face
+is -dg(prev).
 
 The functions below take `rows`, the frame rows of one sample (m,) or of a
 stack of samples (samples, m), each sample sorted; None is the whole
