@@ -4,12 +4,11 @@ All sample indices are drawn up front from per-replication substreams of
 one seed (strata and allocation are computed once per run), as one
 (reps, size) array of sorted frame rows. The replications are then fitted
 in lockstep, a stack of up to `FIT_STACK` replications at a time: the
-stack's rows go to `solver.fit_stack`. The converged replications of a
-stack are screened a block of up to `BLOCK` at a time: their rows go to
-the model functions, and the results to the stacked forms of
-`bates_curvature` and `ks_two_sample`. Every stacked operation works
-replication by replication, so each replication's result is bit-for-bit
-the same whatever stack or block it shares, whatever their sizes, and
+stack's rows go to `solver.fit_stack`, and the rows of its converged
+replications go straight on to the model functions and the stacked forms
+of `bates_curvature` and `ks_two_sample`, which screen them. Every stacked
+operation works replication by replication, so each replication's result
+is bit-for-bit the same whatever stack it shares, whatever its size, and
 whatever `workers` says; repeated runs with one seed give identical
 output.
 """
@@ -25,16 +24,14 @@ from .errors import StratificationError
 from .numerics import ks_two_sample
 from .solver import FitResult, fit_stack, gauss_newton
 
-# Replications fitted together. A fit stack holds stacked Jacobians and
-# their QR factors, stack x size x q floats each, and nothing q x q per
-# observation, so it can be larger than a screening block. For 1000
-# replications of size 25 (one BLAS thread), stacks of 50 took ~100 ms per
-# run, 100 ~89 ms, and 200 to 1000 ~82 ms; the run's traced peak was
-# 1.7 MiB at 50, 1.9 at 200, 2.2 at 250 and 7.0 at 1000.
-FIT_STACK = 200
-# Replications screened together; a block holds its Jacobians and face
-# entries, block x size x (q + m) floats.
-BLOCK = 50
+# Replications fitted and screened together. A stack holds its Jacobians,
+# QR factors and face entries, stack x size x (q + m) floats each, and
+# nothing q x q per observation. For 1000 replications of size 25 (one
+# BLAS thread, 2-core x86-64 host), a stack of 100 took 98-103 ms per run,
+# peaked at 1.68 MiB of traced memory, and left ru_maxrss at 42.5 MB after
+# eight in-process `simulate` jobs; a stack of 200 took 92-99 ms, 3.07 MiB
+# and 44.0 MB.
+FIT_STACK = 100
 
 
 @dataclass(frozen=True)
@@ -136,10 +133,6 @@ def stratified_sample(frame, size, seed, with_replacement=False):
     return frame.subset(np.sort(_draw(*_strata(frame, size), [seed], with_replacement)[0]))
 
 
-def _chunks(members, size):
-    return [members[i : i + size] for i in range(0, members.size, size)]
-
-
 def run_simulation(
     spec,
     frame,
@@ -170,8 +163,8 @@ def run_simulation(
     pass fraction reached `min_ks_pass`.
 
     Replications with the same observation count are fitted in lockstep
-    stacks of up to `FIT_STACK`; the converged ones of each stack are
-    screened in blocks of up to `BLOCK`. `workers` is accepted for
+    stacks of up to `FIT_STACK`, and the converged ones of each stack are
+    screened together right after their fit. `workers` is accepted for
     compatibility and changes neither speed nor output: everything runs
     on one thread.
     """
@@ -195,29 +188,30 @@ def run_simulation(
     # a sample with no more observations than parameters cannot be fitted
     counts = model.observation_counts(spec, frame, rows)
     for count in np.unique(counts[counts > spec.q]):
-        for stack in _chunks(np.flatnonzero(counts == count), FIT_STACK):
+        members = np.flatnonzero(counts == count)
+        for stack in np.split(members, range(FIT_STACK, members.size, FIT_STACK)):
             run = fit_stack(spec, frame, rows[stack], start)
             ok = np.array([f is None for f in run.fault], dtype=bool)
             theta[stack[ok]] = run.theta[ok]
-            for done in _chunks(np.flatnonzero(ok & run.converged), BLOCK):
-                block, resid = stack[done], run.residuals[done]
-                sample = rows[block]
-                converged[block] = True
+            done = np.flatnonzero(ok & run.converged)
+            if done.size == 0:
+                continue
+            screened, resid, th = stack[done], run.residuals[done], run.theta[done]
+            sample = rows[screened]
+            converged[screened] = True
+            curv = bates_curvature(
+                model.jacobian(spec, th, frame, sample),
+                model.faces(spec, th, frame, sample),
+                run.sigma_hat[done],
+                alpha=alpha,
+            )
+            curvature_pass[screened] = curv.planar_ok & curv.uniform_ok
+            ks_p[screened] = ks_two_sample(resid, baseline.residuals).pvalue
 
-                th = run.theta[done]
-                curv = bates_curvature(
-                    model.jacobian(spec, th, frame, sample),
-                    model.faces(spec, th, frame, sample),
-                    run.sigma_hat[done],
-                    alpha=alpha,
-                )
-                curvature_pass[block] = curv.planar_ok & curv.uniform_ok
-                ks_p[block] = ks_two_sample(resid, baseline.residuals).pvalue
-
-                at = baseline_at[model.rows_used(spec, frame, sample)]
-                shared = at >= 0
-                same = resid == baseline.residuals[at]
-                identical[block] = shared.any(axis=1) & (same | ~shared).all(axis=1)
+            at = baseline_at[model.rows_used(spec, frame, sample)]
+            shared = at >= 0
+            same = resid == baseline.residuals[at]
+            identical[screened] = shared.any(axis=1) & (same | ~shared).all(axis=1)
 
     return BootstrapSummary(
         converged=converged,

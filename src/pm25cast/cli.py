@@ -77,7 +77,7 @@ def _fit_with_diagnostics(spec, frame, args):
     v1 = model.jacobian(spec, fit.theta, frame)
     v2 = model.faces(spec, fit.theta, frame)
     curv = diagnostics.bates_curvature(v1, v2, fit.sigma_hat, alpha=args.alpha)
-    bias = diagnostics.box_bias(v1, v2, fit.sigma_hat, fit.theta)
+    bias = diagnostics.BiasReport(curv.bias, fit.theta)
     resid = diagnostics.residual_screen(fit, frame, alpha=args.alpha)
     return fit, curv, bias, resid
 

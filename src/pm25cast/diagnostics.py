@@ -11,16 +11,17 @@ A_t = L' (sum_k W[t,k] E_k) L with W = Q'C, and one R factor of
 [V1 | C] = Q [[R1, R12], [0, R22]] holds every row of W that is not 0:
 R12 = Q1'C is the tangent part, R22 the residual part. With P = L L',
 tau_k = tr(E_k P) and K_kl = tr(E_k P E_l P), a part with rows W has
-sum_t ||A_t||_F^2 = <W'W, K> and sum_t tr(A_t)^2 = |W tau|^2, and Box bias
-is -sigma^2/2 L R12 tau. The n x (q + m) matrix is the largest array. A
-dense (n, q, q) second-derivative array is read on its full upper triangle
-(m = q(q+1)/2). `rotated_faces` keeps the explicit rotation of all n faces
-by the complete Q as the reference route for tests.
+sum_t ||A_t||_F^2 = <W'W, K> and sum_t tr(A_t)^2 = |W tau|^2. Box bias,
+-sigma^2/2 L R12 tau, is L times the tangent faces' traces: the curvature
+pass reports it, so one factor per fit serves `box_bias` too. The
+n x (q + m) matrix is the largest array. A dense (n, q, q) array is read on
+its full upper triangle (m = q(q+1)/2). `rotated_faces` keeps the explicit
+rotation of all n faces by the complete Q as the reference for tests.
 
 Mean-square curvatures come from the closed-form sphere integral; reports
 carry them premultiplied by rho = sigma_hat*sqrt(q) so they compare
 directly against 1/sqrt(F(q, n-q, alpha)). `bates_curvature` also takes a
-stack of fits (the bootstrap screens a block of replications in one call).
+stack of fits (the bootstrap screens each stack of refits in one call).
 """
 
 import math
@@ -34,15 +35,16 @@ from .numerics import (_midranks, f_quantile, ks_normal, pearson_test, qr_full, 
 
 @dataclass(frozen=True)
 class CurvatureReport:
-    """Scaled curvatures and their critical value, as `bates_curvature` made
-    them. Derived: advisory `thresholds` at 1x, 0.5x and 0.2x critical, and
-    pass flags against 1x, `planar_ok` for rho_k_n and `uniform_ok` for
+    """Scaled curvatures, critical value and Box bias, as `bates_curvature`
+    made them. Derived: advisory `thresholds` at 1x, 0.5x and 0.2x critical,
+    and pass flags against 1x, `planar_ok` for rho_k_n and `uniform_ok` for
     rho_k_p (bools for one fit, (k,) arrays for a stack)."""
 
     rho_k_n: float
     rho_k_p: float
     critical: float
     alpha: float
+    bias: np.ndarray  # (q,) for one fit, (k, q) for a stack
 
     thresholds = property(lambda self: (self.critical, 0.5 * self.critical, 0.2 * self.critical))
     planar_ok = property(lambda self: self.rho_k_n < self.critical)
@@ -51,8 +53,15 @@ class CurvatureReport:
 
 @dataclass(frozen=True)
 class BiasReport:
+    """Box bias of `theta_hat`. Derived: `percent_bias`, 100 * bias /
+    theta_hat, nan where theta_hat is exactly 0."""
+
     bias: np.ndarray
-    percent_bias: np.ndarray  # nan marks entries where theta_hat is 0
+    theta_hat: np.ndarray
+
+    percent_bias = property(lambda self: np.divide(
+        100.0 * self.bias, self.theta_hat, out=np.full_like(self.bias, np.nan),
+        where=self.theta_hat != 0.0))
 
 
 @dataclass(frozen=True)
@@ -107,12 +116,11 @@ def _factor(v1, v2):
 
 
 def _weighted_sums(weights, tau, k_mat):
-    """(sum of squared Frobenius norms, sum of squared traces) of the faces
+    """(sum of squared Frobenius norms, traces) of the faces
     L' (sum_k weights[t, k] E_k) L, one pair per sample of the stack."""
     k = weights.shape[0]
     gram = np.swapaxes(weights, -1, -2) @ weights
-    traces = (weights @ tau[..., None])[..., 0]
-    return vecdot(gram.reshape(k, -1), k_mat.reshape(k, -1)), vecdot(traces, traces)
+    return vecdot(gram.reshape(k, -1), k_mat.reshape(k, -1)), (weights @ tau[..., None])[..., 0]
 
 
 def rotated_faces(v1, v2):
@@ -154,10 +162,11 @@ def bates_curvature(v1, v2, sigma_hat, alpha=0.05):
     """Scaled mean-square curvatures with their critical value.
 
     Returns a CurvatureReport carrying rho*K for the intrinsic and
-    parameter-effects parts (rho = sigma_hat*sqrt(q)) and the critical value
-    1/sqrt(F(q, n-q, 1-alpha quantile)). `v2` is the dense (n, q, q)
-    second-derivative array or `model.faces`. Both parts agree with the
-    explicit rotation of `rotated_faces` up to rounding.
+    parameter-effects parts (rho = sigma_hat*sqrt(q)), the critical value
+    1/sqrt(F(q, n-q, 1-alpha quantile)) and the Box bias of the fit (see
+    `box_bias`), read from the same tangent traces. `v2` is the dense
+    (n, q, q) second-derivative array or `model.faces`. Both parts agree
+    with the explicit rotation of `rotated_faces` up to rounding.
 
     Stacked input, `v1` (k, n, q), `v2` (k, n, q, q) or Faces with
     (k, n, m) entries, and `sigma_hat` (k,), gives one report of (k,)
@@ -170,13 +179,17 @@ def bates_curvature(v1, v2, sigma_hat, alpha=0.05):
         raise fault[0]
     k, q = ell.shape[:2]
     n = np.shape(v1)[-2]
-    rho = np.asarray(sigma_hat, dtype=float).reshape(k) * math.sqrt(q)
-    rho_k_p = rho * _sphere_average(*_weighted_sums(tangent, tau, k_mat), q)
-    rho_k_n = rho * _sphere_average(*_weighted_sums(residual, tau, k_mat), q)
+    sigma = np.asarray(sigma_hat, dtype=float).reshape(k)
+    rho = sigma * math.sqrt(q)
+    frob_p, traces_p = _weighted_sums(tangent, tau, k_mat)
+    frob_n, traces_n = _weighted_sums(residual, tau, k_mat)
+    rho_k_p = rho * _sphere_average(frob_p, vecdot(traces_p, traces_p), q)
+    rho_k_n = rho * _sphere_average(frob_n, vecdot(traces_n, traces_n), q)
+    bias = ((-0.5 * sigma ** 2)[:, None, None] * ell @ traces_p[..., None])[..., 0]
     critical = 1.0 / math.sqrt(f_quantile(1.0 - alpha, q, n - q))
     if single:
-        rho_k_n, rho_k_p = float(rho_k_n[0]), float(rho_k_p[0])
-    return CurvatureReport(rho_k_n=rho_k_n, rho_k_p=rho_k_p, critical=critical, alpha=alpha)
+        rho_k_n, rho_k_p, bias = float(rho_k_n[0]), float(rho_k_p[0]), bias[0]
+    return CurvatureReport(rho_k_n, rho_k_p, critical, alpha, bias)
 
 
 def box_bias(v1, v2, sigma_hat, theta_hat):
@@ -184,20 +197,12 @@ def box_bias(v1, v2, sigma_hat, theta_hat):
 
     bias = -(sigma_hat^2 / 2) * L L' * sum_i V1_i' * tr(M_i) with
     M_i = L' V2_i L, which is -(sigma_hat^2 / 2) * L R12 tau (see the
-    module docstring). `v2` is as for `bates_curvature`. Entries of
-    percent_bias where theta_hat is exactly 0 are reported as nan.
+    module docstring), read from `bates_curvature`'s report. `v2` is as for
+    `bates_curvature`. percent_bias is nan where theta_hat is exactly 0.
     """
-    theta_hat = np.asarray(theta_hat, dtype=float)
     if np.ndim(v1) != 2:
         raise ValueError(f"box_bias takes one Jacobian (n, q), got shape {np.shape(v1)}")
-    ell, tangent, _, tau, _, fault = _factor(v1, v2)
-    if fault[0] is not None:
-        raise fault[0]
-    bias = -0.5 * float(sigma_hat) ** 2 * ell[0] @ (tangent[0] @ tau[0])
-    percent = np.full_like(bias, np.nan)
-    nonzero = theta_hat != 0.0
-    percent[nonzero] = 100.0 * bias[nonzero] / theta_hat[nonzero]
-    return BiasReport(bias=bias, percent_bias=percent)
+    return BiasReport(bates_curvature(v1, v2, sigma_hat).bias, np.asarray(theta_hat, dtype=float))
 
 
 def residual_screen(fit, frame, alpha=0.05):
@@ -214,7 +219,8 @@ def residual_screen(fit, frame, alpha=0.05):
         raise ValueError("need at least 3 residuals")
     idx = model.rows_used(fit.spec, frame)
     # spearman_test's statistic, with |standardized residual| ranked once
-    abs_sr_ranks = _midranks(np.abs(fit.std_residuals))
+    std = fit.std_residuals
+    abs_sr_ranks = _midranks(np.abs(std))
 
     spearman = {"fitted": pearson_test(abs_sr_ranks, _midranks(fit.fitted))}
     for name, col in model.regressor_columns(fit.spec, frame).items():
@@ -225,7 +231,7 @@ def residual_screen(fit, frame, alpha=0.05):
     step = frame.day_steps(idx)
     lag1 = None
     if step.sum() >= 3:
-        lag1 = pearson_test(fit.std_residuals[:-1][step], fit.std_residuals[1:][step])
+        lag1 = pearson_test(std[:-1][step], std[1:][step])
     return ResidualDiagnostics(
         spearman=spearman, lag1=lag1, ks_normality=ks_normal(fit.residuals), alpha=alpha
     )

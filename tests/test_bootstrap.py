@@ -297,7 +297,7 @@ def _outcome(summary):
     ids=["with-id", "with-id-replacement", "iterated-0.3"],
 )
 def test_replications_do_not_depend_on_their_block(spec, records, size, with_replacement):
-    """run_simulation's output is bit-identical at any FIT_STACK and BLOCK size."""
+    """run_simulation's output is bit-identical at any FIT_STACK size."""
     frame = build_frame(records())
     base = gauss_newton(spec, frame)
 
@@ -310,12 +310,12 @@ def test_replications_do_not_depend_on_their_block(spec, records, size, with_rep
     assert any(rec[1] for rec in reference[0])
 
     @settings(max_examples=10, deadline=None)
-    @given(stack=st.integers(min_value=1, max_value=45), block=st.integers(min_value=1, max_value=45))
-    @example(stack=1, block=1)
-    @example(stack=7, block=50)
-    @example(stack=40, block=7)
-    def same_at(stack, block):
-        with mock.patch.multiple(bootstrap, FIT_STACK=stack, BLOCK=block):
+    @given(stack=st.integers(min_value=1, max_value=45))
+    @example(stack=1)
+    @example(stack=7)
+    @example(stack=40)
+    def same_at(stack):
+        with mock.patch.object(bootstrap, "FIT_STACK", stack):
             assert run() == reference
 
     same_at()
@@ -353,11 +353,10 @@ def test_january_2014_replications_match_the_recorded_run(month_frame, month_fit
 
 def test_simulation_memory_stays_small():
     """Fitting one replication at a time peaked at ~1.2 MiB; the lockstep
-    engine adds its stacked Jacobians and QR factors per fit stack and its
-    second-derivative arrays per screening block, which must stay bounded
-    by FIT_STACK and BLOCK: one stack of all 1000 replications takes ~7 MiB,
-    and one block of 1000 ~28 MiB. Nothing is imported before tracing
-    starts, so a module that the run imports on first use counts too."""
+    engine adds the Jacobians, QR factors and face entries of one stack,
+    which FIT_STACK must keep bounded: stacks of 100 peak at ~1.7 MiB, and
+    one stack of all 1000 replications at ~14 MiB. Nothing is imported before
+    tracing starts, so a module that the run imports on first use counts too."""
     spec = ModelSpec("with-id")
     frame = build_frame(synthetic_records(n=365, seed=3))
     base = gauss_newton(spec, frame)

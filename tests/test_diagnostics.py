@@ -26,9 +26,9 @@ from pm25cast.diagnostics import (
     mean_square_curvature,
     rotated_faces,
 )
-from pm25cast import cli
+from pm25cast import cli, diagnostics
 from pm25cast.model import FAMILIES, Faces, default_start, faces, hessian_cube, jacobian
-from pm25cast.numerics import qr_full, spearman_test
+from pm25cast.numerics import qr_full, r_factor, spearman_test
 from pm25cast.solver import FitResult, TraceStep
 
 from conftest import DEC_2017, jan2014_records, obs_table, synthetic_records
@@ -314,7 +314,8 @@ def test_support_route_matches_explicit_rotation_and_complete_factor(frame_name,
 @pytest.mark.parametrize("family", list(FAMILIES))
 def test_stacked_support_route_is_each_fit_alone(family):
     """A stacked call on face entries gives every sample's single-call
-    report bit for bit, and a single call on them matches the dense cube."""
+    report and `box_bias` bit for bit, and a single call on them matches
+    the dense cube."""
     spec = ModelSpec(family, rho=0.3 if family == "iterated" else None)
     frame = build_frame(synthetic_records(n=60, seed=9))
     theta = gauss_newton(spec, frame).theta
@@ -325,8 +326,10 @@ def test_stacked_support_route_is_each_fit_alone(family):
     sigma = np.array([0.5, 1.0, 2.0, 3.0])
     rep = bates_curvature(v1, support, sigma)
     for k in range(4):
-        one = bates_curvature(v1[k], Faces(support.entries[k], support.pairs), sigma[k])
+        own = Faces(support.entries[k], support.pairs)
+        one = bates_curvature(v1[k], own, sigma[k])
         assert (one.rho_k_n, one.rho_k_p) == (rep.rho_k_n[k], rep.rho_k_p[k])
+        assert rep.bias[k].tobytes() == box_bias(v1[k], own, sigma[k], thetas[k]).bias.tobytes()
         dense = bates_curvature(v1[k], hessian_cube(spec, thetas[k], frame, rows[k]), sigma[k])
         assert dense.rho_k_n == pytest.approx(one.rho_k_n, rel=1e-9, abs=1e-12)
         assert dense.rho_k_p == pytest.approx(one.rho_k_p, rel=1e-9, abs=1e-12)
@@ -345,9 +348,9 @@ def test_mis_shaped_face_entries_are_refused(synth_frame):
 
 
 def test_stacked_curvature_is_each_fit_alone():
-    """One call on a stack gives every fit's report bit for bit; a
-    rank-deficient Jacobian in the stack reads nan and fails both flags
-    instead of raising."""
+    """One call on a stack gives every fit's report and `box_bias` bit for
+    bit; a rank-deficient Jacobian in the stack reads nan (bias too) and
+    fails both flags instead of raising."""
     spec = ModelSpec("with-id")
     frame = build_frame(synthetic_records(n=60, seed=9))
     theta = gauss_newton(spec, frame).theta
@@ -363,7 +366,9 @@ def test_stacked_curvature_is_each_fit_alone():
         assert (one.rho_k_n, one.rho_k_p) == (rep.rho_k_n[k], rep.rho_k_p[k])
         assert (one.planar_ok, one.uniform_ok) == (rep.planar_ok[k], rep.uniform_ok[k])
         assert one.critical == rep.critical
+        assert rep.bias[k].tobytes() == box_bias(v1[k], v2[k], sigma[k], thetas[k]).bias.tobytes()
     assert math.isnan(rep.rho_k_n[3]) and math.isnan(rep.rho_k_p[3])
+    assert np.isnan(rep.bias[3]).all()
     assert not rep.planar_ok[3] and not rep.uniform_ok[3]
 
 
@@ -411,6 +416,26 @@ def test_fit_with_diagnostics_builds_no_face_cube():
         tracemalloc.stop()
     assert fit.converged and curv is not None and bias is not None
     assert peak < 3.5 * 2 ** 20
+
+
+def test_fit_with_diagnostics_factors_once(jan2014_frame, monkeypatch):
+    """Curvature and Box bias of the `fit` command share one R factor of the
+    Jacobian with the face entries appended (the solver's factors of
+    [J | r] go through `solver.r_factor` and are not counted here)."""
+    spec = ModelSpec("with-id")
+    args = argparse.Namespace(start=None, max_steps=50, rel_tol=1e-8, alpha=0.05)
+    shapes = []
+
+    def counted(a, q):
+        shapes.append(a.shape)
+        return r_factor(a, q)
+
+    monkeypatch.setattr(diagnostics, "r_factor", counted)
+    fit, curv, bias, _ = cli._fit_with_diagnostics(spec, jan2014_frame, args)
+    assert curv is not None and bias is not None
+    m = len(faces(spec, fit.theta, jan2014_frame).pairs)
+    assert shapes == [(1, fit.residuals.size, spec.q + m)]
+    assert bias.bias.tobytes() == curv.bias.tobytes()
 
 
 # ---------------------------------------------------------------- bias
