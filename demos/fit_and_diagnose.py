@@ -16,9 +16,9 @@ from pathlib import Path
 import numpy as np
 
 from pm25cast import (
+    BiasReport,
     ModelSpec,
     bates_curvature,
-    box_bias,
     build_frame,
     gauss_newton,
     parse_observations,
@@ -53,7 +53,8 @@ def main():
           f"(stricter marks at {cur.thresholds[1]:.4f} and {cur.thresholds[2]:.4f})")
     print(f"planarity ok: {cur.planar_ok}; uniform coordinates ok: {cur.uniform_ok}")
 
-    bias = box_bias(v1, v2, fit.sigma_hat, fit.theta)
+    # Box's bias comes out of the same pass as the curvature measures
+    bias = BiasReport(cur.bias, fit.theta)
     print("\nexpected estimation bias (percent of each estimate):")
     for i, pct in enumerate(bias.percent_bias, start=1):
         print(f"  theta{i}: {pct:+.3f}%")

@@ -1,12 +1,20 @@
 """Stratified case-resampling study and parameter bias correction.
 
-All sample indices are drawn up front from per-replication substreams of
-one seed (strata and allocation are computed once per run), as one
-(reps, size) array of sorted frame rows. The replications are then fitted
-in lockstep, a stack of up to `FIT_STACK` replications at a time: the
-stack's rows go to `solver.fit_stack`, and the rows of its converged
-replications go straight on to the model functions and the stacked forms
-of `bates_curvature` and `ks_two_sample`, which screen them. Every stacked
+All sample indices are drawn up front, as one (reps, size) array of
+sorted frame rows (strata and allocation are computed once per run).
+Replication r gets what `np.random.default_rng(child).choice` draws,
+stratum by stratum, for the r-th child of `SeedSequence(seed).spawn(reps)`,
+bit for bit, without a generator object per replication: the children's
+seed words come from SeedSequence's hash mixing run on columns, their
+PCG64 words from one generator reseeded per row, and `choice`'s algorithm
+(Floyd's, then a Fisher-Yates shuffle, on Lemire's bounded draws) runs as
+column operations over all replications at once.
+
+The replications are then fitted in lockstep, a stack of up to
+`FIT_STACK` replications at a time: the stack's rows go to
+`solver.fit_stack`, and the rows of its converged replications go
+straight on to the model functions and the stacked forms of
+`bates_curvature` and `ks_two_sample`, which screen them. Every stacked
 operation works replication by replication, so each replication's result
 is bit-for-bit the same whatever stack it shares, whatever its size, and
 whatever `workers` says; repeated runs with one seed give identical
@@ -107,17 +115,209 @@ def _strata(frame, size):
     return strata, _allocate([s.size for s in strata], size)
 
 
-def _draw(strata, allocs, seeds, with_replacement):
-    """Rows of one stratified sample per seed, stratum by stratum, unsorted,
-    as a (len(seeds), size) array: each seed's generator fills its row with
-    indices within the strata, and one gather maps them to frame rows."""
-    sizes = np.array([stratum.size for stratum in strata])
-    ends = np.cumsum(allocs)
-    local = np.empty((len(seeds), int(ends[-1])), dtype=np.intp)
-    for row, seed in zip(local, seeds):
-        rng = np.random.default_rng(seed)
-        for size, alloc, end in zip(sizes.tolist(), allocs.tolist(), ends.tolist()):
-            row[end - alloc : end] = rng.choice(size, size=alloc, replace=with_replacement)
+# SeedSequence's hash constants and PCG64's multiplier, as numpy uses them
+_MASK32, _MASK128 = 2**32 - 1, 2**128 - 1
+_INIT_A, _MULT_A, _INIT_B, _MULT_B = 0x43B0D7E5, 0x931E8875, 0x8B51F9DD, 0x58F38DED
+_MIX_L, _MIX_R = 0xCA01F9DD, 0x4973F715
+_PCG_MULT = 0x2360ED051FC65DA44385DF649FCCF645
+# 32-bit words drawn past a replication's rejection-free count: the draw is
+# redone with twice the words when a row's rejections use them all
+_SPARE_WORDS = 16
+# Cells (one draw, or one stratum row, of one replication) that the draw
+# handles at a time. Its tables take about 20 bytes a cell, so at most
+# ~80 MB whatever the sample size; 1000 replications of up to ~1400 rows
+# go in one pass. Each further pass repeats the column loops: on a 2-core
+# x86-64 host, 1000 samples of all 10000 rows of one stratum took 1.3 s in
+# one pass (620 MiB traced) and 3.1 s in eight (175 MiB, 160 of it the
+# sample rows themselves).
+_DRAW_CELLS = 2**22
+
+
+def _entropy_words(entropy):
+    """A SeedSequence's entropy (an int or a nested sequence of ints) as its
+    little-endian uint32 words, the way SeedSequence assembles them."""
+    if isinstance(entropy, (int, np.integer)):
+        value = int(entropy)
+        return [value >> shift & _MASK32 for shift in range(0, max(value.bit_length(), 1), 32)]
+    return [word for part in entropy for word in _entropy_words(part)]
+
+
+def _hasher(const, mult):
+    """SeedSequence's hash step on uint32 columns, with its running
+    constant: xor the constant in, step it on, multiply, fold down."""
+
+    def step(value):
+        nonlocal const
+        value = value ^ np.uint32(const)
+        const = const * mult & _MASK32
+        value = value * np.uint32(const)
+        return value ^ value >> np.uint32(16)
+
+    return step
+
+
+def _child_seed_words(seed, reps):
+    """`generate_state(4, np.uint64)` of each of `SeedSequence(seed).spawn(reps)`,
+    as a (reps, 4) uint64 array: SeedSequence's hash mixing run on uint32
+    columns, the root's entropy words (padded to the pool's 4 words, as for
+    every spawned child) broadcast and the spawn index as the last word."""
+
+    def mix(x, y):
+        value = np.uint32(_MIX_L) * x - np.uint32(_MIX_R) * y
+        return value ^ value >> np.uint32(16)
+
+    root = _entropy_words(np.random.SeedSequence(seed).entropy)
+    entropy = [np.array([word], dtype=np.uint32) for word in root + [0] * (4 - len(root))]
+    entropy.append(np.arange(reps, dtype=np.uint32))
+    hashmix = _hasher(_INIT_A, _MULT_A)
+    pool = [hashmix(word) for word in entropy[:4]]
+    for src in range(4):
+        for dst in range(4):
+            if src != dst:
+                pool[dst] = mix(pool[dst], hashmix(pool[src]))
+    for word in entropy[4:]:
+        for dst in range(4):
+            pool[dst] = mix(pool[dst], hashmix(word))
+
+    out = _hasher(_INIT_B, _MULT_B)
+    state = [out(pool[k % 4]).astype(np.uint64) for k in range(8)]
+    return np.stack([state[k] | state[k + 1] << np.uint64(32) for k in range(0, 8, 2)], axis=1)
+
+
+def _words(seed_words, count):
+    """At least `count` 32-bit outputs of each row's PCG64 stream, as a
+    (rows, 2 * ceil(count / 2)) uint32 table in `next_uint32` order: the low
+    half of each 64-bit output, then its high half. A row's state follows
+    from its seed words by PCG64's seeding step (O'Neill 2014); numpy's own
+    generator makes the outputs."""
+    s_hi, s_lo, i_hi, i_lo = seed_words.astype(object).T
+    inc = (i_hi << 64 | i_lo) << 1 & _MASK128 | 1
+    state = ((inc + (s_hi << 64 | s_lo)) * _PCG_MULT + inc) & _MASK128
+    bitgen = np.random.PCG64(0)
+    raw = np.empty((len(seed_words), -(-count // 2)), dtype=np.uint64)
+    for out, row_state, row_inc in zip(raw, state.tolist(), inc.tolist()):
+        bitgen.state = {
+            "bit_generator": "PCG64",
+            "state": {"state": row_state, "inc": row_inc},
+            "has_uint32": 0,
+            "uinteger": 0,
+        }
+        out[:] = bitgen.random_raw(out.size)
+    # little-endian 64-bit words read as 32-bit pairs are (low, high)
+    return raw.astype("<u8", copy=False).view("<u4").astype(np.uint32, copy=False)
+
+
+def _bounded(seed_words, bounds):
+    """Draws on [0, b] for each b of `bounds` (each below 2**32 - 1), in
+    order on each row's stream, as a (rows, len(bounds)) uint64 array: what
+    `Generator.integers(0, b + 1)` gives draw by draw. A draw on [0, 0] uses
+    no word. Any other is Lemire's (2019) multiply-and-reject: the next
+    32-bit word w gives (w * (b + 1)) >> 32, unless the product's low half
+    falls under 2**32 mod (b + 1), when w is rejected for the word after it.
+
+    All draws are first read as if none were rejected. A row with a
+    rejection then shifts its later draws on by one word, once per
+    rejection."""
+    bounds = np.asarray(bounds, dtype=np.uint64)
+    live = bounds > 0
+    # a draw on [0, 0] reads the next word without using it: times 1, the
+    # product's high half is 0, and nothing is under 2**32 mod 1 = 0
+    span = bounds + np.uint64(1)
+    floor = (np.uint64(2**32) - span) % span
+    steps, first_at = np.arange(bounds.size), np.cumsum(live) - live
+    count = int(live.sum()) + _SPARE_WORDS
+    while True:
+        words = _words(seed_words, count)
+        product = np.take(words, first_at, axis=1) * span
+        rejected = (product & np.uint64(_MASK32)) < floor
+        bad = np.flatnonzero(rejected.any(axis=1))
+        at = np.broadcast_to(first_at, (bad.size, bounds.size)).copy()
+        pending = np.arange(bad.size)  # rows of `at`
+        while pending.size:
+            rows = bad[pending]
+            at[pending] += steps >= rejected[rows].argmax(axis=1)[:, None]
+            if at[pending, -1].max() >= words.shape[1]:
+                break
+            product[rows] = np.take_along_axis(words[rows], at[pending], axis=1) * span
+            rejected[rows] = (product[rows] & np.uint64(_MASK32)) < floor
+            pending = pending[rejected[rows].any(axis=1)]
+        else:
+            product >>= np.uint64(32)
+            return product
+        count *= 2
+
+
+def _shuffle(table, draws, top):
+    """Fisher-Yates on every column of `table` (rows x columns) from row
+    `top` down: row i swaps with row draws[c], drawn on [0, i], for the c-th
+    i."""
+    flat = table.reshape(-1)
+    swaps = draws * table.shape[1] + np.arange(table.shape[1])
+    for i, swap in zip(range(top, top - len(draws), -1), swaps):
+        held = table[i].copy()
+        table[i] = flat[swap]
+        flat[swap] = held
+
+
+def _picks(n, k, drawn, tail, with_replacement):
+    """`choice(n, k)` in every column, from that column's draws (rows of
+    `drawn`, in `_draw`'s order), as a (k, columns) array."""
+    if with_replacement:
+        return drawn
+    if tail:
+        table = np.repeat(np.arange(n)[:, None], drawn.shape[1], axis=1)
+        _shuffle(table, drawn, n - 1)
+        return table[n - k :]
+    # Floyd: the draw on [0, j] is picked unless taken, and then j is
+    picks = np.empty((k, drawn.shape[1]), dtype=np.intp)
+    taken = np.zeros(drawn.shape[1] * n, dtype=bool)
+    base = np.arange(drawn.shape[1]) * n
+    for t, j in enumerate(range(n - k, n)):
+        pick = np.where(taken[base + drawn[t]], j, drawn[t])
+        taken[base + pick] = True
+        picks[t] = pick
+    _shuffle(picks, drawn[k:], k - 1)
+    return picks
+
+
+def _draw(strata, allocs, seed_words, with_replacement):
+    """Rows of one stratified sample per replication, stratum by stratum,
+    unsorted, as a (reps, size) array. `seed_words` is (reps, 4) uint64:
+    each row holds the words `SeedSequence.generate_state(4, np.uint64)`
+    gives one replication, and its sample is, bit for bit, what
+    `np.random.default_rng` of that SeedSequence draws with `choice`, one
+    call per stratum.
+
+    `choice` is Floyd's algorithm and then a Fisher-Yates shuffle of the k
+    picks (Bentley & Floyd 1987), or, for a stratum above 10000 rows with
+    k > n // 50, a shuffle of the last k places of arange(n); with
+    replacement it is k draws on [0, n - 1]. Whatever the random values,
+    the bound of every draw is known up front, so all of them are made in
+    one pass (`_bounded`), and then the algorithms run as column loops, one
+    column per replication, over as many replications at a time as
+    `_DRAW_CELLS` allows."""
+    sizes, allocs = [stratum.size for stratum in strata], allocs.tolist()
+    tails = [not with_replacement and n > 10000 and k > n // 50 for n, k in zip(sizes, allocs)]
+    bounds = []
+    for n, k, tail in zip(sizes, allocs, tails):
+        if with_replacement:
+            bounds.append(np.full(k, n - 1))
+        elif tail:
+            bounds.append(np.arange(n - 1, max(n - k, 1) - 1, -1))
+        else:
+            bounds.append(np.concatenate([np.arange(n - k, n), np.arange(k - 1, 0, -1)]))
+    splits = np.cumsum([b.size for b in bounds])[:-1]
+    bounds = np.concatenate(bounds)
+
+    ends = np.cumsum(allocs).tolist()
+    local = np.empty((len(seed_words), ends[-1]), dtype=np.intp)
+    width = max(1, _DRAW_CELLS // (bounds.size + sum(sizes)))
+    for lo in range(0, len(seed_words), width):
+        # one row per draw; the uint64 table is let go before the loops
+        values = _bounded(seed_words[lo : lo + width], bounds).T
+        values = np.ascontiguousarray(values, dtype=np.intp)
+        for n, k, end, tail, drawn in zip(sizes, allocs, ends, tails, np.split(values, splits)):
+            local[lo : lo + width, end - k : end] = _picks(n, k, drawn, tail, with_replacement).T
     # stratum s of the concatenated strata starts at sum(sizes[:s])
     local += np.repeat(np.cumsum(sizes) - sizes, allocs)
     return np.concatenate(strata)[local]
@@ -128,9 +328,13 @@ def stratified_sample(frame, size, seed, with_replacement=False):
 
     Allocation uses largest-remainder rounding over the id levels present
     in the frame; rows are sampled without replacement within each stratum
-    (unless `with_replacement`) and returned in date order.
+    (unless `with_replacement`) and returned in date order. `seed` is an
+    int or a `np.random.SeedSequence`; the rows are those that
+    `np.random.default_rng(seed).choice` draws, stratum by stratum.
     """
-    return frame.subset(np.sort(_draw(*_strata(frame, size), [seed], with_replacement)[0]))
+    seq = seed if isinstance(seed, np.random.SeedSequence) else np.random.SeedSequence(seed)
+    rows = _draw(*_strata(frame, size), seq.generate_state(4, np.uint64)[None], with_replacement)
+    return frame.subset(np.sort(rows[0]))
 
 
 def run_simulation(
@@ -162,18 +366,20 @@ def run_simulation(
     theta_corrected = theta_hat - bias. `gate_ok` reports whether the KS
     pass fraction reached `min_ks_pass`.
 
-    Replications with the same observation count are fitted in lockstep
-    stacks of up to `FIT_STACK`, and the converged ones of each stack are
-    screened together right after their fit. `workers` is accepted for
-    compatibility and changes neither speed nor output: everything runs
-    on one thread.
+    Replication r's sample is the one `stratified_sample(frame, size, child,
+    with_replacement)` draws for `child`, the r-th of
+    `np.random.SeedSequence(seed).spawn(reps)`. All samples are drawn
+    together, vectorized over replications, before any fit. Replications
+    with the same observation count are fitted in lockstep stacks of up to
+    `FIT_STACK`, and the converged ones of each stack are screened together
+    right after their fit. `workers` is accepted for compatibility and
+    changes neither speed nor output: everything runs on one thread.
     """
     if reps < 1:
         raise ValueError("reps must be positive")
     start = model.check_theta(spec, model.default_start(spec) if theta0 is None else theta0)
 
-    # the 1000 spawned seed sequences of a default run hold ~0.3 MB: not kept past the draw
-    rows = _draw(*_strata(frame, size), np.random.SeedSequence(seed).spawn(reps), with_replacement)
+    rows = _draw(*_strata(frame, size), _child_seed_words(seed, reps), with_replacement)
     rows.sort(axis=1)
 
     theta = np.full((reps, spec.q), np.nan)

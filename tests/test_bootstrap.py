@@ -118,14 +118,92 @@ def test_draws_of_many_seeds_are_each_seed_drawn_alone(month_frame, with_replace
     its rows, stratum by stratum, as `stratified_sample` draws them."""
     strata, allocs = bootstrap._strata(month_frame, 25)
     seeds = np.random.SeedSequence(5).spawn(30)
-    rows = bootstrap._draw(strata, allocs, seeds, with_replacement)
+    rows = bootstrap._draw(strata, allocs, seed_words(seeds), with_replacement)
     assert rows.shape == (30, 25)
     for row, seed in zip(rows, seeds):
-        assert np.array_equal(row, bootstrap._draw(strata, allocs, [seed], with_replacement)[0])
+        alone_row = bootstrap._draw(strata, allocs, seed_words([seed]), with_replacement)[0]
+        assert np.array_equal(row, alone_row)
         alone = stratified_sample(month_frame, 25, seed, with_replacement=with_replacement)
         assert np.array_equal(month_frame.dates[np.sort(row)], alone.dates)
         for stratum, lo, hi in zip(strata, np.cumsum(allocs) - allocs, np.cumsum(allocs)):
             assert np.isin(row[lo:hi], stratum).all()
+
+
+# ------------------------------------------ the draw, held to numpy itself
+
+
+def seed_words(children):
+    return np.array([child.generate_state(4, np.uint64) for child in children])
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2**32 - 1, 2**32, 2**64 + 5, 2**128 + 7, [3, 2**40]])
+def test_child_seed_words_are_those_of_spawned_children(seed):
+    got = bootstrap._child_seed_words(seed, 300)
+    assert got.dtype == np.uint64
+    assert np.array_equal(got, seed_words(np.random.SeedSequence(seed).spawn(300)))
+
+
+def test_word_table_is_each_generators_raw_output_in_halves():
+    children = np.random.SeedSequence(9).spawn(20)
+    words = bootstrap._words(seed_words(children), 13)
+    assert words.shape == (20, 14) and words.dtype == np.uint32
+    for row, child in zip(words, children):
+        raw = np.random.PCG64(child).random_raw(7)
+        assert np.array_equal(row[0::2], raw & np.uint64(2**32 - 1))
+        assert np.array_equal(row[1::2], raw >> np.uint64(32))
+
+
+def choice_cases():
+    """(stratum sizes, allocations): one stratum at k = 0, 1, k < n,
+    n // 50 + 1 and n (above 10000 rows, k > n // 50 takes numpy's tail
+    shuffle); three strata where the small ones get 0 rows, and a tail
+    shuffle that later strata draw on from."""
+    for n in (1, 2, 31, 365, 10000, 10001):
+        for k in sorted({0, 1, n // 3, n // 50 + 1, n}):
+            yield (n,), (k,)
+    for total in (1, 2, 3, 5, 20, 34):
+        yield (1, 2, 31), tuple(_allocate(np.array([1, 2, 31]), total))
+    yield (10001, 31, 1), (201, 5, 1)
+
+
+@pytest.mark.parametrize("cells", [bootstrap._DRAW_CELLS, 1], ids=["one-pass", "row-by-row"])
+@pytest.mark.parametrize("with_replacement", [False, True])
+@pytest.mark.parametrize("sizes, allocs", list(choice_cases()))
+def test_draw_is_generator_choice_stratum_by_stratum(
+    monkeypatch, sizes, allocs, with_replacement, cells
+):
+    monkeypatch.setattr(bootstrap, "_DRAW_CELLS", cells)
+    children = np.random.SeedSequence(2**70 + 1).spawn(5)
+    frame_rows = np.random.default_rng(0).permutation(sum(sizes))
+    strata = np.split(frame_rows, np.cumsum(sizes)[:-1])
+    rows = bootstrap._draw(strata, np.array(allocs), seed_words(children), with_replacement)
+    for row, child in zip(rows, children):
+        rng = np.random.default_rng(child)
+        want = [s[rng.choice(s.size, k, replace=with_replacement)] for s, k in zip(strata, allocs)]
+        assert np.array_equal(row, np.concatenate(want))
+
+
+def test_rejected_words_are_skipped_as_generator_integers_skips_them(monkeypatch):
+    """On [0, 2**31] Lemire's method rejects a word when the low half of its
+    product is under 2**32 mod (2**31 + 1) = 2**31 - 1, about every other
+    word: the spare words run out, and the draw is redone on more."""
+    counts = []
+    words_of = bootstrap._words
+
+    def counted(rows, count):
+        counts.append(count)
+        return words_of(rows, count)
+
+    monkeypatch.setattr(bootstrap, "_words", counted)
+    children = np.random.SeedSequence(3).spawn(40)
+    bound = np.uint64(2**31)
+    values = bootstrap._bounded(seed_words(children), np.full(60, bound))
+    for row, child in zip(values, children):
+        assert np.array_equal(row, np.random.default_rng(child).integers(0, 2**31 + 1, size=60))
+    assert len(counts) > 1 and counts == sorted(counts)
+    # read without rejection, the first 60 words give other values
+    first = words_of(seed_words(children), 60)[:, :60].astype(np.uint64)
+    assert not np.array_equal(values, first * (bound + np.uint64(1)) >> np.uint64(32))
 
 
 def test_sample_size_validation(month_frame):

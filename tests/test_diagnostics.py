@@ -401,23 +401,6 @@ def test_fit_and_diagnostics_memory_is_linear_in_n():
     assert peak < 32 * 2 ** 20
 
 
-def test_fit_with_diagnostics_builds_no_face_cube():
-    """One n x q x q float array alone is 3.74 MiB at n = 10000 and q = 7;
-    the fit, curvature, bias and residual screen of the `fit` command
-    together stay below that."""
-    spec = ModelSpec("with-id")
-    frame = build_frame(synthetic_records(n=10000, seed=24))
-    args = argparse.Namespace(start=None, max_steps=50, rel_tol=1e-8, alpha=0.05)
-    tracemalloc.start()
-    try:
-        fit, curv, bias, _ = cli._fit_with_diagnostics(spec, frame, args)
-        _, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
-    assert fit.converged and curv is not None and bias is not None
-    assert peak < 3.5 * 2 ** 20
-
-
 def test_fit_with_diagnostics_factors_once(jan2014_frame, monkeypatch):
     """Curvature and Box bias of the `fit` command share one R factor of the
     Jacobian with the face entries appended (the solver's factors of
