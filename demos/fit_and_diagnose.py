@@ -24,7 +24,7 @@ from pm25cast import (
     parse_observations,
     residual_screen,
 )
-from pm25cast.model import hessian_cube, jacobian
+from pm25cast.model import faces, jacobian
 
 DATA = Path(__file__).resolve().parent / "data" / "obs_201401.csv"
 
@@ -44,7 +44,7 @@ def main():
         print(f"  step {step}: rss = {entry.rss:.4f}")
 
     v1 = jacobian(spec, fit.theta, frame)
-    v2 = hessian_cube(spec, fit.theta, frame)
+    v2 = faces(spec, fit.theta, frame)
 
     cur = bates_curvature(v1, v2, fit.sigma_hat)
     print(f"\ncurvature: intrinsic rho*K = {cur.rho_k_n:.5f}, "

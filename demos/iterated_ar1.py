@@ -24,14 +24,14 @@ from pm25cast import (
     residual_screen,
     structural_rss,
 )
-from pm25cast.model import hessian_cube, jacobian
+from pm25cast.model import faces, jacobian
 
 DATA = Path(__file__).resolve().parent / "data" / "obs_201401.csv"
 
 
 def curvatures(spec, fit, frame):
     v1 = jacobian(spec, fit.theta, frame)
-    v2 = hessian_cube(spec, fit.theta, frame)
+    v2 = faces(spec, fit.theta, frame)
     return bates_curvature(v1, v2, fit.sigma_hat)
 
 

@@ -1,11 +1,6 @@
 """Nonlinear-regression engine and PM2.5 forecasting pipeline."""
 
-from .bootstrap import (
-    BootstrapSummary,
-    apply_correction,
-    run_simulation,
-    stratified_sample,
-)
+from .bootstrap import BootstrapSummary, apply_correction, run_simulation
 from .data import (
     ModelFrame,
     NcepDaily,
@@ -40,7 +35,6 @@ from .forecast import (
     Predictors,
     interval,
     predict_id_algo1,
-    predict_id_algo2,
     predict_pm,
 )
 from .model import ModelSpec, eval_f, hessian_cube, jacobian, structural_rss
@@ -96,12 +90,10 @@ __all__ = [
     "parse_observations",
     "pearson_test",
     "predict_id_algo1",
-    "predict_id_algo2",
     "predict_pm",
     "qr_full",
     "residual_screen",
     "run_simulation",
     "spearman_test",
-    "stratified_sample",
     "structural_rss",
 ]

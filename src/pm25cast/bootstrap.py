@@ -1,14 +1,15 @@
 """Stratified case-resampling study and parameter bias correction.
 
 All sample indices are drawn up front, as one (reps, size) array of
-sorted frame rows (strata and allocation are computed once per run).
-Replication r gets what `np.random.default_rng(child).choice` draws,
-stratum by stratum, for the r-th child of `SeedSequence(seed).spawn(reps)`,
-bit for bit, without a generator object per replication: the children's
-seed words come from SeedSequence's hash mixing run on columns, their
-PCG64 words from one generator reseeded per row, and `choice`'s algorithm
-(Floyd's, then a Fisher-Yates shuffle, on Lemire's bounded draws) runs as
-column operations over all replications at once.
+sorted frame rows. The strata are the frame's id levels, and `size` is
+split over them by largest remainder, once per run. Replication r gets
+what `np.random.default_rng(child).choice` draws, stratum by stratum, for
+the r-th child of `SeedSequence(seed).spawn(reps)`, bit for bit, without
+a generator object per replication: the children's seed words come from
+SeedSequence's hash mixing run on columns, their PCG64 words from one
+generator reseeded per row, and `choice`'s algorithm (Floyd's, then a
+Fisher-Yates shuffle, on Lemire's bounded draws) runs as column
+operations over all replications at once.
 
 The replications are then fitted in lockstep, a stack of up to
 `FIT_STACK` replications at a time: the stack's rows go to
@@ -110,9 +111,17 @@ def _strata(frame, size):
         raise StratificationError("cannot sample from an empty frame")
     if not 0 < size <= frame.n:
         raise StratificationError(f"sample size {size} outside 1..{frame.n}")
-    levels = np.unique(frame.id)
-    strata = [np.nonzero(frame.id == level)[0] for level in levels]
+    strata = _groups(frame.id)
     return strata, _allocate([s.size for s in strata], size)
+
+
+def _groups(values):
+    """The indices of each distinct value of `values`, each ascending, the
+    lowest value first: one stable argsort, not `np.unique`, which imports
+    numpy.ma on its first call in numpy 2."""
+    order = np.argsort(values, kind="stable")
+    ranked = values[order]
+    return np.split(order, np.flatnonzero(ranked[1:] != ranked[:-1]) + 1)
 
 
 # SeedSequence's hash constants and PCG64's multiplier, as numpy uses them
@@ -323,20 +332,6 @@ def _draw(strata, allocs, seed_words, with_replacement):
     return np.concatenate(strata)[local]
 
 
-def stratified_sample(frame, size, seed, with_replacement=False):
-    """Draw `size` rows stratified by id, proportionally allocated.
-
-    Allocation uses largest-remainder rounding over the id levels present
-    in the frame; rows are sampled without replacement within each stratum
-    (unless `with_replacement`) and returned in date order. `seed` is an
-    int or a `np.random.SeedSequence`; the rows are those that
-    `np.random.default_rng(seed).choice` draws, stratum by stratum.
-    """
-    seq = seed if isinstance(seed, np.random.SeedSequence) else np.random.SeedSequence(seed)
-    rows = _draw(*_strata(frame, size), seq.generate_state(4, np.uint64)[None], with_replacement)
-    return frame.subset(np.sort(rows[0]))
-
-
 def run_simulation(
     spec,
     frame,
@@ -366,8 +361,12 @@ def run_simulation(
     theta_corrected = theta_hat - bias. `gate_ok` reports whether the KS
     pass fraction reached `min_ks_pass`.
 
-    Replication r's sample is the one `stratified_sample(frame, size, child,
-    with_replacement)` draws for `child`, the r-th of
+    Samples are stratified by id: `size` is split over the id levels in
+    proportion to their rows by largest remainder, and drawn without
+    replacement within each stratum unless `with_replacement`. Replication
+    r's sample is, in date order, the rows that
+    `np.random.default_rng(child_r).choice` draws from each stratum in
+    turn, in ascending order of id level, `child_r` the r-th of
     `np.random.SeedSequence(seed).spawn(reps)`. All samples are drawn
     together, vectorized over replications, before any fit. Replications
     with the same observation count are fitted in lockstep stacks of up to
@@ -393,8 +392,9 @@ def run_simulation(
     # stacks must be rectangular: group the replications by observation count;
     # a sample with no more observations than parameters cannot be fitted
     counts = model.observation_counts(spec, frame, rows)
-    for count in np.unique(counts[counts > spec.q]):
-        members = np.flatnonzero(counts == count)
+    for members in _groups(counts):
+        if counts[members[0]] <= spec.q:
+            continue
         for stack in np.split(members, range(FIT_STACK, members.size, FIT_STACK)):
             run = fit_stack(spec, frame, rows[stack], start)
             ok = np.array([f is None for f in run.fault], dtype=bool)

@@ -54,7 +54,12 @@ def _config_echo(args, input_paths):
 
 
 def _parse_start(text, q):
-    values = [float(v) for v in text.split(",")]
+    values = []
+    for i, cell in enumerate(text.split(","), start=1):
+        try:
+            values.append(float(cell))
+        except ValueError:
+            raise ValueError(f"--start value {i} is not a number: {cell!r}") from None
     if len(values) != q:
         raise ValueError(f"--start needs {q} comma-separated values, got {len(values)}")
     return np.array(values)

@@ -6,8 +6,10 @@ The frozen model works on the concentration scale:
 
 Coefficients map from a 7-parameter log-scale estimate by dividing through
 by the log-transform factor 10, except b, which sits inside the inner
-exponential and carries over unchanged. `_log_pm` evaluates the id-free
-exponent once per day; the algorithm-2 indicator and pm_hat both use it.
+exponential and carries over unchanged. Forecasts come from one column
+path, `forecast_series`: `_log_pm` evaluates the id-free exponent once per
+day, and the algorithm-2 indicator (the id of that exponent's forecast)
+and pm_hat both use it.
 """
 
 import json
@@ -247,11 +249,6 @@ def predict_id_algo1(prev_pm):
     if prev_pm is None or prev_pm <= 0:
         raise DataError("previous-day concentration unavailable or nonpositive")
     return int(_id_from_pm(prev_pm)[0])
-
-
-def predict_id_algo2(model, predictors):
-    """Indicator from the id-free single-value forecast."""
-    return int(_id_from_pm(predict_pm(model, predictors, 0))[0])
 
 
 def _intervals(pm_hat, profile):

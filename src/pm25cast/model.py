@@ -185,12 +185,10 @@ def _structural(beta, frame, idx, order):
     expo = np.exp(-beta[..., 1, None] / trg)
     if order == 2:
         return np.stack([-expo / trg, beta[..., 0, None] * expo / trg**2], axis=-1)
-    lin = np.stack([col(name) for name in _REGRESSORS[: q - 2]], axis=-1)
+    lin = [col(name) for name in _REGRESSORS[: q - 2]]
     if order == 0:
-        return beta[..., 0, None] * expo + (lin @ beta[..., 2:, None])[..., 0]
-    return np.concatenate(
-        [expo[..., None], (-beta[..., 0, None] * expo / trg)[..., None], lin], axis=-1
-    )
+        return beta[..., 0, None] * expo + (np.stack(lin, axis=-1) @ beta[..., 2:, None])[..., 0]
+    return np.stack([expo, -beta[..., 0, None] * expo / trg, *lin], axis=-1)
 
 
 @np.errstate(over="ignore", invalid="ignore")

@@ -16,7 +16,6 @@ from pm25cast import (
     gauss_newton,
     model,
     run_simulation,
-    stratified_sample,
 )
 from pm25cast.bootstrap import (
     _allocate,
@@ -67,73 +66,97 @@ def test_allocation_sums_and_caps():
 # ---------------------------------------------------------------- sampling
 
 
+def seed_words(children):
+    return np.array([child.generate_state(4, np.uint64) for child in children])
+
+
+def drawn_rows(frame, size, seed, with_replacement=False):
+    """The sorted frame rows that `_strata` and `_draw` give one int seed,
+    as `run_simulation` draws and sorts a replication's rows."""
+    rows = bootstrap._draw(*bootstrap._strata(frame, size),
+                           seed_words([np.random.SeedSequence(seed)]), with_replacement)
+    return np.sort(rows[0])
+
+
+def id_strata(frame, size):
+    """Rows of each id level, lowest level first, and the largest-remainder
+    allocation of `size` over them, written out with np.unique."""
+    strata = [np.flatnonzero(frame.id == level) for level in np.unique(frame.id)]
+    return strata, _allocate([stratum.size for stratum in strata], size)
+
+
+def choice_rows(strata, allocs, child, with_replacement=False):
+    """A stratified sample as numpy draws it: `default_rng(child).choice`
+    on each stratum in turn."""
+    rng = np.random.default_rng(child)
+    return np.concatenate([stratum[rng.choice(stratum.size, k, replace=with_replacement)]
+                           for stratum, k in zip(strata, allocs)])
+
+
 def test_sample_is_sorted_subset(month_frame):
-    sub = stratified_sample(month_frame, 20, seed=4)
-    assert sub.n == 20
-    assert np.all(np.diff(sub.dates).astype(int) >= 0)
+    rows = drawn_rows(month_frame, 20, seed=4)
+    assert rows.size == 20
+    assert np.all(np.diff(month_frame.dates[rows]).astype(int) >= 0)
 
 
 def test_sample_full_size_is_identity(month_frame):
-    sub = stratified_sample(month_frame, month_frame.n, seed=4)
-    assert np.array_equal(sub.lpm, month_frame.lpm)
-    assert np.array_equal(sub.dates, month_frame.dates)
+    rows = drawn_rows(month_frame, month_frame.n, seed=4)
+    assert np.array_equal(month_frame.lpm[rows], month_frame.lpm)
+    assert np.array_equal(month_frame.dates[rows], month_frame.dates)
 
 
 def test_sample_preserves_stratum_proportions(month_frame):
     # id level 0 holds 10 of 31 rows; a draw of 21 must take 7 (level 0)
     # and 14 (level 1) by largest remainder
-    sub = stratified_sample(month_frame, 21, seed=11)
-    assert int(np.sum(sub.id == 0.0)) == 7
-    assert int(np.sum(sub.id == 1.0)) == 14
+    ids = month_frame.id[drawn_rows(month_frame, 21, seed=11)]
+    assert int(np.sum(ids == 0.0)) == 7
+    assert int(np.sum(ids == 1.0)) == 14
 
 
 def test_sample_seed_determinism(month_frame):
-    a = stratified_sample(month_frame, 20, seed=11)
-    b = stratified_sample(month_frame, 20, seed=11)
-    c = stratified_sample(month_frame, 20, seed=12)
-    assert np.array_equal(a.lpm, b.lpm)
-    assert not np.array_equal(a.lpm, c.lpm)
+    a, b, c = (month_frame.lpm[drawn_rows(month_frame, 20, seed)] for seed in (11, 11, 12))
+    assert np.array_equal(a, b)
+    assert not np.array_equal(a, c)
 
 
 def test_sample_without_replacement_has_no_duplicates(month_frame):
-    sub = stratified_sample(month_frame, 25, seed=2)
-    dates = sub.dates.astype("datetime64[D]").astype(str)
+    rows = drawn_rows(month_frame, 25, seed=2)
+    dates = month_frame.dates[rows].astype("datetime64[D]").astype(str)
     assert len(set(dates)) == 25
 
 
 def test_sample_with_replacement_can_repeat(month_frame):
     hit = False
     for seed in range(10):
-        sub = stratified_sample(month_frame, 25, seed=seed, with_replacement=True)
-        dates = sub.dates.astype(str)
+        rows = drawn_rows(month_frame, 25, seed=seed, with_replacement=True)
+        dates = month_frame.dates[rows].astype(str)
         if len(set(dates)) < 25:
             hit = True
             break
     assert hit
 
 
+@pytest.mark.parametrize("records", [jan2014_records, lambda: synthetic_records(n=365, seed=3)],
+                         ids=["two-levels", "three-levels"])
 @pytest.mark.parametrize("with_replacement", [False, True])
-def test_draws_of_many_seeds_are_each_seed_drawn_alone(month_frame, with_replacement):
+def test_draws_of_many_seeds_are_each_seed_drawn_alone(records, with_replacement):
     """Each row of one multi-seed draw is that seed's stratified sample:
-    its rows, stratum by stratum, as `stratified_sample` draws them."""
-    strata, allocs = bootstrap._strata(month_frame, 25)
+    its rows, stratum by stratum, as `Generator.choice` draws them."""
+    frame = build_frame(records())
+    strata, allocs = bootstrap._strata(frame, 25)
     seeds = np.random.SeedSequence(5).spawn(30)
     rows = bootstrap._draw(strata, allocs, seed_words(seeds), with_replacement)
     assert rows.shape == (30, 25)
     for row, seed in zip(rows, seeds):
         alone_row = bootstrap._draw(strata, allocs, seed_words([seed]), with_replacement)[0]
         assert np.array_equal(row, alone_row)
-        alone = stratified_sample(month_frame, 25, seed, with_replacement=with_replacement)
-        assert np.array_equal(month_frame.dates[np.sort(row)], alone.dates)
+        alone = choice_rows(*id_strata(frame, 25), seed, with_replacement)
+        assert np.array_equal(row, alone)
         for stratum, lo, hi in zip(strata, np.cumsum(allocs) - allocs, np.cumsum(allocs)):
             assert np.isin(row[lo:hi], stratum).all()
 
 
 # ------------------------------------------ the draw, held to numpy itself
-
-
-def seed_words(children):
-    return np.array([child.generate_state(4, np.uint64) for child in children])
 
 
 @pytest.mark.parametrize("seed", [0, 1, 2**32 - 1, 2**32, 2**64 + 5, 2**128 + 7, [3, 2**40]])
@@ -178,9 +201,7 @@ def test_draw_is_generator_choice_stratum_by_stratum(
     strata = np.split(frame_rows, np.cumsum(sizes)[:-1])
     rows = bootstrap._draw(strata, np.array(allocs), seed_words(children), with_replacement)
     for row, child in zip(rows, children):
-        rng = np.random.default_rng(child)
-        want = [s[rng.choice(s.size, k, replace=with_replacement)] for s, k in zip(strata, allocs)]
-        assert np.array_equal(row, np.concatenate(want))
+        assert np.array_equal(row, choice_rows(strata, allocs, child, with_replacement))
 
 
 def test_rejected_words_are_skipped_as_generator_integers_skips_them(monkeypatch):
@@ -208,9 +229,9 @@ def test_rejected_words_are_skipped_as_generator_integers_skips_them(monkeypatch
 
 def test_sample_size_validation(month_frame):
     with pytest.raises(StratificationError):
-        stratified_sample(month_frame, 0, seed=1)
+        drawn_rows(month_frame, 0, seed=1)
     with pytest.raises(StratificationError):
-        stratified_sample(month_frame, month_frame.n + 1, seed=1)
+        drawn_rows(month_frame, month_frame.n + 1, seed=1)
 
 
 # ---------------------------------------------------------------- simulation
@@ -423,8 +444,9 @@ def test_january_2014_replications_match_the_recorded_run(month_frame, month_fit
     assert np.nanmax(np.abs(new[rest] - old[rest]) / scale) <= 1e-12
 
     children = np.random.SeedSequence(11).spawn(s.replications)
+    strata, allocs = id_strata(month_frame, 25)
     for r in np.flatnonzero(s.converged):
-        sub = stratified_sample(month_frame, 25, children[r])
+        sub = month_frame.subset(np.sort(choice_rows(strata, allocs, children[r])))
         resid = sub.lpm - model.eval_f(spec, s.theta[r], sub)
         assert resid @ resid == pytest.approx(pin["rss"][r], rel=1e-12, abs=0.0)
 
@@ -434,7 +456,10 @@ def test_simulation_memory_stays_small():
     engine adds the Jacobians, QR factors and face entries of one stack,
     which FIT_STACK must keep bounded: stacks of 100 peak at ~1.7 MiB, and
     one stack of all 1000 replications at ~14 MiB. Nothing is imported before
-    tracing starts, so a module that the run imports on first use counts too."""
+    tracing starts, so a module that the run imports on first use counts too:
+    numpy.ma, which numpy 2's `np.unique` imports, took a first run to
+    ~2.7 MiB. The run imports nothing now, so a first run peaks as a later
+    one does, ~1.3 MiB under the bound."""
     spec = ModelSpec("with-id")
     frame = build_frame(synthetic_records(n=365, seed=3))
     base = gauss_newton(spec, frame)

@@ -185,6 +185,28 @@ def test_forecast_path_loads_no_scipy_and_fit_does(tmp_path):
     assert _scipy_modules_after(fit_and_simulate) == "[]"
 
 
+@pytest.mark.parametrize("argv", [
+    ["fit", OBS_2014],
+    ["simulate", "--size", "25", "--reps", "50", OBS_2014],
+    ["aggregate-ncep", NCEP_2017],
+    ["forecast", "--ncep", NCEP_2017, "--obs", OBS_2017],
+], ids=lambda argv: argv[0])
+def test_commands_import_numpy_ma_only_where_numpy_does(tmp_path, argv):
+    """numpy 2 imports numpy.ma on first use (numpy 1.24 at `import
+    numpy`), and its `np.unique` is such a use: numpy.ma then costs ~1 MB
+    of a fresh process's ru_maxrss. A command run in a fresh process leaves
+    numpy.ma imported exactly when `import numpy` already did."""
+    src = str(Path(pm25cast.__file__).resolve().parent.parent)
+    script = ("import sys, numpy; eager = 'numpy.ma' in sys.modules; "
+              "sys.path.insert(0, sys.argv[1]); import pm25cast.cli as cli; "
+              "code = cli.main(sys.argv[2:]); print(code, eager, 'numpy.ma' in sys.modules)")
+    done = subprocess.run([sys.executable, "-c", script, src, *argv, "--out-dir", str(tmp_path)],
+                          capture_output=True, text=True, timeout=120, check=True)
+    code, eager, loaded = done.stdout.split()
+    assert code == "0"
+    assert loaded == eager
+
+
 def test_fit_and_simulate_need_no_scipy(tmp_path):
     """With scipy blocked (`sys.modules["scipy"] = None` makes every scipy
     import fail), `fit` and `simulate` on the demo month exit 0 and write
@@ -336,6 +358,13 @@ def test_fit_and_simulate_drop_a_flat_day_as_if_deleted(tmp_path):
 def test_fit_bad_start_length(tmp_path):
     assert run_quiet("fit", "--family", "with-id", "--start", "1,2,3",
                      "--out-dir", str(tmp_path), OBS_2014) == 1
+
+
+def test_fit_start_that_is_not_a_number_names_the_option_and_the_cell(tmp_path, capsys):
+    out = tmp_path / "fit"
+    assert run("fit", "--start", "1,2,x,4,5,6,7", "--out-dir", str(out), OBS_2014) == 1
+    assert capsys.readouterr().err == "error: --start value 3 is not a number: 'x'\n"
+    assert not out.exists()
 
 
 def test_fit_infinite_start_is_refused(tmp_path, capsys):

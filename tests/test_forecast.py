@@ -12,7 +12,6 @@ from pm25cast import (
     Predictors,
     interval,
     predict_id_algo1,
-    predict_id_algo2,
     predict_pm,
 )
 from pm25cast.forecast import (
@@ -166,19 +165,28 @@ def test_algo1_requires_previous_value():
         predict_id_algo1(0.0)
 
 
+def algo2_ids(model, p):
+    """The ids whose formula value is the pm_hat `forecast_series` gives
+    one day with predictors p under id_source "algo2"."""
+    table, skipped = forecast_series(
+        model, PredictorTable(np.array(["2017-12-01"], dtype="datetime64[D]"),
+                              *(np.array([v]) for v in p)), PROFILES["ncep-i1"], id_source="algo2")
+    assert not skipped and table.id_source.tolist() == ["algo2"]
+    return [idv for idv in (-1, 0, 1) if table.pm_hat[0] == oracle_pm(model, p, idv)]
+
+
 def test_algo2_uses_id_free_prediction():
-    got = predict_id_algo2(MODEL, ROW1)
     pm_prime = oracle_pm(MODEL, ROW1, 0)
     from pm25cast.forecast import _id_from_pm
 
-    assert got == _id_from_pm(pm_prime)
+    assert algo2_ids(MODEL, ROW1) == [int(_id_from_pm(pm_prime)[0])]
 
 
 def test_algo2_boundary_exact():
     # contrived coefficients put the id-free prediction exactly at e^3.5
     m = FrozenModel(a=3.5, b=0.0, c_w=0.0, c_t=0.0, c_pc=0.0, c_ep=0.0, c_id=1.0)
     p = Predictors(trg=10.0, w=0.0, t=0.0, pc=0.0, ep=0.0)
-    assert predict_id_algo2(m, p) == -1
+    assert algo2_ids(m, p) == [-1]
 
 
 # ---------------------------------------------------------------- intervals

@@ -28,11 +28,15 @@ import hashlib
 import io
 import json
 import math
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+import pm25cast
 from pm25cast import build_frame, parse_observations
 from pm25cast.cli import main
 
@@ -136,6 +140,20 @@ def test_output_matches_golden_bytes(regenerated, name):
 @pytest.mark.parametrize("name", FIT_FILES + SIMULATE_FILES)
 def test_fit_output_matches_golden_bytes(regenerated, name):
     assert _comparable(regenerated / name) == _comparable(GOLDEN / name)
+
+
+@pytest.mark.skipif(not SAME_NUMERICS, reason=f"numerics differ from {FINGERPRINT}'s build")
+@pytest.mark.parametrize("demo", sorted(p.stem for p in (GOLDEN / "demos").glob("*.txt")))
+def test_demo_prints_golden_bytes(tmp_path, demo):
+    """Each demo, run alone with numpy's RuntimeWarnings as errors, prints
+    the bytes stored under golden/demos."""
+    src = Path(pm25cast.__file__).resolve().parent.parent
+    done = subprocess.run(
+        [sys.executable, "-W", "error::RuntimeWarning", str(DEMO_DATA.parent / f"{demo}.py")],
+        capture_output=True, timeout=120, cwd=tmp_path, env={**os.environ, "PYTHONPATH": str(src)},
+    )
+    assert done.returncode == 0, done.stderr.decode()
+    assert done.stdout == (GOLDEN / "demos" / f"{demo}.txt").read_bytes()
 
 
 def _csv_table(path):
