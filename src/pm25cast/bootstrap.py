@@ -4,12 +4,14 @@ All sample indices are drawn up front, as one (reps, size) array of
 sorted frame rows. The strata are the frame's id levels, and `size` is
 split over them by largest remainder, once per run. Replication r gets
 what `np.random.default_rng(child).choice` draws, stratum by stratum, for
-the r-th child of `SeedSequence(seed).spawn(reps)`, bit for bit, without
-a generator object per replication: the children's seed words come from
-SeedSequence's hash mixing run on columns, their PCG64 words from one
-generator reseeded per row, and `choice`'s algorithm (Floyd's, then a
-Fisher-Yates shuffle, on Lemire's bounded draws) runs as column
-operations over all replications at once.
+the r-th child of `SeedSequence(seed).spawn(reps)`, bit for bit. Mostly
+no generator is built per replication: the children's seed words come
+from SeedSequence's hash mixing run on columns, their PCG64 words from
+one generator reseeded per row, and `choice`'s algorithm (Floyd's, then
+a Fisher-Yates shuffle, on Lemire's bounded draws) runs as column
+operations over all replications at once. numpy itself draws the rare
+rest: a replication whose stream has a word that Lemire's method
+rejects, and a run with a stratum that takes `choice`'s tail shuffle.
 
 The replications are then fitted in lockstep, a stack of up to
 `FIT_STACK` replications at a time: the stack's rows go to
@@ -129,9 +131,6 @@ _MASK32, _MASK128 = 2**32 - 1, 2**128 - 1
 _INIT_A, _MULT_A, _INIT_B, _MULT_B = 0x43B0D7E5, 0x931E8875, 0x8B51F9DD, 0x58F38DED
 _MIX_L, _MIX_R = 0xCA01F9DD, 0x4973F715
 _PCG_MULT = 0x2360ED051FC65DA44385DF649FCCF645
-# 32-bit words drawn past a replication's rejection-free count: the draw is
-# redone with twice the words when a row's rejections use them all
-_SPARE_WORDS = 16
 # Cells (one draw, or one stratum row, of one replication) that the draw
 # handles at a time. Its tables take about 20 bytes a cell, so at most
 # ~80 MB whatever the sample size; 1000 replications of up to ~1400 rows
@@ -193,24 +192,30 @@ def _child_seed_words(seed, reps):
     return np.stack([state[k] | state[k + 1] << np.uint64(32) for k in range(0, 8, 2)], axis=1)
 
 
-def _words(seed_words, count):
-    """At least `count` 32-bit outputs of each row's PCG64 stream, as a
-    (rows, 2 * ceil(count / 2)) uint32 table in `next_uint32` order: the low
-    half of each 64-bit output, then its high half. A row's state follows
-    from its seed words by PCG64's seeding step (O'Neill 2014); numpy's own
-    generator makes the outputs."""
+def _streams(seed_words):
+    """Each row's PCG64 in turn, as numpy seeds it from the row's seed words
+    by PCG64's seeding step (O'Neill 2014): one bit generator, reseeded
+    before each yield, so each must be used up before the next."""
     s_hi, s_lo, i_hi, i_lo = seed_words.astype(object).T
     inc = (i_hi << 64 | i_lo) << 1 & _MASK128 | 1
     state = ((inc + (s_hi << 64 | s_lo)) * _PCG_MULT + inc) & _MASK128
     bitgen = np.random.PCG64(0)
-    raw = np.empty((len(seed_words), -(-count // 2)), dtype=np.uint64)
-    for out, row_state, row_inc in zip(raw, state.tolist(), inc.tolist()):
+    for row_state, row_inc in zip(state.tolist(), inc.tolist()):
         bitgen.state = {
             "bit_generator": "PCG64",
             "state": {"state": row_state, "inc": row_inc},
             "has_uint32": 0,
             "uinteger": 0,
         }
+        yield bitgen
+
+
+def _words(seed_words, count):
+    """At least `count` 32-bit outputs of each row's PCG64 stream, as a
+    (rows, 2 * ceil(count / 2)) uint32 table in `next_uint32` order: the low
+    half of each 64-bit output, then its high half."""
+    raw = np.empty((len(seed_words), -(-count // 2)), dtype=np.uint64)
+    for out, bitgen in zip(raw, _streams(seed_words)):
         out[:] = bitgen.random_raw(out.size)
     # little-endian 64-bit words read as 32-bit pairs are (low, high)
     return raw.astype("<u8", copy=False).view("<u4").astype(np.uint32, copy=False)
@@ -224,36 +229,23 @@ def _bounded(seed_words, bounds):
     32-bit word w gives (w * (b + 1)) >> 32, unless the product's low half
     falls under 2**32 mod (b + 1), when w is rejected for the word after it.
 
-    All draws are first read as if none were rejected. A row with a
-    rejection then shifts its later draws on by one word, once per
-    rejection."""
+    All draws are read as if no word were rejected. A row that rejected one
+    (for small bounds, a rare row) is then drawn again by numpy's own
+    `Generator.integers` on that row's stream."""
     bounds = np.asarray(bounds, dtype=np.uint64)
     live = bounds > 0
-    # a draw on [0, 0] reads the next word without using it: times 1, the
-    # product's high half is 0, and nothing is under 2**32 mod 1 = 0
     span = bounds + np.uint64(1)
-    floor = (np.uint64(2**32) - span) % span
-    steps, first_at = np.arange(bounds.size), np.cumsum(live) - live
-    count = int(live.sum()) + _SPARE_WORDS
-    while True:
-        words = _words(seed_words, count)
-        product = np.take(words, first_at, axis=1) * span
-        rejected = (product & np.uint64(_MASK32)) < floor
-        bad = np.flatnonzero(rejected.any(axis=1))
-        at = np.broadcast_to(first_at, (bad.size, bounds.size)).copy()
-        pending = np.arange(bad.size)  # rows of `at`
-        while pending.size:
-            rows = bad[pending]
-            at[pending] += steps >= rejected[rows].argmax(axis=1)[:, None]
-            if at[pending, -1].max() >= words.shape[1]:
-                break
-            product[rows] = np.take_along_axis(words[rows], at[pending], axis=1) * span
-            rejected[rows] = (product[rows] & np.uint64(_MASK32)) < floor
-            pending = pending[rejected[rows].any(axis=1)]
-        else:
-            product >>= np.uint64(32)
-            return product
-        count *= 2
+    # a draw on [0, 0] reads the next word without using it (times 1, the
+    # product's high half is 0, and nothing is under 2**32 mod 1 = 0), so a
+    # trailing one reads one word past the live draws
+    words = _words(seed_words, int(live.sum()) + 1)
+    product = np.take(words, np.cumsum(live) - live, axis=1) * span
+    rejected = (product & np.uint64(_MASK32)) < (np.uint64(2**32) - span) % span
+    product >>= np.uint64(32)
+    bad = np.flatnonzero(rejected.any(axis=1))
+    for row, bitgen in zip(bad, _streams(seed_words[bad])):
+        product[row] = np.random.Generator(bitgen).integers(0, span)
+    return product
 
 
 def _shuffle(table, draws, top):
@@ -268,15 +260,11 @@ def _shuffle(table, draws, top):
         flat[swap] = held
 
 
-def _picks(n, k, drawn, tail, with_replacement):
+def _picks(n, k, drawn, with_replacement):
     """`choice(n, k)` in every column, from that column's draws (rows of
     `drawn`, in `_draw`'s order), as a (k, columns) array."""
     if with_replacement:
         return drawn
-    if tail:
-        table = np.repeat(np.arange(n)[:, None], drawn.shape[1], axis=1)
-        _shuffle(table, drawn, n - 1)
-        return table[n - k :]
     # Floyd: the draw on [0, j] is picked unless taken, and then j is
     picks = np.empty((k, drawn.shape[1]), dtype=np.intp)
     taken = np.zeros(drawn.shape[1] * n, dtype=bool)
@@ -298,23 +286,25 @@ def _draw(strata, allocs, seed_words, with_replacement):
     call per stratum.
 
     `choice` is Floyd's algorithm and then a Fisher-Yates shuffle of the k
-    picks (Bentley & Floyd 1987), or, for a stratum above 10000 rows with
-    k > n // 50, a shuffle of the last k places of arange(n); with
-    replacement it is k draws on [0, n - 1]. Whatever the random values,
-    the bound of every draw is known up front, so all of them are made in
-    one pass (`_bounded`), and then the algorithms run as column loops, one
-    column per replication, over as many replications at a time as
-    `_DRAW_CELLS` allows."""
+    picks (Bentley & Floyd 1987); with replacement it is k draws on
+    [0, n - 1]. Whatever the random values, the bound of every draw is
+    known up front, so all of them are made in one pass (`_bounded`), and
+    then the algorithms run as column loops, one column per replication,
+    over as many replications at a time as `_DRAW_CELLS` allows. For a
+    stratum above 10000 rows with k > n // 50, `choice` shuffles the last k
+    places of arange(n) instead; such a run is drawn by numpy itself, one
+    generator per replication."""
     sizes, allocs = [stratum.size for stratum in strata], allocs.tolist()
-    tails = [not with_replacement and n > 10000 and k > n // 50 for n, k in zip(sizes, allocs)]
-    bounds = []
-    for n, k, tail in zip(sizes, allocs, tails):
-        if with_replacement:
-            bounds.append(np.full(k, n - 1))
-        elif tail:
-            bounds.append(np.arange(n - 1, max(n - k, 1) - 1, -1))
-        else:
-            bounds.append(np.concatenate([np.arange(n - k, n), np.arange(k - 1, 0, -1)]))
+    if not with_replacement and any(n > 10000 and k > n // 50 for n, k in zip(sizes, allocs)):
+        return np.array([
+            np.concatenate([s[rng.choice(s.size, k, replace=False)] for s, k in zip(strata, allocs)])
+            for rng in map(np.random.Generator, _streams(seed_words))
+        ])
+    bounds = [
+        np.full(k, n - 1) if with_replacement
+        else np.concatenate([np.arange(n - k, n), np.arange(k - 1, 0, -1)])
+        for n, k in zip(sizes, allocs)
+    ]
     splits = np.cumsum([b.size for b in bounds])[:-1]
     bounds = np.concatenate(bounds)
 
@@ -325,8 +315,8 @@ def _draw(strata, allocs, seed_words, with_replacement):
         # one row per draw; the uint64 table is let go before the loops
         values = _bounded(seed_words[lo : lo + width], bounds).T
         values = np.ascontiguousarray(values, dtype=np.intp)
-        for n, k, end, tail, drawn in zip(sizes, allocs, ends, tails, np.split(values, splits)):
-            local[lo : lo + width, end - k : end] = _picks(n, k, drawn, tail, with_replacement).T
+        for n, k, end, drawn in zip(sizes, allocs, ends, np.split(values, splits)):
+            local[lo : lo + width, end - k : end] = _picks(n, k, drawn, with_replacement).T
     # stratum s of the concatenated strata starts at sum(sizes[:s])
     local += np.repeat(np.cumsum(sizes) - sizes, allocs)
     return np.concatenate(strata)[local]

@@ -60,6 +60,8 @@ def _parse_start(text, q):
             values.append(float(cell))
         except ValueError:
             raise ValueError(f"--start value {i} is not a number: {cell!r}") from None
+        if not np.isfinite(values[-1]):
+            raise ValueError(f"--start value {i} is not finite: {cell!r}")
     if len(values) != q:
         raise ValueError(f"--start needs {q} comma-separated values, got {len(values)}")
     return np.array(values)

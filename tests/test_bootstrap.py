@@ -207,21 +207,29 @@ def test_draw_is_generator_choice_stratum_by_stratum(
 def test_rejected_words_are_skipped_as_generator_integers_skips_them(monkeypatch):
     """On [0, 2**31] Lemire's method rejects a word when the low half of its
     product is under 2**32 mod (2**31 + 1) = 2**31 - 1, about every other
-    word: the spare words run out, and the draw is redone on more."""
-    counts = []
-    words_of = bootstrap._words
+    word: the words are read once, as if none were rejected, and each row
+    that rejected one is drawn again on its own stream."""
+    counts, streamed = [], []
+    words_of, streams_of = bootstrap._words, bootstrap._streams
 
     def counted(rows, count):
         counts.append(count)
         return words_of(rows, count)
 
+    def streams(rows):
+        streamed.append(len(rows))
+        return streams_of(rows)
+
     monkeypatch.setattr(bootstrap, "_words", counted)
+    monkeypatch.setattr(bootstrap, "_streams", streams)
     children = np.random.SeedSequence(3).spawn(40)
     bound = np.uint64(2**31)
     values = bootstrap._bounded(seed_words(children), np.full(60, bound))
     for row, child in zip(values, children):
         assert np.array_equal(row, np.random.default_rng(child).integers(0, 2**31 + 1, size=60))
-    assert len(counts) > 1 and counts == sorted(counts)
+    # one word table of the 60 live draws and one spare, then the redrawn rows
+    assert counts == [61]
+    assert len(streamed) == 2 and streamed[1] >= 1
     # read without rejection, the first 60 words give other values
     first = words_of(seed_words(children), 60)[:, :60].astype(np.uint64)
     assert not np.array_equal(values, first * (bound + np.uint64(1)) >> np.uint64(32))
@@ -471,6 +479,23 @@ def test_simulation_memory_stays_small():
         tracemalloc.stop()
     assert s.converged_count > 900
     assert peak < 3 * 2 ** 20
+
+
+def test_tail_shuffle_draw_memory_stays_small():
+    """A stratum above 10000 rows with k > n // 50 takes numpy's tail
+    shuffle, which numpy draws one replication at a time. Emulated over all
+    replications at once, its n x reps table took this run to ~35 MiB;
+    drawn by numpy, the run peaks at ~3.3 MiB, most of it the samples."""
+    words = bootstrap._child_seed_words(0, 1000)
+    strata = np.split(np.arange(10033), [10001, 10032])
+    tracemalloc.start()
+    try:
+        rows = bootstrap._draw(strata, np.array([201, 5, 1]), words, False)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert rows.shape == (1000, 207)
+    assert peak < 8 * 2 ** 20
 
 
 def test_simulation_runs_without_numpy_2_vecdot(monkeypatch, month_frame, month_fit):

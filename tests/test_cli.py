@@ -367,10 +367,13 @@ def test_fit_start_that_is_not_a_number_names_the_option_and_the_cell(tmp_path, 
     assert not out.exists()
 
 
-def test_fit_infinite_start_is_refused(tmp_path, capsys):
-    out = tmp_path / "fit"
-    assert run("fit", "--start", "inf,1,0,0,0,0,1", "--out-dir", str(out), OBS_2014) == 1
-    assert capsys.readouterr().err == "error: theta must be finite\n"
+@pytest.mark.parametrize("cell", ["nan", "inf", "-inf"])
+@pytest.mark.parametrize("command", [["fit"], ["simulate", "--reps", "2", "--size", "25"]],
+                         ids=["fit", "simulate"])
+def test_non_finite_start_names_the_option_and_the_cell(tmp_path, capsys, command, cell):
+    out = tmp_path / "out"
+    assert run(*command, "--start", f"40,{cell},0,0,0,0,1", "--out-dir", str(out), OBS_2014) == 1
+    assert capsys.readouterr().err == f"error: --start value 2 is not finite: '{cell}'\n"
     assert not out.exists()
 
 
