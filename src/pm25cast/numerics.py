@@ -11,6 +11,9 @@ from a continued fraction (t tails, and F quantiles by Newton's method on
 it), and the normal CDF from `math.erfc`. They agree with `scipy.special`
 to about 1e-14 relative; tests/test_numerics.py holds them to it. Ranks
 come from a small numpy mid-rank helper.
+
+`one_blas_thread` runs every loaded OpenBLAS on one thread for the length
+of a command, so the bits of a long fit do not follow the thread count.
 """
 
 import contextlib
@@ -155,7 +158,6 @@ _OPENBLAS_THREAD_SYMBOLS = [
     for prefix in ("scipy_openblas", "openblas")
     for suffix in ("64_", "")
 ]
-_THREAD_ENV_VARS = ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS")
 
 
 @functools.lru_cache(maxsize=1)
@@ -193,16 +195,17 @@ def _openblas_thread_controls():
 def one_blas_thread():
     """Run the block with every loaded OpenBLAS on one thread, then restore.
 
-    The matrices here are n x q with q <= 7: OpenBLAS still splits the
-    level-2 calls of a 3000 x 7 QR across threads, gains nothing from it,
-    and its helper threads spin after each call, so wall times follow the
-    load on the other cores. A thread count set in the environment
-    (OPENBLAS_NUM_THREADS, GOTO_NUM_THREADS, OMP_NUM_THREADS) is left alone,
-    and without OpenBLAS this does nothing.
+    This holds the bits: OpenBLAS splits a dot product longer than 10000
+    entries across its threads, and the RSS goes through one (`vecdot`), so
+    without the pin a fit past 10000 rows would follow the core count and
+    the thread variables of the environment. The pin is kept whatever the
+    environment says. It saves no time now that each fit reads everything
+    from one R-only QR; on a 2-core host it lowers the benchmark's fit-large
+    peak RSS by 0.17 MB (median of 16 pairs).
+    `cli.main` is the one caller: `gauss_newton` or `run_simulation` called
+    directly are not pinned, so their bits past 10000 rows follow the
+    thread count. Without OpenBLAS this does nothing.
     """
-    if any(name in os.environ for name in _THREAD_ENV_VARS):
-        yield
-        return
     controls = _openblas_thread_controls()
     before = [getter() for getter, _ in controls]
     for _, setter in controls:

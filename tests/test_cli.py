@@ -4,6 +4,7 @@ import dataclasses
 import hashlib
 import json
 import math
+import os
 import subprocess
 import sys
 import warnings
@@ -14,6 +15,8 @@ import pytest
 import pm25cast
 from pm25cast.cli import build_parser, main
 from pm25cast.forecast import PRESETS
+
+from conftest import obs_rows, synthetic_records
 
 DEMO_DATA = Path(__file__).resolve().parent.parent / "demos" / "data"
 OBS_2014 = str(DEMO_DATA / "obs_201401.csv")
@@ -42,6 +45,16 @@ def _subcommand(command):
 def _dests(command):
     """Names of a subcommand's arguments as they appear on the parsed args."""
     return {a.dest for a in _subcommand(command)._actions if a.dest != "help"}
+
+
+def write_obs_csv(path, table):
+    """An Observations table as an observation CSV, each number as its repr."""
+    with open(path, "w", newline="", encoding="utf-8") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(["date", "pm", "t", "tmax", "tmin", "pc", "w", "ep"])
+        for r in obs_rows(table):
+            writer.writerow([r.date.isoformat()]
+                            + [repr(v) for v in (r.pm, r.t, r.tmax, r.tmin, r.pc, r.w, r.ep)])
 
 
 def run_quiet(*argv):
@@ -248,10 +261,33 @@ def test_commands_run_on_one_blas_thread(tmp_path, monkeypatch):
 
     seen = []
     monkeypatch.setattr(numerics, "_openblas_thread_controls", lambda: ((lambda: 3, seen.append),))
-    for name in numerics._THREAD_ENV_VARS:
-        monkeypatch.delenv(name, raising=False)
     assert run("fit", "--out-dir", str(tmp_path), OBS_2014) == 0
     assert seen == [1, 3]
+
+
+def test_fit_past_10000_rows_writes_the_same_bytes_whatever_the_blas_threads(tmp_path):
+    """OpenBLAS splits a dot product longer than 10000 entries across its
+    threads, and the RSS is one: `fit` on 12000 rows, each run in a fresh
+    process with OPENBLAS_NUM_THREADS unset and set to 2, writes the same
+    bytes into the same directory, because the command runs on one BLAS
+    thread whatever the environment says."""
+    obs = tmp_path / "obs.csv"
+    write_obs_csv(obs, synthetic_records(n=12000, seed=5))
+    out = tmp_path / "fit"
+    src = str(Path(pm25cast.__file__).resolve().parent.parent)
+    script = ("import sys; sys.path.insert(0, sys.argv[1]); import pm25cast.cli as cli; "
+              "sys.exit(cli.main(sys.argv[2:]))")
+    written = []
+    for threads in (None, "2"):
+        env = {k: v for k, v in os.environ.items() if k != "OPENBLAS_NUM_THREADS"}
+        if threads:
+            env["OPENBLAS_NUM_THREADS"] = threads
+        done = subprocess.run([sys.executable, "-c", script, src, "fit", "--out-dir", str(out),
+                               str(obs)], capture_output=True, text=True, timeout=120, env=env)
+        assert done.returncode == 0, done.stderr
+        written.append({path.name: path.read_bytes() for path in sorted(out.iterdir())})
+    assert sorted(written[0]) == ["diagnostics.json", "fit_trace.csv", "residuals.csv"]
+    assert written[0] == written[1]
 
 
 def test_fit_with_fewer_than_3_lag_pairs_leaves_out_the_lag_test(tmp_path):
@@ -439,15 +475,8 @@ def test_simulate_stops_when_the_baseline_fit_does_not_converge(tmp_path, capsys
 
 
 def test_simulate_no_converged_replication_exit_code(tmp_path, capsys):
-    from conftest import obs_rows, synthetic_records
-
     obs = tmp_path / "obs.csv"
-    with open(obs, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["date", "pm", "t", "tmax", "tmin", "pc", "w", "ep"])
-        for r in obs_rows(synthetic_records(n=365, seed=3)):
-            writer.writerow([r.date.isoformat()]
-                            + [repr(v) for v in (r.pm, r.t, r.tmax, r.tmin, r.pc, r.w, r.ep)])
+    write_obs_csv(obs, synthetic_records(n=365, seed=3))
     out = tmp_path / "sim"
     code = run("simulate", "--family", "iterated", "--rho", "0.3", "--reps", "20",
                "--size", "25", "--seed", "0", "--out-dir", str(out), str(obs))

@@ -207,8 +207,6 @@ def fake_openblas(monkeypatch):
     libs = [_FakeOpenBlas(2), _FakeOpenBlas(4)]
     controls = tuple((lib.get, lib.set) for lib in libs)
     monkeypatch.setattr(numerics, "_openblas_thread_controls", lambda: controls)
-    for name in numerics._THREAD_ENV_VARS:
-        monkeypatch.delenv(name, raising=False)
     return libs
 
 
@@ -222,15 +220,7 @@ def test_one_blas_thread_sets_one_and_restores(fake_openblas):
     assert [lib.threads for lib in fake_openblas] == [2, 4]
 
 
-def test_one_blas_thread_leaves_an_environment_setting_alone(fake_openblas, monkeypatch):
-    monkeypatch.setenv("OPENBLAS_NUM_THREADS", "2")
-    with numerics.one_blas_thread():
-        assert [lib.threads for lib in fake_openblas] == [2, 4]
-
-
-def test_one_blas_thread_reaches_the_loaded_openblas(monkeypatch):
-    for name in numerics._THREAD_ENV_VARS:
-        monkeypatch.delenv(name, raising=False)
+def test_one_blas_thread_reaches_the_loaded_openblas():
     controls = numerics._openblas_thread_controls()
     if not controls:
         pytest.skip("numpy and scipy use no OpenBLAS found in /proc/self/maps")
