@@ -75,7 +75,7 @@ def _load_frame(path):
 
 
 def _fit_with_diagnostics(spec, frame, args):
-    theta0 = _parse_start(args.start, spec.q) if args.start else None
+    theta0 = _parse_start(args.start, spec.q) if args.start is not None else None
     fit = solver.gauss_newton(
         spec, frame, theta0=theta0, max_steps=args.max_steps, rel_tol=args.rel_tol
     )
@@ -136,7 +136,7 @@ def cmd_fit(args):
 def cmd_simulate(args):
     frame = _load_frame(args.obs)
     spec = model.ModelSpec(args.family, args.rho)
-    theta0 = _parse_start(args.start, spec.q) if args.start else None
+    theta0 = _parse_start(args.start, spec.q) if args.start is not None else None
     baseline = solver.gauss_newton(spec, frame, theta0=theta0)
     if not baseline.converged:
         print("baseline fit did not converge", file=sys.stderr)

@@ -211,12 +211,25 @@ def _write_json(payload, path):
 def _open_text(source):
     """The whole text of a path or file object without a leading byte-order
     mark (as Excel's "CSV UTF-8" writes). Paths and byte streams are decoded
-    as UTF-8; a path's line ends are read as newlines."""
+    as UTF-8, and a byte that is not raises a DataError naming its row as
+    _read_columns counts them; a path's line ends are read as newlines."""
     if hasattr(source, "read"):
         data = source.read()
-        return data.decode("utf-8-sig") if isinstance(data, bytes) else data.removeprefix("\ufeff")
-    with open(os.fspath(source), "r", encoding="utf-8-sig") as fh:
-        return fh.read()
+        return _decode(data) if isinstance(data, bytes) else data.removeprefix("\ufeff")
+    with open(os.fspath(source), "rb") as fh:
+        return _decode(fh.read()).replace("\r\n", "\n").replace("\r", "\n")
+
+
+def _decode(data):
+    data = data.removeprefix(b"\xef\xbb\xbf")
+    try:
+        return data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        # the lines before the bad byte's own, blank ones not counted
+        before = (data[:exc.start].decode("utf-8") + "x").splitlines()[:-1]
+        lines = sum(map(bool, before))
+        where = f"row {lines}" if lines else "header"
+        raise DataError(f"{where}: not UTF-8 text (byte {data[exc.start]:#04x})") from None
 
 
 def _column_index(header, required):

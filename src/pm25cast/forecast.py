@@ -124,9 +124,16 @@ class FrozenModel:
     @classmethod
     def from_json(cls, path):
         """FrozenModel of a JSON object holding every coefficient as a
-        finite number."""
-        with open(path, "r", encoding="utf-8") as fh:
-            raw = json.load(fh)
+        finite number, read as UTF-8 with or without a byte-order mark."""
+        with open(path, "rb") as fh:
+            data = fh.read()
+        try:
+            raw = json.loads(data.decode("utf-8-sig"))
+        except UnicodeDecodeError as exc:
+            byte = exc.object[exc.start]
+            raise DataError(f"coefficients file: not UTF-8 text (byte {byte:#04x})") from None
+        except json.JSONDecodeError as exc:
+            raise DataError(f"coefficients file: {exc}") from None
         if not isinstance(raw, dict):
             raise DataError("coefficients file must hold a JSON object")
         values = {}

@@ -140,17 +140,6 @@ def test_fit_non_finite_end_point_exits_2_and_writes_reports(tmp_path, capsys):
     assert diag["residuals"] is None
 
 
-def test_cli_start_up_does_not_import_scipy_stats():
-    """Importing scipy.stats costs over a second; a fresh start must not
-    load it."""
-    src = str(Path(pm25cast.__file__).resolve().parent.parent)
-    code = ("import sys; sys.path.insert(0, sys.argv[1]); import pm25cast.cli as cli; "
-            "cli.build_parser(); print(sorted(m for m in sys.modules if m.startswith('scipy.stats')))")
-    done = subprocess.run([sys.executable, "-c", code, src], capture_output=True, text=True,
-                          timeout=120, check=True)
-    assert done.stdout.strip() == "[]"
-
-
 def _scipy_modules_after(code):
     """The sorted scipy modules that `code` leaves loaded in a fresh
     interpreter, printed as a list; the demo files are there as `obs_2014`,
@@ -246,12 +235,15 @@ def test_fit_and_simulate_need_no_scipy(tmp_path):
     assert written[0] == written[1]
 
 
-def test_fit_non_finite_end_point_warns_nothing(tmp_path):
-    """The overflow of exp(-b/trg) at such a start is reported through the
-    unconverged fit, not as a RuntimeWarning."""
+@pytest.mark.parametrize("start", ["40,-10000,0,0,0,0,1", "0,-10000,0,0,0,0,1"],
+                         ids=["overflow", "zero-times-inf"])
+def test_fit_non_finite_end_point_warns_nothing(tmp_path, start):
+    """The overflow of exp(-b/trg) at such a start, and with a = 0 the
+    0 * inf it meets at the start, are reported through the unconverged fit,
+    not as a RuntimeWarning."""
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        code = run("fit", "--family", "with-id", "--start", "40,-10000,0,0,0,0,1",
+        code = run("fit", "--family", "with-id", "--start", start,
                    "--out-dir", str(tmp_path), OBS_2014)
     assert code == 2
 
@@ -403,6 +395,16 @@ def test_fit_start_that_is_not_a_number_names_the_option_and_the_cell(tmp_path, 
     assert not out.exists()
 
 
+@pytest.mark.parametrize("command", [["fit"], ["simulate", "--reps", "2", "--size", "25"]],
+                         ids=["fit", "simulate"])
+def test_empty_start_is_refused_not_ignored(tmp_path, capsys, command):
+    """`--start ""`, as an unset shell variable gives, is not the default start."""
+    out = tmp_path / "out"
+    assert run(*command, "--start", "", "--out-dir", str(out), OBS_2014) == 1
+    assert capsys.readouterr().err == "error: --start value 1 is not a number: ''\n"
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("cell", ["nan", "inf", "-inf"])
 @pytest.mark.parametrize("command", [["fit"], ["simulate", "--reps", "2", "--size", "25"]],
                          ids=["fit", "simulate"])
@@ -549,6 +551,22 @@ def test_forecast_model_from_file(tmp_path):
     assert all(r["id_source"] == "algo2" for r in rows)
     meta = json.loads((out / "forecast_meta.json").read_text())
     assert meta["config"]["inputs"] == _digests(OBS_2017, str(coef), NCEP_2017)
+
+
+def test_forecast_model_file_with_a_byte_order_mark_forecasts_the_same_bytes(tmp_path):
+    """Some Windows editors start a file with a byte-order mark; the
+    coefficients file reads as every CSV input does, with or without one."""
+    coef = tmp_path / "coef.json"
+    PRESETS["thesis-2018"].to_json(coef)
+    bom = tmp_path / "coef_bom.json"
+    bom.write_bytes(b"\xef\xbb\xbf" + coef.read_bytes())
+    written = []
+    for model in (coef, bom):
+        out = tmp_path / model.stem
+        assert run("forecast", "--ncep", NCEP_2017, "--obs", OBS_2017, "--model", str(model),
+                   "--out-dir", str(out)) == 0
+        written.append((out / "forecast.csv").read_bytes())
+    assert written[0] == written[1]
 
 
 def test_forecast_unknown_model(tmp_path):

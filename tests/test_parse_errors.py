@@ -155,6 +155,46 @@ def test_parser_error_message(tmp_path, capsys, command, text, message):
     assert capsys.readouterr().err == f"error: {message}\n"
 
 
+# the January 2014 demo month with the pc cell of 2014-01-05 written as 微量
+# in GBK, as station files often are; its lines end in \r\n
+GBK_OBS = OBS_2014.read_bytes().replace(b"2014-01-05,147,41,161,-35,0,",
+                                        "2014-01-05,147,41,161,-35,微量,".encode("gbk"))
+PARSERS = {"fit": parse_observations, "forecast": parse_observations,
+           "aggregate-ncep": parse_ncep, "validate": read_forecast_csv}
+
+
+@pytest.mark.parametrize("command,raw,message", [
+    pytest.param("fit", GBK_OBS, "row 5: not UTF-8 text (byte 0xc1)", id="obs-gbk-row"),
+    pytest.param("forecast", GBK_OBS, "row 5: not UTF-8 text (byte 0xc1)", id="forecast-obs-gbk-row"),
+    pytest.param("aggregate-ncep",
+                 (NCEP + "\n" + _slots("2017-12-01", (0,)) + "\n").encode()
+                 + b"2017-12-01,6,70,110,80,0,2\xb04\n",
+                 "row 2: not UTF-8 text (byte 0xb0)", id="ncep-latin-1-row"),
+    pytest.param("validate", (FORECAST + FC1).encode() + b"2014-01-02,120.0,algo2,band,90,150,caf\xe9\n",
+                 "row 2: not UTF-8 text (byte 0xe9)", id="forecast-latin-1-row"),
+    pytest.param("fit", b"\xef\xbb\xbf\r\n\r\n" + OBS.replace("ep", "\xe9p").encode("latin-1")
+                 + DAY1.encode(), "header: not UTF-8 text (byte 0xe9)", id="obs-header"),
+])
+def test_byte_that_is_not_utf8_names_its_row(tmp_path, capsys, command, raw, message):
+    """Rows are counted as for every other parse error: the header is the
+    first line that is not blank, and blank lines are not counted. A path
+    and a byte stream give the same message."""
+    path = tmp_path / "input.csv"
+    path.write_bytes(raw)
+    out = tmp_path / "out"
+    argv = {
+        "fit": ["fit", "--out-dir", out, path],
+        "forecast": ["forecast", "--obs", path, "--out-dir", out],
+        "aggregate-ncep": ["aggregate-ncep", "--out-dir", out, path],
+        "validate": ["validate", "--out-dir", out, path, OBS_2014],
+    }[command]
+    assert main([str(a) for a in argv]) == 1
+    assert capsys.readouterr().err == f"error: {message}\n"
+    assert not out.exists()
+    with pytest.raises(DataError, match=f"^{message}$".replace("(", r"\(").replace(")", r"\)")):
+        PARSERS[command](io.BytesIO(raw))
+
+
 COEFFICIENTS = '"b": 0.3, "c_w": 0, "c_t": 0, "c_pc": 0, "c_ep": 0, "c_id": 0.7'
 
 
@@ -168,10 +208,14 @@ COEFFICIENTS = '"b": 0.3, "c_w": 0, "c_t": 0, "c_pc": 0, "c_ep": 0, "c_id": 0.7'
           ("null", "null", "None"), ("string", '"4.5"', "'4.5'"), ("bool", "true", "True"),
           ("nan", "NaN", "nan"), ("-inf", "-Infinity", "-inf"), ("1e999", "1e999", "inf"),
           ("huge-int", "1" + "0" * 400, "1" + "0" * 400))),
+    pytest.param("{", "coefficients file: Expecting property name enclosed in double quotes: "
+                 "line 1 column 2 (char 1)", id="syntax-error"),
+    pytest.param(b'\xef\xbb\xbf{"a": 4.5, "caf\xe9": 1}', "coefficients file: not UTF-8 text (byte 0xe9)",
+                 id="not-utf-8"),
 ])
 def test_coefficients_file_error_message(tmp_path, capsys, text, message):
     model = tmp_path / "model.json"
-    model.write_text(text, encoding="utf-8")
+    model.write_bytes(text if isinstance(text, bytes) else text.encode())
     argv = ["forecast", "--model", model, "--obs", OBS_2014,
             "--out-dir", tmp_path / "out"]
     assert main([str(a) for a in argv]) == 1
