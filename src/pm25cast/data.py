@@ -217,10 +217,13 @@ def _open_text(source):
         data = source.read()
         return _decode(data) if isinstance(data, bytes) else data.removeprefix("\ufeff")
     with open(os.fspath(source), "rb") as fh:
-        return _decode(fh.read()).replace("\r\n", "\n").replace("\r", "\n")
+        text = _decode(fh.read())
+    # text mode's newline translation, in one pass as open() does it
+    return io.IncrementalNewlineDecoder(None, translate=True).decode(text, final=True)
 
 
 def _decode(data):
+    """The UTF-8 text of bytes, without a leading byte-order mark."""
     data = data.removeprefix(b"\xef\xbb\xbf")
     try:
         return data.decode("utf-8")

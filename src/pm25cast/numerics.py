@@ -201,7 +201,7 @@ def one_blas_thread():
     the thread variables of the environment. The pin is kept whatever the
     environment says. It saves no time now that each fit reads everything
     from one R-only QR; on a 2-core host it lowers the benchmark's fit-large
-    peak RSS by 0.17 MB (median of 16 pairs).
+    peak RSS by 0.17-0.30 MB (medians of two sets of paired runs).
     `cli.main` is the one caller: `gauss_newton` or `run_simulation` called
     directly are not pinned, so their bits past 10000 rows follow the
     thread count. Without OpenBLAS this does nothing.

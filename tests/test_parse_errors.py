@@ -191,8 +191,9 @@ def test_byte_that_is_not_utf8_names_its_row(tmp_path, capsys, command, raw, mes
     assert main([str(a) for a in argv]) == 1
     assert capsys.readouterr().err == f"error: {message}\n"
     assert not out.exists()
-    with pytest.raises(DataError, match=f"^{message}$".replace("(", r"\(").replace(")", r"\)")):
+    with pytest.raises(DataError) as info:
         PARSERS[command](io.BytesIO(raw))
+    assert str(info.value) == message
 
 
 COEFFICIENTS = '"b": 0.3, "c_w": 0, "c_t": 0, "c_pc": 0, "c_ep": 0, "c_id": 0.7'
