@@ -18,13 +18,12 @@ import numpy as np
 from pm25cast import (
     BiasReport,
     ModelSpec,
-    bates_curvature,
     build_frame,
+    curvature_at,
     gauss_newton,
     parse_observations,
     residual_screen,
 )
-from pm25cast.model import faces, jacobian
 
 DATA = Path(__file__).resolve().parent / "data" / "obs_201401.csv"
 
@@ -43,10 +42,7 @@ def main():
     for step, entry in enumerate(fit.trace):
         print(f"  step {step}: rss = {entry.rss:.4f}")
 
-    v1 = jacobian(spec, fit.theta, frame)
-    v2 = faces(spec, fit.theta, frame)
-
-    cur = bates_curvature(v1, v2, fit.sigma_hat)
+    cur = curvature_at(spec, fit.theta, frame, fit.sigma_hat)
     print(f"\ncurvature: intrinsic rho*K = {cur.rho_k_n:.5f}, "
           f"parameter-effects rho*K = {cur.rho_k_p:.5f}")
     print(f"critical value = {cur.critical:.4f} "

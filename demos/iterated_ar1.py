@@ -17,22 +17,15 @@ from pathlib import Path
 
 from pm25cast import (
     ModelSpec,
-    bates_curvature,
     build_frame,
+    curvature_at,
     gauss_newton,
     parse_observations,
     residual_screen,
     structural_rss,
 )
-from pm25cast.model import faces, jacobian
 
 DATA = Path(__file__).resolve().parent / "data" / "obs_201401.csv"
-
-
-def curvatures(spec, fit, frame):
-    v1 = jacobian(spec, fit.theta, frame)
-    v2 = faces(spec, fit.theta, frame)
-    return bates_curvature(v1, v2, fit.sigma_hat)
 
 
 def main():
@@ -68,7 +61,7 @@ def main():
     rho, fit, srss = best
     print(f"\nbest grid point by structural rss: rho={rho:.1f} "
           f"(struct rss {srss:.3f}, with-id baseline {base.rss:.3f})")
-    cur = curvatures(ModelSpec("iterated", rho=rho), fit, frame)
+    cur = curvature_at(ModelSpec("iterated", rho=rho), fit.theta, frame, fit.sigma_hat)
     print(f"curvature there: intrinsic {cur.rho_k_n:.4f}, "
           f"parameter-effects {cur.rho_k_p:.4f} "
           f"(critical {cur.critical:.3f})")

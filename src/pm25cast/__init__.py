@@ -17,6 +17,7 @@ from .diagnostics import (
     ResidualDiagnostics,
     bates_curvature,
     box_bias,
+    curvature_at,
     residual_screen,
 )
 from .errors import (
@@ -78,6 +79,7 @@ __all__ = [
     "bates_curvature",
     "box_bias",
     "build_frame",
+    "curvature_at",
     "eval_f",
     "f_quantile",
     "gauss_newton",

@@ -15,9 +15,9 @@ rejects, and a run with a stratum that takes `choice`'s tail shuffle.
 
 The replications are then fitted in lockstep, a stack of up to
 `FIT_STACK` replications at a time: the stack's rows go to
-`solver.fit_stack`, and the rows of its converged replications go
-straight on to the model functions and the stacked forms of
-`bates_curvature` and `ks_two_sample`, which screen them. Every stacked
+`solver.fit_stack`, and its converged replications go straight on to
+the stacked forms of `diagnostics.curvature_at` (one R factor of
+[V1 | C] per stack) and `ks_two_sample`, which screen them. Every stacked
 operation works replication by replication, so each replication's result
 is bit-for-bit the same whatever stack it shares, whatever its size, and
 whatever `workers` says; repeated runs with one seed give identical
@@ -30,7 +30,7 @@ import numpy as np
 
 from . import model
 from .data import _write_columns
-from .diagnostics import bates_curvature, finite_or_none
+from .diagnostics import curvature_at, finite_or_none
 from .errors import StratificationError
 from .numerics import ks_two_sample
 from .solver import FitResult, fit_stack, gauss_newton
@@ -361,7 +361,8 @@ def run_simulation(
     together, vectorized over replications, before any fit. Replications
     with the same observation count are fitted in lockstep stacks of up to
     `FIT_STACK`, and the converged ones of each stack are screened together
-    right after their fit. `workers` is accepted for compatibility and
+    right after their fit: one `curvature_at` call, so one factorization of
+    [V1 | C], per stack. `workers` is accepted for compatibility and
     changes neither speed nor output: everything runs on one thread.
     """
     if reps < 1:
@@ -392,15 +393,10 @@ def run_simulation(
             done = np.flatnonzero(ok & run.converged)
             if done.size == 0:
                 continue
-            screened, resid, th = stack[done], run.residuals[done], run.theta[done]
+            screened, resid = stack[done], run.residuals[done]
             sample = rows[screened]
             converged[screened] = True
-            curv = bates_curvature(
-                model.jacobian(spec, th, frame, sample),
-                model.faces(spec, th, frame, sample),
-                run.sigma_hat[done],
-                alpha=alpha,
-            )
+            curv = curvature_at(spec, run.theta[done], frame, run.sigma_hat[done], sample, alpha)
             curvature_pass[screened] = curv.planar_ok & curv.uniform_ok
             ks_p[screened] = ks_two_sample(resid, baseline.residuals).pvalue
 
@@ -430,23 +426,13 @@ def apply_correction(fit, summary, spec, frame, alpha=0.05):
     """
     corrected = gauss_newton(spec, frame, theta0=summary.theta_corrected, max_steps=0)
     theta_c = corrected.theta
-    curvature = bates_curvature(
-        model.jacobian(spec, theta_c, frame),
-        model.faces(spec, theta_c, frame),
-        corrected.sigma_hat,
-        alpha=alpha,
-    )
+    curvature = curvature_at(spec, theta_c, frame, corrected.sigma_hat, alpha=alpha)
     if spec.family == "linear":
         before = after = None
     else:
         before = model.structural_rss(fit.theta, frame)
         after = model.structural_rss(theta_c, frame)
-    return CorrectionResult(
-        fit=corrected,
-        curvature=curvature,
-        rss_observation_before=before,
-        rss_observation_after=after,
-    )
+    return CorrectionResult(corrected, curvature, before, after)
 
 
 def write_replications_csv(summary, path):

@@ -81,9 +81,7 @@ def _fit_with_diagnostics(spec, frame, args):
     )
     if not (np.isfinite(fit.rss) and np.isfinite(fit.theta).all()):
         return fit, None, None, None  # no derivatives at a non-finite end point
-    v1 = model.jacobian(spec, fit.theta, frame)
-    v2 = model.faces(spec, fit.theta, frame)
-    curv = diagnostics.bates_curvature(v1, v2, fit.sigma_hat, alpha=args.alpha)
+    curv = diagnostics.curvature_at(spec, fit.theta, frame, fit.sigma_hat, alpha=args.alpha)
     bias = diagnostics.BiasReport(curv.bias, fit.theta)
     resid = diagnostics.residual_screen(fit, frame, alpha=args.alpha)
     return fit, curv, bias, resid

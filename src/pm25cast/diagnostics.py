@@ -22,6 +22,8 @@ Mean-square curvatures come from the closed-form sphere integral; reports
 carry them premultiplied by rho = sigma_hat*sqrt(q) so they compare
 directly against 1/sqrt(F(q, n-q, alpha)). `bates_curvature` also takes a
 stack of fits (the bootstrap screens each stack of refits in one call).
+`curvature_at` runs the pass at theta, from `model.jacobian` and
+`model.faces` there; `fit`, the bootstrap screen and the correction use it.
 """
 
 import math
@@ -190,6 +192,14 @@ def bates_curvature(v1, v2, sigma_hat, alpha=0.05):
     if single:
         rho_k_n, rho_k_p, bias = float(rho_k_n[0]), float(rho_k_p[0]), bias[0]
     return CurvatureReport(rho_k_n, rho_k_p, critical, alpha, bias)
+
+
+def curvature_at(spec, theta, frame, sigma_hat, rows=None, alpha=0.05):
+    """`bates_curvature` of the model at `theta` on frame `rows` (None for
+    every row): one fit, or a (k, q) stack of thetas over a (k, m) stack of
+    samples with (k,) `sigma_hat`. The report's `bias` is Box's bias there."""
+    v1, v2 = model.jacobian(spec, theta, frame, rows), model.faces(spec, theta, frame, rows)
+    return bates_curvature(v1, v2, sigma_hat, alpha)
 
 
 def box_bias(v1, v2, sigma_hat, theta_hat):

@@ -17,6 +17,7 @@ from pm25cast import (
     bates_curvature,
     box_bias,
     build_frame,
+    curvature_at,
     gauss_newton,
     residual_screen,
 )
@@ -333,6 +334,26 @@ def test_stacked_support_route_is_each_fit_alone(family):
         dense = bates_curvature(v1[k], hessian_cube(spec, thetas[k], frame, rows[k]), sigma[k])
         assert dense.rho_k_n == pytest.approx(one.rho_k_n, rel=1e-9, abs=1e-12)
         assert dense.rho_k_p == pytest.approx(one.rho_k_p, rel=1e-9, abs=1e-12)
+
+
+@pytest.mark.parametrize("family", list(FAMILIES))
+def test_curvature_at_is_the_pass_on_the_model_derivatives(family):
+    """`curvature_at` gives `bates_curvature` of `jacobian` and `faces` at
+    theta bit for bit: on the whole frame, and on a stack of samples."""
+    spec = ModelSpec(family, rho=0.3 if family == "iterated" else None)
+    frame = build_frame(synthetic_records(n=60, seed=9))
+    fit = gauss_newton(spec, frame)
+    rows = np.array([np.arange(k, k + 30) for k in (0, 7, 13, 30)])
+    thetas = np.array([fit.theta * (1.0 + 0.01 * k) for k in range(4)])
+    sigma = np.array([0.5, 1.0, 2.0, 3.0])
+    for theta, sig, sample in ((fit.theta, fit.sigma_hat, None), (thetas, sigma, rows)):
+        want = bates_curvature(jacobian(spec, theta, frame, sample),
+                               faces(spec, theta, frame, sample), sig, 0.1)
+        got = curvature_at(spec, theta, frame, sig, sample, alpha=0.1)
+        for name in ("rho_k_n", "rho_k_p", "bias"):
+            pair = [np.asarray(getattr(rep, name)).tobytes() for rep in (got, want)]
+            assert pair[0] == pair[1]
+        assert (got.critical, got.alpha) == (want.critical, 0.1)
 
 
 def test_mis_shaped_face_entries_are_refused(synth_frame):
