@@ -234,7 +234,10 @@ def cmd_validate(args):
 
 
 def cmd_aggregate_ncep(args):
-    daily = data.aggregate_ncep(data.parse_ncep(args.ncep))
+    six_hourly = data.parse_ncep(args.ncep)
+    if not six_hourly.date.size:
+        raise Pm25CastError("no six-hourly rows to aggregate")
+    daily = data.aggregate_ncep(six_hourly)
     out = Path(args.out_dir)
     out.mkdir(parents=True, exist_ok=True)
     data.write_aggregated_csv(daily, out / "ncep_daily.csv")

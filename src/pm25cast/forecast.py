@@ -124,11 +124,12 @@ class FrozenModel:
     @classmethod
     def from_json(cls, path):
         """FrozenModel of a JSON object holding every coefficient as a
-        finite number, read as UTF-8 with or without a byte-order mark."""
+        finite number, read as UTF-8 with or without a byte-order mark. A
+        key given twice is refused, as a repeated CSV column is."""
         with open(path, "rb") as fh:
             data = fh.read()
         try:
-            raw = json.loads(data.decode("utf-8-sig"))
+            raw = json.loads(data.decode("utf-8-sig"), object_pairs_hook=_unique_keys)
         except UnicodeDecodeError as exc:
             byte = exc.object[exc.start]
             raise DataError(f"coefficients file: not UTF-8 text (byte {byte:#04x})") from None
@@ -147,6 +148,16 @@ class FrozenModel:
                 raise DataError(f"coefficients file: {key} must be a finite number, got {value!r}")
             values[key] = float(value)
         return cls(**values)
+
+
+def _unique_keys(pairs):
+    """A JSON object's (key, value) pairs as a dict, refused if a key repeats."""
+    raw = {}
+    for key, value in pairs:
+        if key in raw:
+            raise DataError(f"coefficients file: repeated key {key!r}")
+        raw[key] = value
+    return raw
 
 
 # Bias-corrected estimate shipped as the default coefficient set.

@@ -13,6 +13,7 @@ from pm25cast import (
     StratificationError,
     bootstrap,
     build_frame,
+    diagnostics,
     gauss_newton,
     model,
     run_simulation,
@@ -23,6 +24,7 @@ from pm25cast.bootstrap import (
     summary_dict,
     write_replications_csv,
 )
+from pm25cast.numerics import r_factor
 
 from conftest import jan2014_records, noise_free_frame, obs_rows, obs_table, synthetic_records
 
@@ -546,6 +548,25 @@ def test_zero_bias_correction_is_identity(month_frame, month_fit):
     out = apply_correction(month_fit, s, spec, month_frame)
     assert np.allclose(out.fit.theta, month_fit.theta, atol=1e-9)
     assert out.fit.rss == pytest.approx(month_fit.rss, rel=1e-9)
+
+
+def test_simulation_factors_once_per_screened_stack_and_once_for_the_correction(
+        month_frame, month_fit, monkeypatch):
+    """The screen factors [V1 | C] once for each stack of converged
+    replications (here two stacks of up to FIT_STACK), and the correction
+    once at theta_corrected: curvature and Box bias share every factor."""
+    spec = ModelSpec("with-id")
+    shapes = []
+
+    def counted(a, q):
+        shapes.append(a.shape)
+        return r_factor(a, q)
+
+    monkeypatch.setattr(diagnostics, "r_factor", counted)
+    s = run_simulation(spec, month_frame, month_fit, reps=200, size=25, seed=11)
+    apply_correction(month_fit, s, spec, month_frame)
+    assert shapes == [(99, 25, 9), (100, 25, 9), (1, month_frame.n, 9)]
+    assert s.converged_count == 199
 
 
 # ---------------------------------------------------------------- artifacts

@@ -13,6 +13,7 @@ from pathlib import Path
 import pytest
 
 import pm25cast
+from pm25cast import data
 from pm25cast.cli import build_parser, main
 from pm25cast.forecast import PRESETS
 
@@ -505,6 +506,20 @@ def test_aggregate_ncep(tmp_path):
     # two days collapse to a zero range, one to a negative range
     assert float(rows[2]["trg"]) == 0.0
     assert float(rows[9]["trg"]) < 0.0
+
+
+def test_aggregate_ncep_with_no_rows_exits_1_and_writes_nothing(tmp_path, capsys):
+    """A header with no rows is refused, as `fit`, `forecast` and `validate`
+    refuse an input that leaves them nothing to do; the library call still
+    collapses it to an empty table."""
+    ncep = tmp_path / "ncep.csv"
+    ncep.write_text("date,slot,t,tmax,tmin,pc,w\n")
+    out = tmp_path / "agg"
+    assert run("aggregate-ncep", "--out-dir", str(out), str(ncep)) == 1
+    assert capsys.readouterr().err == "error: no six-hourly rows to aggregate\n"
+    assert not out.exists()
+    daily = data.aggregate_ncep(data.parse_ncep(ncep))
+    assert all(getattr(daily, f.name).size == 0 for f in dataclasses.fields(daily))
 
 
 # ---------------------------------------------------------------- forecast

@@ -203,6 +203,8 @@ COEFFICIENTS = '"b": 0.3, "c_w": 0, "c_t": 0, "c_pc": 0, "c_ep": 0, "c_id": 0.7'
     pytest.param("[4.5, 0.3]", "coefficients file must hold a JSON object", id="list"),
     pytest.param('"a"', "coefficients file must hold a JSON object", id="string"),
     pytest.param('{"b": 0.3}', "coefficients file missing key 'a'", id="missing-key"),
+    pytest.param(f'{{"a": 4.567223, "a": 99, {COEFFICIENTS}}}',
+                 "coefficients file: repeated key 'a'", id="duplicate-key"),
     *(pytest.param(f'{{"a": {value}, {COEFFICIENTS}}}',
                    f"coefficients file: a must be a finite number, got {shown}", id=f"a-{name}")
       for name, value, shown in (

@@ -14,7 +14,7 @@ from pm25cast import (
     build_frame,
     gauss_newton,
 )
-from pm25cast import model, solver
+from pm25cast import model, numerics, solver
 from pm25cast.model import jacobian
 from pm25cast.numerics import vecdot
 from pm25cast.solver import fit_stack, write_trace_csv
@@ -461,6 +461,32 @@ def test_iterated_fit_on_january_2014_is_pinned(spec, theta, rss):
     assert fit.converged
     assert np.allclose(fit.theta, theta, rtol=1e-10, atol=0.0)
     assert fit.rss == pytest.approx(rss, rel=1e-10)
+
+
+@pytest.mark.parametrize("family", ["initial", "with-id"])
+@pytest.mark.parametrize("records", [jan2014_records, lambda: synthetic_records(n=365, seed=3)],
+                         ids=["jan2014", "synthetic-365"])
+def test_fit_is_the_global_minimum_of_the_theta2_profile(family, records):
+    """Given th2 the model is linear in the other parameters, so the RSS
+    profiled over them is the squared corner of one R factor of
+    [exp(-th2/trg), w, t, pc, ep(, id) | lpm]. On a grid of th2 over
+    +-[1e-3, 1e4], no profile point lies below the fit's RSS, and the
+    profile at th2-hat is that RSS. A grid point whose exponential column
+    overflows or vanishes faults in `r_factor` and is skipped."""
+    spec, frame = ModelSpec(family), build_frame(records())
+    fit = gauss_newton(spec, frame)
+    assert fit.converged
+    grid = np.concatenate([[fit.theta[1]], -np.logspace(-3, 4, 350), np.logspace(-3, 4, 350)])
+    linear = [getattr(frame, name) for name in ("w", "t", "pc", "ep", "id")[: spec.q - 2]]
+    with np.errstate(over="ignore"):
+        expo = np.exp(-grid[:, None] / frame.trg)
+    cols = np.broadcast_arrays(expo, *linear, frame.lpm)
+    r_mat, fault = numerics.r_factor(np.stack(cols, axis=-1), spec.q - 1)
+    factored = np.array([f is None for f in fault])
+    profile = r_mat[:, -1, -1] ** 2
+    assert factored[0] and profile[0] == pytest.approx(fit.rss, rel=1e-12, abs=0.0)
+    assert factored.sum() >= 0.8 * grid.size
+    assert profile[factored].min() >= fit.rss * (1.0 - 1e-12)
 
 
 def test_write_trace_csv(tmp_path, synth_frame):
