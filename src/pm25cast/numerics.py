@@ -432,41 +432,19 @@ def _midranks(x):
     return ranks
 
 
-def _ecdf_distance(a_sorted, b_sorted):
-    """Sup-distance between the ECDF of each row of `a_sorted` and that of `b_sorted`.
-
-    Both ECDFs are taken over the pooled points of a row and b, as
-    searchsorted(sample, pooled, side="right") / size, but b is searched
-    once for all rows together.
-    """
-    k, na = a_sorted.shape
-    nb = b_sorted.size
-    # at the points of b: #{a <= b_j} = #{i : #{b < a_i} <= j}
-    below = np.searchsorted(b_sorted, a_sorted, side="left")
-    bins = (below + (nb + 1) * np.arange(k)[:, None]).ravel()
-    hist = np.bincount(bins, minlength=k * (nb + 1)).reshape(k, nb + 1)
-    a_at_b = np.cumsum(hist, axis=1)[:, :nb] / na
-    b_at_b = np.searchsorted(b_sorted, b_sorted, side="right") / nb
-    # at the points of a: #{a <= a_i} is one past the last tie of a_i
-    ends = np.where(
-        np.concatenate([a_sorted[:, 1:] != a_sorted[:, :-1], np.ones((k, 1), bool)], axis=1),
-        np.arange(1, na + 1),
-        na,
-    )
-    a_at_a = np.minimum.accumulate(ends[:, ::-1], axis=1)[:, ::-1] / na
-    b_at_a = np.searchsorted(b_sorted, a_sorted, side="right") / nb
-    return np.maximum(
-        np.abs(a_at_a - b_at_a).max(axis=1, initial=0.0),
-        np.abs(a_at_b - b_at_b).max(axis=1, initial=0.0),
-    )
-
-
 def ks_two_sample(a, b):
     """Two-sample Kolmogorov-Smirnov test with the asymptotic p-value.
 
-    D is the sup-distance between the two empirical CDFs evaluated over
-    the pooled sample; p = K(sqrt(na*nb/(na+nb)) * D) where K is the
-    Kolmogorov survival function. Identical samples give (0, 1).
+    D is the sup-distance between the two empirical CDFs; p =
+    K(sqrt(na*nb/(na+nb)) * D) where K is the Kolmogorov survival function.
+    Identical samples give (0, 1).
+
+    F_a is flat between the points of `a`, so the sup is reached at one of
+    them or just below one. At a point F_a is the last position of its tie
+    group over na, just below it the first position less one; F_b there is
+    b's count of points <= it (or < it) over nb. Every candidate is such a
+    pair of counts, and the largest is a difference of the ECDFs over the
+    pooled sample, so D has the bits of the pooled-points sup.
 
     A 2-d `a` is a stack of samples, one per row, each tested against the
     same `b`; statistic and p-value are then arrays with one entry per row.
@@ -475,8 +453,19 @@ def ks_two_sample(a, b):
     b = np.sort(np.asarray(b, dtype=float))
     if a.shape[-1] == 0 or b.size == 0:
         raise ValueError("both samples must be non-empty")
-    d = _ecdf_distance(np.sort(a.reshape(-1, a.shape[-1]), axis=-1), b)
-    en = np.sqrt(a.shape[-1] * b.size / (a.shape[-1] + b.size))
+    rows = np.sort(a.reshape(-1, a.shape[-1]), axis=-1)
+    na, nb = rows.shape[1], b.size
+    # step[:, j]: a tie group ends before position j (0 < j < na) or j is an end
+    step = np.ones((rows.shape[0], na + 1), bool)
+    step[:, 1:-1] = rows[:, 1:] != rows[:, :-1]
+    pos = np.arange(na + 1)
+    first = np.maximum.accumulate(np.where(step[:, :-1], pos[:-1], 0), axis=1)
+    last = np.minimum.accumulate(np.where(step[:, :0:-1], pos[:0:-1], na), axis=1)[:, ::-1]
+    d = np.maximum(
+        np.abs(last / na - np.searchsorted(b, rows, side="right") / nb).max(axis=1),
+        np.abs(first / na - np.searchsorted(b, rows, side="left") / nb).max(axis=1),
+    )
+    en = np.sqrt(na * nb / (na + nb))
     p = _elementwise(_kolmogorov_sf, en * d)
     if a.ndim == 1:
         return TestResult(float(d[0]), float(p[0]))
