@@ -104,10 +104,14 @@ class FrozenModel:
 
     @classmethod
     def from_lpm_params(cls, theta):
-        """Convert a 7-parameter log-scale estimate to concentration scale."""
+        """Convert a 7-parameter log-scale estimate, every entry finite, to
+        concentration scale."""
         theta = [float(v) for v in theta]
         if len(theta) != 7:
             raise ValueError("need exactly 7 parameters")
+        for j, value in enumerate(theta):
+            if not math.isfinite(value):
+                raise ValueError(f"theta{j + 1} must be finite, got {value!r}")
         return cls(
             a=theta[0] / 10.0,
             b=theta[1],
@@ -184,8 +188,8 @@ class IntervalProfile:
     def __post_init__(self):
         if self.kind not in ("standard", "ncep"):
             raise ValueError(f"unknown profile kind {self.kind!r}")
-        if self.r <= 0:
-            raise ValueError("r must be positive")
+        if not 0 < self.r < math.inf:
+            raise ValueError(f"r must be positive and finite, got {self.r!r}")
 
     @property
     def offsets(self):
@@ -264,7 +268,7 @@ def _id_from_pm(pm):
 
 def predict_id_algo1(prev_pm):
     """Indicator from the previous day's observed concentration."""
-    if prev_pm is None or prev_pm <= 0:
+    if prev_pm is None or not prev_pm > 0:
         raise DataError("previous-day concentration unavailable or nonpositive")
     return int(_id_from_pm(prev_pm)[0])
 

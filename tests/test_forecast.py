@@ -64,6 +64,16 @@ def test_from_lpm_params_needs_seven_values():
         FrozenModel.from_lpm_params([45.0, 0.3, 0.0, 0.0, 0.0, 0.0])
 
 
+@pytest.mark.parametrize("j", [0, 1, 6])
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_from_lpm_params_refuses_a_non_finite_parameter(j, bad):
+    """A non-finite theta would give a model whose JSON `from_json` refuses."""
+    theta = [45.67223, 0.34431, -0.02258, -0.00109, -0.00912, -0.05976, 7.36975]
+    theta[j] = bad
+    with pytest.raises(ValueError, match=rf"^theta{j + 1} must be finite, got {bad!r}$"):
+        FrozenModel.from_lpm_params(theta)
+
+
 def test_model_json_roundtrip(tmp_path):
     path = tmp_path / "coef.json"
     MODEL.to_json(path)
@@ -137,6 +147,7 @@ def test_algo1_thresholds():
     assert predict_id_algo1(100.0) == 0
     assert predict_id_algo1(math.exp(5.0)) == 0
     assert predict_id_algo1(200.0) == 1
+    assert predict_id_algo1(math.inf) == 1
 
 
 def test_algo1_round_trip_against_frame_indicator():
@@ -163,6 +174,9 @@ def test_algo1_requires_previous_value():
         predict_id_algo1(None)
     with pytest.raises(DataError):
         predict_id_algo1(0.0)
+    # a nan pm is a missing day, as forecast_series reads it
+    with pytest.raises(DataError, match="^previous-day concentration unavailable or nonpositive$"):
+        predict_id_algo1(math.nan)
 
 
 def algo2_ids(model, p):
@@ -249,8 +263,9 @@ def test_interval_refuses_nan_and_puts_inf_in_the_high_arm():
 
 
 def test_profile_validation():
-    with pytest.raises(ValueError):
-        IntervalProfile(kind="standard", r=0.0)
+    for r in (0.0, math.nan, math.inf):
+        with pytest.raises(ValueError, match="^r must be positive and finite"):
+            IntervalProfile(kind="standard", r=r)
     with pytest.raises(ValueError):
         IntervalProfile(kind="narrow", r=20.0)
     assert IntervalProfile(kind="standard", r=20.0).offsets == (20.0, 30.0)
