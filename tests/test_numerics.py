@@ -5,6 +5,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 import scipy.stats
+from hypothesis import example, given, settings, strategies as st
 
 from pm25cast import RankDeficiencyError
 from pm25cast import numerics
@@ -522,6 +523,9 @@ def test_ks_hand_case():
     assert abs(d - 1.0 / 3.0) < 1e-12
     en = math.sqrt(9.0 / 6.0)
     assert abs(p - scipy.stats.kstwobign.sf(en * d)) < 1e-12
+    # ties count through their last member: F_a(2) = 1 = F_b(2), and below 2
+    # both are 0 (reading F_a at the first tie as 1/2 would give D = 0.5)
+    assert ks_two_sample(np.array([2.0, 2.0]), np.array([2.0])) == (0.0, 1.0)
 
 
 def test_ks_stack_matches_one_sample_at_a_time():
@@ -533,6 +537,36 @@ def test_ks_stack_matches_one_sample_at_a_time():
     a = np.round(rng.standard_normal((9, 25)), 1)
     a[0] = b[:25]
     a[1, :5] = a[1, 0]
+    stacked = ks_two_sample(a, b)
+    for row, d, p in zip(a, stacked.statistic, stacked.pvalue):
+        one = ks_two_sample(row, b)
+        sorted_a, sorted_b = np.sort(row), np.sort(b)
+        pooled = np.concatenate([sorted_a, sorted_b])
+        brute = np.max(np.abs(np.searchsorted(sorted_a, pooled, side="right") / row.size
+                              - np.searchsorted(sorted_b, pooled, side="right") / b.size))
+        assert one.statistic == d == brute
+        assert one.pvalue == p
+
+
+@st.composite
+def _ks_samples(draw):
+    """(a, b): a stack of 1-6 rows of 1-30 values and a b of 1-60 values,
+    all from a grid of 9 integers, so that ties within a row and with b are
+    common."""
+    value = st.integers(-4, 4).map(float)
+    k, na = draw(st.integers(1, 6)), draw(st.integers(1, 30))
+    a = np.array(draw(st.lists(st.lists(value, min_size=na, max_size=na), min_size=k, max_size=k)))
+    return a, np.array(draw(st.lists(value, min_size=1, max_size=60)))
+
+
+@settings(max_examples=300, deadline=None)
+@given(samples=_ks_samples())
+@example(samples=(np.array([[2.0, 2.0]]), np.array([2.0])))
+def test_ks_statistic_is_the_sup_over_the_pooled_points(samples):
+    """Each row's D is bit-equal to sup |F_a - F_b| over the pooled points,
+    both ECDFs read there by searchsorted, and the stacked call gives the
+    per-row calls' statistics and p-values."""
+    a, b = samples
     stacked = ks_two_sample(a, b)
     for row, d, p in zip(a, stacked.statistic, stacked.pvalue):
         one = ks_two_sample(row, b)
