@@ -442,9 +442,9 @@ def ks_two_sample(a, b):
     F_a is flat between the points of `a`, so the sup is reached at one of
     them or just below one. At a point F_a is the last position of its tie
     group over na, just below it the first position less one; F_b there is
-    b's count of points <= it (or < it) over nb. Every candidate is such a
-    pair of counts, and the largest is a difference of the ECDFs over the
-    pooled sample, so D has the bits of the pooled-points sup.
+    b's count of points <= it (or < it) over nb. Every candidate is a count
+    over na less a count over nb, and the largest is also the value at a
+    pooled point, so D has the bits of the sup over the pooled sample.
 
     A 2-d `a` is a stack of samples, one per row, each tested against the
     same `b`; statistic and p-value are then arrays with one entry per row.
@@ -455,10 +455,11 @@ def ks_two_sample(a, b):
         raise ValueError("both samples must be non-empty")
     rows = np.sort(a.reshape(-1, a.shape[-1]), axis=-1)
     na, nb = rows.shape[1], b.size
-    # step[:, j]: a tie group ends before position j (0 < j < na) or j is an end
+    # step[:, j]: rows[:, j - 1] and rows[:, j] differ, or j is an end of the row
     step = np.ones((rows.shape[0], na + 1), bool)
     step[:, 1:-1] = rows[:, 1:] != rows[:, :-1]
     pos = np.arange(na + 1)
+    # per point, #{a < point} and #{a <= point}: where its tie group starts and ends
     first = np.maximum.accumulate(np.where(step[:, :-1], pos[:-1], 0), axis=1)
     last = np.minimum.accumulate(np.where(step[:, :0:-1], pos[:0:-1], na), axis=1)[:, ::-1]
     d = np.maximum(
