@@ -5,7 +5,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 import scipy.stats
-from hypothesis import example, given, settings, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from pm25cast import RankDeficiencyError
 from pm25cast import numerics
@@ -561,7 +561,6 @@ def _ks_samples(draw):
 
 @settings(max_examples=300, deadline=None)
 @given(samples=_ks_samples())
-@example(samples=(np.array([[2.0, 2.0]]), np.array([2.0])))
 def test_ks_statistic_is_the_sup_over_the_pooled_points(samples):
     """Each row's D is bit-equal to sup |F_a - F_b| over the pooled points,
     both ECDFs read there by searchsorted, and the stacked call gives the
