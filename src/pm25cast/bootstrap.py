@@ -30,7 +30,7 @@ import numpy as np
 
 from . import model
 from .data import _write_columns
-from .diagnostics import curvature_at, finite_or_none
+from .diagnostics import curvature_at
 from .errors import StratificationError
 from .numerics import ks_two_sample
 from .solver import FitResult, fit_stack, gauss_newton
@@ -446,11 +446,7 @@ def write_replications_csv(summary, path):
 
 
 def summary_dict(summary):
-    """JSON-ready view of a BootstrapSummary (omits the per-replication arrays)."""
-
-    def listed(arr):
-        return [finite_or_none(v) for v in arr]
-
+    """Report view of a BootstrapSummary (omits the per-replication arrays)."""
     return {
         "replications": summary.replications,
         "converged": summary.converged_count,
@@ -460,8 +456,8 @@ def summary_dict(summary):
         "identical_residuals": summary.identical_residual_count,
         "min_ks_pass": summary.min_ks_pass,
         "gate_ok": summary.gate_ok,
-        "bias": listed(summary.bias),
-        "std": listed(summary.std),
-        "mse": listed(summary.mse),
-        "theta_corrected": listed(summary.theta_corrected),
+        "bias": summary.bias,
+        "std": summary.std,
+        "mse": summary.mse,
+        "theta_corrected": summary.theta_corrected,
     }

@@ -88,17 +88,15 @@ def _fit_with_diagnostics(spec, frame, args):
 
 
 def _fit_summary(fit, frame):
-    # a fit that stopped at a non-finite point has no JSON number for it: null
-    clean = diagnostics.finite_or_none
     return {
         "family": fit.spec.family,
         "rho": fit.spec.rho,
-        "theta": [clean(v) for v in fit.theta],
-        "rss": clean(fit.rss),
-        "sigma_hat": clean(fit.sigma_hat),
+        "theta": fit.theta,
+        "rss": fit.rss,
+        "sigma_hat": fit.sigma_hat,
         "converged": fit.converged,
         "steps": fit.steps,
-        "n_observations": int(fit.residuals.size),
+        "n_observations": fit.residuals.size,
         "rows_dropped": [[d.isoformat(), reason] for d, reason in frame.drop_log],
     }
 
@@ -156,7 +154,7 @@ def cmd_simulate(args):
     if summary.converged_count:
         correction = bootstrap.apply_correction(baseline, summary, spec, frame, alpha=args.alpha)
         corrected = {
-            "theta": [float(v) for v in correction.fit.theta],
+            "theta": correction.fit.theta,
             "rss_model_scale": correction.fit.rss,
             "rss_observation_before": correction.rss_observation_before,
             "rss_observation_after": correction.rss_observation_after,

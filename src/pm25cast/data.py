@@ -40,9 +40,7 @@ def id_from_lpm(lpm):
     """
     arr = np.asarray(lpm, dtype=float)
     out = np.where(arr <= ID_LOW_CUT, -1.0, np.where(arr <= ID_HIGH_CUT, 0.0, 1.0))
-    if arr.ndim == 0:
-        return float(out)
-    return out
+    return float(out) if arr.ndim == 0 else out
 
 
 def lpm_from_pm(pm):
@@ -176,16 +174,8 @@ class ModelFrame:
     def subset(self, indices):
         """Row subset in the given order; indices must keep dates sorted."""
         idx = np.asarray(indices, dtype=int)
-        return ModelFrame(
-            dates=self.dates[idx],
-            lpm=self.lpm[idx],
-            trg=self.trg[idx],
-            t=self.t[idx],
-            w=self.w[idx],
-            pc=self.pc[idx],
-            ep=self.ep[idx],
-            id=self.id[idx],
-        )
+        columns = ("dates", "lpm", "trg", "t", "w", "pc", "ep", "id")
+        return ModelFrame(**{name: getattr(self, name)[idx] for name in columns})
 
 
 def _write_columns(path, header, columns):
@@ -202,9 +192,20 @@ def _write_columns(path, header, columns):
         fh.write("\r\n".join([",".join(header), *map(",".join, zip(*cells)), ""]))
 
 
+def _json_ready(value):
+    """value in Python types, each non-finite float None (JSON has no nan)."""
+    if isinstance(value, (np.ndarray, np.generic)):
+        value = value.tolist()
+    if isinstance(value, dict):
+        return {key: _json_ready(v) for key, v in value.items()}
+    if isinstance(value, (list, tuple)):
+        return [_json_ready(v) for v in value]
+    return None if isinstance(value, float) and not math.isfinite(value) else value
+
+
 def _write_json(payload, path):
     with open(path, "w", encoding="utf-8") as fh:
-        json.dump(payload, fh, indent=2, ensure_ascii=False)
+        json.dump(_json_ready(payload), fh, indent=2, ensure_ascii=False, allow_nan=False)
         fh.write("\n")
 
 
@@ -363,6 +364,14 @@ def parse_observations(source):
     return Observations(date=date, **{name: _float_column(cells[name], name) for name in cells})
 
 
+def _increasing(date):
+    """date, refused with a DataError unless strictly increasing."""
+    back = np.flatnonzero(date[1:] <= date[:-1])
+    if back.size:
+        raise DataError(f"records out of order: {date[back[0] + 1]} follows {date[back[0]]}")
+    return date
+
+
 def build_frame(table):
     """Assemble a ModelFrame from an Observations table.
 
@@ -371,12 +380,7 @@ def build_frame(table):
     0) or "zero temperature range" (tmax == tmin). Emitted + dropped row
     counts always equal the input count. Dates must be strictly increasing.
     """
-    date = table.date
-    out_of_order = np.flatnonzero(date[1:] <= date[:-1])
-    if out_of_order.size:
-        i = out_of_order[0]
-        raise DataError(f"records out of order: {date[i + 1]} follows {date[i]}")
-
+    date = _increasing(table.date)
     trg = table.tmax - table.tmin
     reason = np.select([~table.complete, ~(table.pm > 0), trg == 0.0],
                        ["missing field", "nonpositive concentration", "zero temperature range"],

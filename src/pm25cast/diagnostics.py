@@ -247,18 +247,11 @@ def residual_screen(fit, frame, alpha=0.05):
     )
 
 
-def finite_or_none(value):
-    """`value` as a float, or None (JSON null) when it is not finite."""
-    value = float(value)
-    return value if math.isfinite(value) else None
-
-
 def diagnostics_report(curvature, bias, residuals):
-    """JSON-ready dict combining the three diagnostic blocks.
+    """Dict combining the three diagnostic blocks, for data._write_json.
 
-    Curvature and bias values appear raw and rounded to 5 decimals; nan
-    percent-bias markers become null. A block passed as None (not
-    computed) is written as null.
+    Curvature and bias values appear raw and rounded to 5 decimals. A
+    block passed as None (not computed) is written as null.
     """
     report = {"curvature": None, "box_bias": None, "residuals": None}
     if curvature is not None:
@@ -268,16 +261,16 @@ def diagnostics_report(curvature, bias, residuals):
             "rho_k_n_rounded": round(curvature.rho_k_n, 5),
             "rho_k_p_rounded": round(curvature.rho_k_p, 5),
             "critical": curvature.critical,
-            "thresholds": list(curvature.thresholds),
+            "thresholds": curvature.thresholds,
             "planar_ok": curvature.planar_ok,
             "uniform_ok": curvature.uniform_ok,
             "alpha": curvature.alpha,
         }
     if bias is not None:
         report["box_bias"] = {
-            "bias": [float(v) for v in bias.bias],
+            "bias": bias.bias,
             "bias_rounded": [round(float(v), 5) for v in bias.bias],
-            "percent_bias": [finite_or_none(v) for v in bias.percent_bias],
+            "percent_bias": bias.percent_bias,
         }
     if residuals is not None:
         report["residuals"] = {

@@ -21,8 +21,8 @@ from typing import NamedTuple
 import numpy as np
 
 from .data import (
-    ONE_DAY, _convert, _floats, _iso_dates, _open_text, _read_columns, _write_columns,
-    _write_json, id_from_lpm, lpm_from_pm,
+    ONE_DAY, _convert, _floats, _increasing, _iso_dates, _open_text, _read_columns,
+    _write_columns, _write_json, id_from_lpm, lpm_from_pm,
 )
 from .errors import DataError
 from .numerics import _elementwise
@@ -273,15 +273,19 @@ def predict_id_algo1(prev_pm):
     return int(_id_from_pm(prev_pm)[0])
 
 
+def _arms(pm_hat):
+    """The arm of each pm_hat: low below LOW_ARM_CUT, high above HIGH_ARM_CUT."""
+    return np.where(pm_hat < LOW_ARM_CUT, "low", np.where(pm_hat > HIGH_ARM_CUT, "high", "band"))
+
+
 def _intervals(pm_hat, profile):
     """(arm, lo, hi) columns of the interval forecasts around pm_hat."""
     bad = ~(pm_hat > 0)
     if bad.any():
         raise ValueError(f"pm_hat must be positive, got {pm_hat[bad][0]}")
     d_lo, d_hi = profile.offsets
-    low = pm_hat < LOW_ARM_CUT
-    high = pm_hat > HIGH_ARM_CUT
-    arm = np.where(low, "low", np.where(high, "high", "band"))
+    arm = _arms(pm_hat)
+    low, high = arm == "low", arm == "high"
     lo = np.where(low, 0.0, np.where(high, HIGH_ARM_CUT, np.maximum(pm_hat - d_lo, 0.0)))
     hi = np.where(low, LOW_ARM_CUT, np.where(high, math.inf, pm_hat + d_hi))
     return arm, lo, hi
@@ -379,10 +383,10 @@ def predictors_from_aggregated(daily, observations):
 
 
 def predictors_from_records(obs):
-    """Predictor rows straight from the complete rows of an Observations table."""
-    return _predictor_table(
-        obs.complete, "missing field", obs.date, obs.tmax - obs.tmin, obs.w, obs.t, obs.pc, obs.ep
-    )
+    """Predictor rows straight from the complete rows of an Observations
+    table, whose dates must be strictly increasing as in build_frame."""
+    return _predictor_table(obs.complete, "missing field", _increasing(obs.date),
+                            obs.tmax - obs.tmin, obs.w, obs.t, obs.pc, obs.ep)
 
 
 def write_forecast_csv(table, path):
@@ -393,24 +397,29 @@ def write_forecast_csv(table, path):
 def read_forecast_csv(path):
     """ForecastTable of a forecast CSV.
 
-    A cell that does not parse makes its row malformed. pm_hat must be
-    positive; an infinite one is an overflowing forecast and is kept. lo
-    and hi must not be nan, lo must not exceed hi, a low row must record
-    (0, LOW_ARM_CUT) and a high row (HIGH_ARM_CUT, inf), arm must be one of
-    ARMS and id_source one of ID_SOURCES.
+    A cell that does not parse makes its row malformed. No date may repeat
+    an earlier row's. pm_hat must be positive; an infinite one is an
+    overflowing forecast and is kept. id_source must be one of ID_SOURCES
+    and arm the arm of pm_hat. lo and hi must not be nan, lo must not
+    exceed hi, a low row must record (0, LOW_ARM_CUT), a high row
+    (HIGH_ARM_CUT, inf), and a band must hold pm_hat.
     """
     cells = _read_columns(_open_text(path), FORECAST_COLUMNS)
     malformed = "malformed forecast row"
     date = _convert(cells["date"], _iso_dates, malformed)
     pm_hat, lo, hi = (_convert(cells[name], _floats, malformed) for name in ("pm_hat", "lo", "hi"))
     arm, id_source, flags = (np.array(cells[n], dtype=str) for n in ("arm", "id_source", "flags"))
-    low, high = arm == "low", arm == "high"
+    low, band, high = (arm == name for name in ARMS)
+    first = np.unique(date, return_index=True)[1]
     for name, bad in (
+        ("date", ~np.isin(np.arange(len(date)), first)),
         ("pm_hat", ~(pm_hat > 0)),
         ("id_source", ~np.isin(id_source, ID_SOURCES)),
-        ("arm", ~np.isin(arm, ARMS)),
-        ("lo", np.isnan(lo) | (lo > hi) | low & (lo != 0.0) | high & (lo != HIGH_ARM_CUT)),
-        ("hi", np.isnan(hi) | low & (hi != LOW_ARM_CUT) | high & (hi != math.inf)),
+        ("arm", arm != _arms(pm_hat)),
+        ("lo", np.isnan(lo) | (lo > hi) | low & (lo != 0.0) | high & (lo != HIGH_ARM_CUT)
+         | band & (lo > pm_hat)),
+        ("hi", np.isnan(hi) | low & (hi != LOW_ARM_CUT) | high & (hi != math.inf)
+         | band & (hi < pm_hat)),
     ):
         rows = np.flatnonzero(bad)
         if rows.size:

@@ -24,6 +24,7 @@ from pm25cast.bootstrap import (
     summary_dict,
     write_replications_csv,
 )
+from pm25cast.data import _write_json
 from pm25cast.numerics import r_factor
 
 from conftest import jan2014_records, noise_free_frame, obs_rows, obs_table, synthetic_records
@@ -348,7 +349,8 @@ def test_no_converged_replication_reported_not_raised(tmp_path):
     s = run_simulation(spec, frame, fit, reps=20, size=25, seed=0)
     assert s.converged_count == 0
     assert np.all(np.isnan(s.theta_corrected))
-    assert summary_dict(s)["theta_corrected"] == [None] * 7
+    _write_json(summary_dict(s), tmp_path / "summary.json")
+    assert json.loads((tmp_path / "summary.json").read_text())["theta_corrected"] == [None] * 7
     write_replications_csv(s, tmp_path / "reps.csv")
     rows = tmp_path.joinpath("reps.csv").read_text().strip().splitlines()[1:]
     assert len(rows) == 20 and all(row.split(",")[1] == "0" for row in rows)
@@ -402,8 +404,10 @@ def _outcome(summary):
         (ModelSpec("with-id"), jan2014_records, 25, True),
         # 60 of 365 days: lag-pair counts vary, some too small to fit
         (ModelSpec("iterated", rho=0.3), lambda: synthetic_records(n=365, seed=3), 60, False),
+        # the eighth parameter and its 9-pair face support
+        (ModelSpec("iterated-free-rho"), lambda: synthetic_records(n=365, seed=3), 60, True),
     ],
-    ids=["with-id", "with-id-replacement", "iterated-0.3"],
+    ids=["with-id", "with-id-replacement", "iterated-0.3", "iterated-free-rho"],
 )
 def test_replications_do_not_depend_on_their_block(spec, records, size, with_replacement):
     """run_simulation's output is bit-identical at any FIT_STACK size."""
@@ -581,10 +585,12 @@ def test_replication_csv_and_summary_json(tmp_path, month_frame, month_fit):
     assert len(lines) == 13
     assert lines[0].startswith("rep,converged,")
 
-    payload = json.loads(json.dumps(summary_dict(s)))
+    _write_json(summary_dict(s), tmp_path / "summary.json")
+    payload = json.loads((tmp_path / "summary.json").read_text())
     assert payload["converged"] == s.converged_count
     assert len(payload["bias"]) == 7
-    assert payload == summary_dict(s)
+    assert payload == {key: value.tolist() if isinstance(value, np.ndarray) else value
+                       for key, value in summary_dict(s).items()}
 
 
 # ---------------------------------------------------------------- dropped days

@@ -1,6 +1,7 @@
 import dataclasses
 import datetime as dt
 import io
+import json
 import math
 import re
 import types
@@ -408,6 +409,36 @@ def test_frame_csv_roundtrip(tmp_path, jan2014_frame):
     first = lines[1].split(",")
     assert first[0] == "2014-01-01"
     assert float(first[2]) == 205.0
+
+
+def _not_json(token):
+    raise ValueError(f"{token} is not JSON")
+
+
+def test_json_reports_write_every_non_finite_number_as_null(tmp_path):
+    """JSON has no nan or inf (RFC 8259, section 6): _write_json writes each
+    as null, whatever its type and wherever it sits, and a finite float as
+    its repr."""
+    bad = [math.nan, math.inf, -math.inf]
+    payload = {
+        "float": bad,
+        "scalar": tuple(np.float64(v) for v in bad),
+        "array": np.array(bad),
+        "nested": {"list": [{"tuple": (np.array([[0.1, math.nan]]), np.float32(-math.inf))}]},
+        "finite": [1 / 3, np.float64(2.5e-300), np.int64(7), np.bool_(True), None, "nan"],
+    }
+    path = tmp_path / "report.json"
+    data._write_json(payload, path)
+    text = path.read_text(encoding="utf-8")
+    assert json.loads(text, parse_constant=_not_json) == {
+        "float": [None] * 3,
+        "scalar": [None] * 3,
+        "array": [None] * 3,
+        "nested": {"list": [{"tuple": [[[0.1, None]], None]}]},
+        "finite": [1 / 3, 2.5e-300, 7, True, None, "nan"],
+    }
+    for value in (0.1, 1 / 3, 2.5e-300):
+        assert f" {value!r}" in text
 
 
 # ------------------------------------------------------------ six-hourly data

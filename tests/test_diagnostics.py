@@ -28,6 +28,7 @@ from pm25cast.diagnostics import (
     rotated_faces,
 )
 from pm25cast import cli, diagnostics
+from pm25cast.data import _write_json
 from pm25cast.model import FAMILIES, Faces, default_start, faces, hessian_cube, jacobian
 from pm25cast.numerics import qr_full, r_factor, spearman_test
 from pm25cast.solver import FitResult, TraceStep
@@ -604,18 +605,19 @@ def _manual_fit_subset(fit, frame):
 # ---------------------------------------------------------------- report
 
 
-def test_report_json_ready(synth_frame):
+def test_report_json_ready(tmp_path, synth_frame):
+    """The report's values are written as they were computed: the JSON
+    file, not the dict, is where numpy values become plain numbers."""
     fit = gauss_newton(ModelSpec("with-id"), synth_frame)
     v1 = jacobian(fit.spec, fit.theta, synth_frame)
     v2 = hessian_cube(fit.spec, fit.theta, synth_frame)
     cur = bates_curvature(v1, v2, fit.sigma_hat)
     bias = box_bias(v1, v2, fit.sigma_hat, fit.theta)
     res = residual_screen(fit, synth_frame)
-    rep = diagnostics_report(cur, bias, res)
-    text = json.dumps(rep)
-    back = json.loads(text)
+    _write_json(diagnostics_report(cur, bias, res), tmp_path / "report.json")
+    back = json.loads((tmp_path / "report.json").read_text())
     assert back["curvature"]["rho_k_n_rounded"] == round(cur.rho_k_n, 5)
     assert back["curvature"]["rho_k_n"] == cur.rho_k_n
-    assert len(back["box_bias"]["bias"]) == 7
+    assert back["box_bias"]["bias"] == bias.bias.tolist()
     assert len(back["box_bias"]["bias_rounded"]) == 7
     assert "fitted" in back["residuals"]["spearman"]

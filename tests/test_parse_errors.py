@@ -128,6 +128,17 @@ CASES = [
                  "row 1: bad lo value '0.0'", id="forecast-high-arm-bounds"),
     pytest.param("validate", FORECAST + FC1 + "2014-01-02,20.0,algo2,low,0.0,40.0,\n",
                  "row 2: bad hi value '40.0'", id="forecast-low-arm-bounds"),
+    pytest.param("validate", FORECAST + FC1 + "2014-01-02,20.0,algo1,high,150.0,inf,\n",
+                 "row 2: bad arm value 'high'", id="forecast-arm-not-of-pm-hat"),
+    pytest.param("validate", FORECAST + FC1 + "2014-01-02,100.0,algo1,band,0.0,40.0,\n",
+                 "row 2: bad hi value '40.0'", id="forecast-band-below-pm-hat"),
+    pytest.param("validate", FORECAST + FC1 + "2014-01-02,100.0,algo1,band,110.0,150.0,\n",
+                 "row 2: bad lo value '110.0'", id="forecast-band-above-pm-hat"),
+    pytest.param("validate", FORECAST + FC1 + "2014-01-02,120.0,algo2,band,90.0,150.0,\n" + FC1,
+                 "row 3: bad date value '2014-01-01'", id="forecast-repeated-date"),
+    # observations read as predictors by `forecast` without --ncep
+    pytest.param("forecast", OBS + DAY1 + DAY2 + DAY2,
+                 "records out of order: 2014-01-02 follows 2014-01-02", id="forecast-obs-repeated-date"),
 ]
 
 # Dates are exactly YYYY-MM-DD with a year from 1 to 9999, on every Python:
@@ -150,6 +161,7 @@ def test_parser_error_message(tmp_path, capsys, command, text, message):
         "fit": ["fit", "--out-dir", out, path],
         "aggregate-ncep": ["aggregate-ncep", "--out-dir", out, path],
         "validate": ["validate", "--out-dir", out, path, OBS_2014],
+        "forecast": ["forecast", "--obs", path, "--out-dir", out],
     }[command]
     assert main([str(a) for a in argv]) == 1
     assert capsys.readouterr().err == f"error: {message}\n"
