@@ -40,7 +40,9 @@ def id_from_lpm(lpm):
     """
     arr = np.asarray(lpm, dtype=float)
     out = np.where(arr <= ID_LOW_CUT, -1.0, np.where(arr <= ID_HIGH_CUT, 0.0, 1.0))
-    return float(out) if arr.ndim == 0 else out
+    if arr.ndim == 0:
+        return float(out)
+    return out
 
 
 def lpm_from_pm(pm):

@@ -410,9 +410,8 @@ def read_forecast_csv(path):
     pm_hat, lo, hi = (_convert(cells[name], _floats, malformed) for name in ("pm_hat", "lo", "hi"))
     arm, id_source, flags = (np.array(cells[n], dtype=str) for n in ("arm", "id_source", "flags"))
     low, band, high = (arm == name for name in ARMS)
-    first = np.unique(date, return_index=True)[1]
     for name, bad in (
-        ("date", ~np.isin(np.arange(len(date)), first)),
+        ("date", ~np.isin(np.arange(len(date)), np.unique(date, return_index=True)[1])),
         ("pm_hat", ~(pm_hat > 0)),
         ("id_source", ~np.isin(id_source, ID_SOURCES)),
         ("arm", arm != _arms(pm_hat)),
@@ -449,9 +448,8 @@ def inclusion_report(table, observed):
         covered = _covers(arm, lo, hi, observed)
         members = {a: arm == a for a in ARMS}
         return {
-            "rate": int(covered.sum()) / n,
-            "arms": {a: {"n": int(m.sum()), "covered": int((covered & m).sum())}
-                     for a, m in members.items()},
+            "rate": covered.sum() / n,
+            "arms": {a: {"n": m.sum(), "covered": (covered & m).sum()} for a, m in members.items()},
         }
 
     covered = table.covers(observed)
@@ -463,6 +461,6 @@ def inclusion_report(table, observed):
     }
     for source in sorted(set(table.id_source.tolist())):
         members = table.id_source == source
-        count = int(members.sum())
-        report["by_id_source"][source] = {"n": count, "rate": int(covered[members].sum()) / count}
+        count = members.sum()
+        report["by_id_source"][source] = {"n": count, "rate": covered[members].sum() / count}
     return report
